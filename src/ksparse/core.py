@@ -138,18 +138,12 @@ def centroids(labels: np.ndarray, Z: np.ndarray, k: int | None = None) -> np.nda
     return out
 
 
-def spectral_norm(
-    X: np.ndarray,
-    power_iters: int = 200,
-    power_tol: float = 1e-8,
-    seed: int = 0,
-) -> float:
-    """Largest singular value of X, estimated by power iteration on the Gram matrix.
+def spectral_norm(X: np.ndarray) -> float:
+    """Largest singular value of X, computed exactly from the smaller Gram matrix.
 
-    The start vector is a pseudo-random unit vector drawn from ``seed``, so
-    the estimate is deterministic.  Iteration stops when successive
-    estimates agree to ``power_tol`` relative, or after ``power_iters``
-    steps, whichever comes first.
+    ``sigma_max(X)^2`` is the largest eigenvalue of ``X @ X.T`` or
+    ``X.T @ X``, whichever is smaller; a symmetric eigensolver gives it to
+    rounding error whatever the gap to the next singular value.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -158,28 +152,5 @@ def spectral_norm(
         raise ValueError("matrix contains NaN or Inf entries")
     if not np.any(X):
         raise ValueError("spectral norm of an all-zero matrix is undefined here")
-    if power_iters < 1:
-        raise ValueError("power_iters must be >= 1")
-    if power_tol <= 0:
-        raise ValueError("power_tol must be positive")
-
-    rng = np.random.default_rng(seed)
-    d = X.shape[1]
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-
-    sigma = 0.0
-    for _ in range(power_iters):
-        u = X @ v
-        new_sigma = float(np.linalg.norm(u))
-        if new_sigma == 0.0:
-            # start vector landed in the null space; redraw deterministically
-            v = rng.standard_normal(d)
-            v /= np.linalg.norm(v)
-            continue
-        w = X.T @ u
-        v = w / np.linalg.norm(w)
-        if abs(new_sigma - sigma) <= power_tol * new_sigma:
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+    G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+    return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))

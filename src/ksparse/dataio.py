@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,15 +264,10 @@ def cpm_normalize(X: np.ndarray) -> np.ndarray:
     return X / sums[:, None] * 1e6
 
 
-def scale_by_spectral_norm(
-    X: np.ndarray,
-    power_iters: int = 200,
-    power_tol: float = 1e-8,
-    seed: int = 0,
-):
+def scale_by_spectral_norm(X: np.ndarray):
     """Divide X by its largest singular value; returns (scaled matrix, sigma_max)."""
     X = check_data_matrix(X)
-    sigma = spectral_norm(X, power_iters=power_iters, power_tol=power_tol, seed=seed)
+    sigma = spectral_norm(X)
     return X / sigma, sigma
 
 
@@ -301,11 +297,20 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def _atomic_write(path, text: str) -> None:
-    # never leave a partial file behind on failure
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    # never leave a partial or stray file behind on failure; a unique name in
+    # the target's directory keeps the final rename on one file system
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_result(result, dataset: Dataset, path) -> None:

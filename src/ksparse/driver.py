@@ -52,8 +52,6 @@ class SolverConfig:
     replicates: int = 40
     seed: int = 0
     selection_tol: float | None = None
-    power_iters: int = 200
-    power_tol: float = 1e-8
     normalize: bool = True
     early_exit: bool = False
 
@@ -68,8 +66,6 @@ class SolverConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.selection_tol is not None and self.selection_tol < 0:
             raise ValueError("selection_tol must be nonnegative")
-        if self.power_iters < 1 or self.power_tol <= 0:
-            raise ValueError("invalid power iteration parameters")
 
 
 @dataclass
@@ -136,7 +132,7 @@ def k_sparse(
 
     Expects X spectral-norm-normalized, or ``cfg.normalize`` (the default)
     to request normalization; ``sigma_max`` can pass a precomputed spectral
-    norm to skip the estimation.  When ``labels_true`` is given the result
+    norm to skip computing it.  When ``labels_true`` is given the result
     carries accuracy/ARI/NMI against it.
     """
     cfg = cfg if cfg is not None else SolverConfig()
@@ -158,9 +154,7 @@ def k_sparse(
         labels_true = check_labels(labels_true, m=m)
 
     if sigma_max is None:
-        sigma_max = spectral_norm(
-            X, power_iters=cfg.power_iters, power_tol=cfg.power_tol, seed=cfg.seed
-        )
+        sigma_max = spectral_norm(X)
     if cfg.normalize:
         X = X / sigma_max
         solver_sigma = 1.0
@@ -270,7 +264,7 @@ def sweep_eta(
     """One independent :func:`k_sparse` run per l1 budget, same seed each time.
 
     Records are returned in the order of ``etas``.  The spectral norm is
-    estimated once and shared.  ``n_jobs > 1`` runs budgets in parallel
+    computed once and shared.  ``n_jobs > 1`` runs budgets in parallel
     worker processes; results do not depend on the worker count.
     """
     cfg = cfg if cfg is not None else SolverConfig()
@@ -281,9 +275,7 @@ def sweep_eta(
     if any(e <= 0 for e in etas):
         raise ValueError("all eta values must be positive")
     X = check_data_matrix(X)
-    sigma = spectral_norm(
-        X, power_iters=cfg.power_iters, power_tol=cfg.power_tol, seed=cfg.seed
-    )
+    sigma = spectral_norm(X)
 
     _sweep_init(X, k, cfg, labels_true, sigma)
     if n_jobs > 1 and len(etas) > 1:

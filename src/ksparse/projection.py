@@ -1,10 +1,9 @@
 """Exact Euclidean projections onto the scaled simplex and the l1 ball.
 
-Two interchangeable threshold searches are provided: a sort-based one
-(O(n log n), the default) and an active-set filtering scan in the style of
-Michelot (1986), which runs in expected linear time on typical inputs.
-Both compute the same unique threshold ``tau`` such that
-``w = max(v - tau, 0)`` sums to ``eta``.
+The threshold search is an active-set filtering scan in the style of
+Michelot (1986), which runs in expected linear time on typical inputs.  It
+computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
+sums to ``eta``.
 """
 
 from __future__ import annotations
@@ -12,18 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["project_simplex", "project_l1_ball"]
-
-_METHODS = ("sort", "scan")
-
-
-def _tau_sort(v: np.ndarray, eta: float) -> float:
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - eta
-    ks = np.arange(1, u.size + 1)
-    # largest support size whose threshold keeps all its members positive;
-    # index 0 always qualifies because eta > 0
-    rho = np.nonzero(u - shifted / ks > 0)[0][-1]
-    return shifted[rho] / (rho + 1)
 
 
 def _tau_scan(v: np.ndarray, eta: float) -> float:
@@ -37,7 +24,7 @@ def _tau_scan(v: np.ndarray, eta: float) -> float:
         tau = (active.sum() - eta) / active.size
 
 
-def project_simplex(v: np.ndarray, eta: float, method: str = "sort") -> np.ndarray:
+def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
     """Project a vector onto the simplex {w >= 0, sum(w) = eta}.
 
     Returns the unique l2-closest point, which has the thresholded form
@@ -46,18 +33,15 @@ def project_simplex(v: np.ndarray, eta: float, method: str = "sort") -> np.ndarr
     """
     if not np.isscalar(eta) or eta <= 0:
         raise ValueError(f"eta must be a positive scalar, got {eta!r}")
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains NaN or Inf entries")
-    tau = _tau_sort(v, eta) if method == "sort" else _tau_scan(v, eta)
-    return np.maximum(v - tau, 0.0)
+    return np.maximum(v - _tau_scan(v, eta), 0.0)
 
 
-def project_l1_ball(W: np.ndarray, eta: float, method: str = "sort") -> np.ndarray:
+def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
     """Project a vector or matrix onto the l1 ball of radius eta.
 
     Points already inside the ball are returned unchanged.  Otherwise the
@@ -76,6 +60,6 @@ def project_l1_ball(W: np.ndarray, eta: float, method: str = "sort") -> np.ndarr
     # no-op despite rounding in the norm sum
     if np.sum(np.abs(flat)) <= eta * (1.0 + 1e-12):
         return W.copy()
-    v = project_simplex(np.abs(flat), eta, method=method)
+    v = project_simplex(np.abs(flat), eta)
     out = np.sign(flat) * v
     return out.reshape(W.shape, order="F") if W.ndim > 1 else out

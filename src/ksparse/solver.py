@@ -5,7 +5,9 @@ subject to ``||W||_1 <= eta`` by forward-backward splitting: a gradient
 step on the smooth term followed by an exact projection onto the l1 ball.
 The accelerated variant adds momentum with the Chambolle-Dossal parameter
 rule ``t_n = (n + 5) / 4``, which also guarantees convergence of the
-iterates.  Step sizes are validated against the squared spectral norm of
+iterates.  Both run one loop: the plain variant is the extrapolation weight
+``lambda = 1`` case, where the extrapolated point is the projected point.
+Step sizes are validated against the squared spectral norm of
 ``X`` (the Lipschitz constant of the gradient).
 """
 
@@ -70,7 +72,7 @@ def sparse_aware_product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return X @ W
 
 
-def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, bound_factor, inclusive):
+def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     X = np.asarray(X, float)
     mu = np.asarray(mu, float)
     W0 = np.asarray(W0, float)
@@ -85,11 +87,13 @@ def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, bound_factor, in
         raise ValueError(f"eta must be positive, got {eta}")
     if sigma_max is None:
         sigma_max = spectral_norm(X)
+    bound_factor = 1.0 if accelerated else 2.0
     bound = bound_factor / sigma_max**2
-    # small slack on the inclusive bound absorbs spectral-norm estimation error
-    ok = 0.0 < gamma <= bound * (1.0 + 1e-9) if inclusive else 0.0 < gamma < bound
+    # the accelerated bound is inclusive; its small slack absorbs rounding in
+    # sigma_max and in the normalization that makes gamma = 1 the intended step
+    ok = 0.0 < gamma <= bound * (1.0 + 1e-9) if accelerated else 0.0 < gamma < bound
     if not ok:
-        paren = "]" if inclusive else ")"
+        paren = "]" if accelerated else ")"
         raise ValueError(
             f"step size gamma={gamma} outside (0, {bound_factor:g}/sigma_max(X)^2{paren} = "
             f"(0, {bound:.6g}{paren}; the gradient is sigma_max(X)^2-Lipschitz, which caps "
@@ -112,6 +116,37 @@ def momentum_schedule(n: int, t: float) -> tuple[float, float]:
     return t_new, 1.0 + (t - 1.0) / t_new
 
 
+def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accelerated):
+    X, labels, mu, W0 = _prepare(
+        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated
+    )
+    Ymu = mu[labels]
+    W_proj = project_l1_ball(W0, eta)
+    R_proj = sparse_aware_product(X, W_proj) - Ymu
+    trace = [0.5 * float(np.vdot(R_proj, R_proj))]
+
+    W = W_proj  # extrapolated point, gradient is evaluated here
+    R = R_proj
+    t = 1.0
+    iterations = 0
+    for n in range(n_iters):
+        G = X.T @ R
+        W_proj = project_l1_ball(W - gamma * G, eta)
+        R_proj = sparse_aware_product(X, W_proj) - Ymu
+        trace.append(0.5 * float(np.vdot(R_proj, R_proj)))
+        if accelerated:
+            t, lam = momentum_schedule(n, t)
+            W = (1.0 - lam) * W + lam * W_proj
+            # residual is affine in W, so recombine instead of re-multiplying
+            R = (1.0 - lam) * R + lam * R_proj
+        else:  # lambda = 1: the extrapolated point is the projected point
+            W, R = W_proj, R_proj
+        iterations += 1
+        if early_exit and abs(trace[-1] - trace[-2]) < _stall_tol(trace[0]):
+            break
+    return InnerSolveReport(W_proj, np.asarray(trace), iterations)
+
+
 def solve_weights_ista(
     X: np.ndarray,
     labels: np.ndarray,
@@ -132,23 +167,9 @@ def solve_weights_ista(
     ``objective_trace[0]`` is the objective at the (projected) start point,
     followed by one entry per iteration.
     """
-    X, labels, mu, W0 = _prepare(
-        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, 2.0, inclusive=False
+    return _solve(
+        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accelerated=False
     )
-    Ymu = mu[labels]
-    W = project_l1_ball(W0, eta)
-    R = sparse_aware_product(X, W) - Ymu
-    trace = [0.5 * float(np.vdot(R, R))]
-    iterations = 0
-    for _ in range(n_iters):
-        G = X.T @ R
-        W = project_l1_ball(W - gamma * G, eta)
-        R = sparse_aware_product(X, W) - Ymu
-        trace.append(0.5 * float(np.vdot(R, R)))
-        iterations += 1
-        if early_exit and abs(trace[-1] - trace[-2]) < _stall_tol(trace[0]):
-            break
-    return InnerSolveReport(W, np.asarray(trace), iterations)
 
 
 def solve_weights_fista(
@@ -169,29 +190,6 @@ def solve_weights_fista(
     iterate may leave the l1 ball transiently; the reported weights and
     trace are taken at the projected points, which are always feasible.
     """
-    X, labels, mu, W0 = _prepare(
-        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, 1.0, inclusive=True
+    return _solve(
+        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accelerated=True
     )
-    Ymu = mu[labels]
-    W_proj = project_l1_ball(W0, eta)
-    R_proj = sparse_aware_product(X, W_proj) - Ymu
-    trace = [0.5 * float(np.vdot(R_proj, R_proj))]
-
-    W = W_proj  # extrapolated point, gradient is evaluated here
-    R = R_proj
-    t = 1.0
-    iterations = 0
-    for n in range(n_iters):
-        G = X.T @ R
-        W_proj = project_l1_ball(W - gamma * G, eta)
-        R_proj = sparse_aware_product(X, W_proj) - Ymu
-        trace.append(0.5 * float(np.vdot(R_proj, R_proj)))
-        t_new, lam = momentum_schedule(n, t)
-        W = (1.0 - lam) * W + lam * W_proj
-        # residual is affine in W, so recombine instead of re-multiplying
-        R = (1.0 - lam) * R + lam * R_proj
-        t = t_new
-        iterations += 1
-        if early_exit and abs(trace[-1] - trace[-2]) < _stall_tol(trace[0]):
-            break
-    return InnerSolveReport(W_proj, np.asarray(trace), iterations)

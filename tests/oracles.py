@@ -19,16 +19,24 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
     """Projection onto the l1 ball by enumerating every active-set size.
 
     Builds the candidate solution for each support size, keeps the feasible
-    ones, and returns the candidate closest to w in l2.
+    ones, and returns the candidate closest to w in l2.  A support size r
+    can only be feasible when its threshold lies between the r-th and the
+    (r+1)-th largest magnitudes (otherwise the candidate's l1 norm exceeds
+    eta by at least the gap), so sizes far outside that bracket are skipped
+    before the full candidate is built; this keeps inputs of tens of
+    thousands of entries affordable.
     """
     w = np.asarray(w, dtype=float)
     a = np.abs(w)
     if a.sum() <= eta:
         return w.copy()
     s = np.sort(a)[::-1]
+    taus = (np.cumsum(s) - eta) / np.arange(1, s.size + 1)
+    below = np.append(s[1:], -np.inf)
+    bracketed = (s >= taus - 1e-6) & (below <= taus + 1e-6)
     best = None
     best_dist = np.inf
-    for r in range(1, a.size + 1):
+    for r in np.flatnonzero(bracketed) + 1:
         tau = (s[:r].sum() - eta) / r
         x = np.sign(w) * np.maximum(a - tau, 0.0)
         if abs(np.abs(x).sum() - eta) > 1e-9 * max(1.0, eta):

@@ -128,6 +128,30 @@ class TestCluster:
         assert proc.returncode == 1
         assert not out.exists()
 
+    def test_unwritable_out_leaves_no_stray_file(self, synth_files, tmp_path):
+        out = tmp_path / "somedir"
+        out.mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv",
+            "--k", "2", "--eta", "0.5", *FAST_FLAGS, "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not any(out.iterdir())
+
+    def test_result_file_mode_follows_umask(self, synth_files, tmp_path):
+        out = tmp_path / "r.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv",
+            "--k", "2", "--eta", "0.5", *FAST_FLAGS, "--out", str(out),
+        )
+        assert proc.returncode == 0
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        assert out.stat().st_mode == plain.stat().st_mode
+
     def test_bad_normalize_stage(self, synth_files, tmp_path):
         proc = run_cli(
             "cluster", "--input", f"{synth_files}_matrix.csv", "--k", "2",
