@@ -39,9 +39,6 @@ def _pin_blas_threads() -> None:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for sweeps; results do not depend on it "
-                        "(default: machine parallelism, %(default)s here)")
     p.add_argument("--time", action="store_true",
                    help="print wall-clock time per phase to stderr")
 
@@ -75,6 +72,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int, default=40,
                    help="k-means++ replicates per clustering step (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="run seed (default: %(default)s)")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                   help="worker processes for sweeps; results do not depend on it "
+                        "(default: machine parallelism, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predicted labels against true labels")
     p.add_argument("--pred", required=True, help="predicted labels file")
     p.add_argument("--truth", required=True, help="true labels file")
-    _add_common_flags(p)
     p.set_defaults(func=_cmd_eval)
 
     return parser
@@ -313,12 +312,25 @@ def _cmd_synth(parser, args) -> int:
     dataset = dataio.generate_synthetic(spec)
     phases.mark("generate")
 
-    dataio.write_matrix_csv(f"{args.out}_matrix.csv", dataset, header=False, rownames=False)
-    dataio.save_labels(f"{args.out}_labels.txt", dataset.labels_true)
-    dataio._atomic_write(
-        f"{args.out}_informative.txt",
-        "".join(f"{int(j)}\n" for j in dataset.informative_features),
+    writes = (
+        (f"{args.out}_matrix.csv",
+         lambda path: dataio.write_matrix_csv(path, dataset, header=False, rownames=False)),
+        (f"{args.out}_labels.txt",
+         lambda path: dataio.save_labels(path, dataset.labels_true)),
+        (f"{args.out}_informative.txt",
+         lambda path: dataio._atomic_write(
+             path, "".join(f"{int(j)}\n" for j in dataset.informative_features))),
     )
+    written = []
+    try:
+        for path, write in writes:
+            write(path)
+            written.append(path)
+    except BaseException:
+        # a failed run leaves none of its files behind
+        for path in written:
+            os.unlink(path)
+        raise
     phases.mark("write")
     print(f"{args.out}_matrix.csv\t{spec.m}\t{spec.d}\t{spec.k}")
     return 0

@@ -39,10 +39,11 @@ _LOOP_SEED_STRIDE = 100003
 class SolverConfig:
     """Tuning knobs for :func:`k_sparse`.
 
-    ``dbar`` is the projected-space dimensionality and defaults to ``k + 4``;
-    ``selection_tol`` defaults to ``1e-10 * eta``.  ``gamma`` is the constant
-    gradient step, valid up to ``1/sigma_max(X)^2`` for the accelerated inner
-    solver (equal to 1 after spectral-norm normalization).
+    ``dbar`` is the projected-space dimensionality and defaults to ``k + 4``.
+    ``gamma`` is the constant gradient step, valid up to ``1/sigma_max(X)^2``
+    for the accelerated inner solver (equal to 1 after spectral-norm
+    normalization).  A feature counts as selected when its weight row norm
+    exceeds ``1e-10 * eta``.
     """
 
     gamma: float = 1.0
@@ -51,9 +52,7 @@ class SolverConfig:
     dbar: int | None = None
     replicates: int = 40
     seed: int = 0
-    selection_tol: float | None = None
     normalize: bool = True
-    early_exit: bool = False
 
     def validate(self) -> None:
         if self.gamma <= 0:
@@ -64,8 +63,6 @@ class SolverConfig:
             raise ValueError(f"dbar must be >= 1, got {self.dbar}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if self.selection_tol is not None and self.selection_tol < 0:
-            raise ValueError("selection_tol must be nonnegative")
 
 
 @dataclass
@@ -162,7 +159,6 @@ def k_sparse(
         solver_sigma = sigma_max
 
     dbar = cfg.dbar if cfg.dbar is not None else k + 4
-    tol = cfg.selection_tol if cfg.selection_tol is not None else 1e-10 * eta
 
     # initial labels and centroids: replicated k-means++ on the
     # highest-variance columns.  The centroids anchor the first weight solve
@@ -182,8 +178,6 @@ def k_sparse(
     res0 = mu[labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
-    prev_selected = None
-    stable_loops = 0
     for loop in range(cfg.outer_loops):
         report = solve_weights_fista(
             X, labels, mu, W, cfg.inner_iters, cfg.gamma, eta, sigma_max=solver_sigma
@@ -209,14 +203,7 @@ def k_sparse(
         wcss, labels, mu = min(candidates, key=lambda c: c[0])
         trace.append(np.sqrt(2.0 * wcss))
 
-        if cfg.early_exit:
-            current = frozenset(selected_features(W, tol).tolist())
-            stable_loops = stable_loops + 1 if current == prev_selected else 0
-            prev_selected = current
-            if stable_loops >= 2:
-                break
-
-    selected = selected_features(W, tol)
+    selected = selected_features(W, 1e-10 * eta)
     result_metrics = (
         _compute_metrics(labels_true, labels) if labels_true is not None else None
     )

@@ -64,16 +64,18 @@ def kmeanspp_seed(Z: np.ndarray, k: int, rng_seed: int) -> np.ndarray:
         raise ValueError("k must be >= 1")
     if m < k:
         raise ValueError(f"cannot seed {k} clusters from {m} samples")
-    n_distinct = np.unique(Z, axis=0).shape[0]
-    if n_distinct < k:
-        raise ValueError(f"need at least {k} distinct rows to seed, found {n_distinct}")
 
     rng = np.random.default_rng(rng_seed)
     centers = np.empty((k, Z.shape[1]))
     centers[0] = Z[rng.integers(m)]
     d2 = np.sum((Z - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        centers[j] = Z[rng.choice(m, p=d2 / d2.sum())]
+        # D^2 draws never pick a zero-weight row, so the j centers so far are
+        # distinct rows; no mass left means Z has exactly j distinct rows
+        total = d2.sum()
+        if total == 0:
+            raise ValueError(f"need at least {k} distinct rows to seed, found {j}")
+        centers[j] = Z[rng.choice(m, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((Z - centers[j]) ** 2, axis=1))
     return centers
 

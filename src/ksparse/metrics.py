@@ -79,14 +79,13 @@ def ari(truth: np.ndarray, pred: np.ndarray) -> float:
     return float((sum_cells - expected) / denom)
 
 
-def nmi(truth: np.ndarray, pred: np.ndarray, normalization: str = "arithmetic") -> float:
+def nmi(truth: np.ndarray, pred: np.ndarray) -> float:
     """Normalized mutual information between two partitions.
 
-    Mutual information of the contingency distribution divided by a mean of
-    the two entropies; ``normalization`` selects the mean (``arithmetic``,
-    the default, or ``geometric``/``min``/``max``).  Entropies use natural
-    log; the result does not depend on the base.  Two trivial partitions
-    (zero entropy on both sides) read as 1.0.
+    Mutual information of the contingency distribution divided by the
+    arithmetic mean of the two entropies.  Entropies use natural log; the
+    result does not depend on the base.  Two trivial partitions (zero
+    entropy on both sides) read as 1.0.
     """
     truth, pred = _check_pair(truth, pred)
     C = contingency_table(truth, pred).astype(float)
@@ -104,15 +103,5 @@ def nmi(truth: np.ndarray, pred: np.ndarray, normalization: str = "arithmetic") 
     mi = float(np.sum(P[mask] * np.log(P[mask] / outer[mask])))
     if mi <= 0.0:
         return 0.0
-
-    if normalization == "arithmetic":
-        denom = 0.5 * (h_true + h_pred)
-    elif normalization == "geometric":
-        denom = float(np.sqrt(h_true * h_pred))
-    elif normalization == "min":
-        denom = min(h_true, h_pred)
-    elif normalization == "max":
-        denom = max(h_true, h_pred)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    denom = 0.5 * (h_true + h_pred)
     return float(min(max(mi / denom, 0.0), 1.0))

@@ -56,10 +56,11 @@ def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
     if not np.all(np.isfinite(W)):
         raise ValueError("input contains NaN or Inf entries")
     flat = W.ravel(order="F")
+    a = np.abs(flat)
     # relative slack makes re-projecting an already-projected point an exact
     # no-op despite rounding in the norm sum
-    if np.sum(np.abs(flat)) <= eta * (1.0 + 1e-12):
+    if np.sum(a) <= eta * (1.0 + 1e-12):
         return W.copy()
-    v = project_simplex(np.abs(flat), eta)
-    out = np.sign(flat) * v
+    # project_simplex(a, eta) without repeating the input checks made above
+    out = np.sign(flat) * np.maximum(a - _tau_scan(a, eta), 0.0)
     return out.reshape(W.shape, order="F") if W.ndim > 1 else out

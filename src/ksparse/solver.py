@@ -35,7 +35,10 @@ _SPARSE_ROW_FRACTION = 0.25
 
 @dataclass
 class InnerSolveReport:
-    """Outcome of one inner solve: final weights, per-iteration objective, count."""
+    """Outcome of one inner solve: final weights, per-iteration objective, count.
+
+    Every solve runs its full budget, so ``iterations_run == n_iters``.
+    """
 
     final_weights: np.ndarray
     objective_trace: np.ndarray
@@ -102,10 +105,6 @@ def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     return X, labels, mu, W0
 
 
-def _stall_tol(trace0: float) -> float:
-    return 1e-10 * max(1.0, trace0)
-
-
 def momentum_schedule(n: int, t: float) -> tuple[float, float]:
     """One step of the acceleration schedule: returns (t_new, lambda).
 
@@ -116,7 +115,7 @@ def momentum_schedule(n: int, t: float) -> tuple[float, float]:
     return t_new, 1.0 + (t - 1.0) / t_new
 
 
-def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accelerated):
+def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     X, labels, mu, W0 = _prepare(
         X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated
     )
@@ -128,7 +127,6 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accele
     W = W_proj  # extrapolated point, gradient is evaluated here
     R = R_proj
     t = 1.0
-    iterations = 0
     for n in range(n_iters):
         G = X.T @ R
         W_proj = project_l1_ball(W - gamma * G, eta)
@@ -141,10 +139,7 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accele
             R = (1.0 - lam) * R + lam * R_proj
         else:  # lambda = 1: the extrapolated point is the projected point
             W, R = W_proj, R_proj
-        iterations += 1
-        if early_exit and abs(trace[-1] - trace[-2]) < _stall_tol(trace[0]):
-            break
-    return InnerSolveReport(W_proj, np.asarray(trace), iterations)
+    return InnerSolveReport(W_proj, np.asarray(trace), n_iters)
 
 
 def solve_weights_ista(
@@ -157,7 +152,6 @@ def solve_weights_ista(
     eta: float,
     *,
     sigma_max: float | None = None,
-    early_exit: bool = False,
 ) -> InnerSolveReport:
     """Projected gradient descent: V = W - gamma * X.T @ (X@W - Y@mu); W = P_eta(V).
 
@@ -167,9 +161,7 @@ def solve_weights_ista(
     ``objective_trace[0]`` is the objective at the (projected) start point,
     followed by one entry per iteration.
     """
-    return _solve(
-        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accelerated=False
-    )
+    return _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated=False)
 
 
 def solve_weights_fista(
@@ -182,7 +174,6 @@ def solve_weights_fista(
     eta: float,
     *,
     sigma_max: float | None = None,
-    early_exit: bool = False,
 ) -> InnerSolveReport:
     """Accelerated projected gradient with the t = (n+5)/4 momentum rule.
 
@@ -190,6 +181,4 @@ def solve_weights_fista(
     iterate may leave the l1 ball transiently; the reported weights and
     trace are taken at the projected points, which are always feasible.
     """
-    return _solve(
-        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, early_exit, accelerated=True
-    )
+    return _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated=True)

@@ -54,6 +54,25 @@ class TestSynth:
         proc = run_cli("synth", "--m", "4", "--k", "9", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
 
+    def test_threads_flag_rejected(self, tmp_path):
+        proc = run_cli(
+            "synth", "--m", "10", "--d", "8", "--k", "2", "--informative", "2",
+            "--threads", "2", "--out", str(tmp_path / "x"),
+        )
+        assert proc.returncode == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_failed_write_leaves_no_partial_output(self, tmp_path):
+        (tmp_path / "x_labels.txt").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        proc = run_cli(
+            "synth", "--m", "10", "--d", "8", "--k", "2", "--informative", "2",
+            "--out", str(tmp_path / "x"),
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 class TestCluster:
     def test_summary_and_result_file(self, synth_files, tmp_path):
@@ -228,6 +247,12 @@ class TestEval:
         p.write_text("0\n1\n0\n")
         proc = run_cli("eval", "--pred", str(p), "--truth", str(t))
         assert proc.returncode == 1
+
+    def test_time_flag_rejected(self, tmp_path):
+        f = tmp_path / "labels.txt"
+        f.write_text("0\n0\n1\n1\n")
+        proc = run_cli("eval", "--pred", str(f), "--truth", str(f), "--time")
+        assert proc.returncode == 2
 
 
 class TestTiming:

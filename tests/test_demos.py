@@ -11,7 +11,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_l1_projection.py", "02_inner_solvers.py", "05_count_matrix_pipeline.py"]
+    "demo",
+    [
+        "01_l1_projection.py",
+        "02_inner_solvers.py",
+        "03_synthetic_clustering.py",
+        "04_budget_sweep.py",
+        "05_count_matrix_pipeline.py",
+    ],
 )
 def test_demo_runs(demo):
     env = dict(os.environ)

@@ -99,14 +99,6 @@ class TestKSparse:
         with pytest.raises(ValueError, match="nonnegative"):
             k_sparse(X, 2, 1.0, SolverConfig(outer_loops=-1))
 
-    def test_early_exit_shortens_trace(self, two_cluster_ds):
-        ds = two_cluster_ds
-        cfg = SolverConfig(replicates=8, inner_iters=120, outer_loops=12, early_exit=True)
-        res = k_sparse(ds.matrix, 2, 0.1, cfg)
-        full = SolverConfig(replicates=8, inner_iters=120, outer_loops=12)
-        ref = k_sparse(ds.matrix, 2, 0.1, full)
-        assert res.objective_trace.size <= ref.objective_trace.size
-
     def test_dbar_wider_than_d(self):
         ds = generate_synthetic(
             SyntheticSpec(m=40, d=4, k=2, n_informative=2, shift=5.0, noise_sd=1.0, seed=9)

@@ -37,6 +37,9 @@ class TestSeeding:
         Z = np.array([[1.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="distinct"):
             kmeanspp_seed(Z, 3, rng_seed=0)
+        Z = np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]])
+        with pytest.raises(ValueError, match="found 3"):
+            kmeanspp_seed(Z, 4, rng_seed=0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)

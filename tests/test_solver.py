@@ -134,14 +134,6 @@ class TestIsta:
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         np.testing.assert_array_equal(a.final_weights, b.final_weights)
 
-    def test_early_exit_stops_short(self):
-        X, labels, mu = _instance(9)
-        rep = solve_weights_ista(
-            X, labels, mu, default_weight_init(10, 3, 0.5), 5000, 1.0, 0.5,
-            sigma_max=1.0, early_exit=True,
-        )
-        assert rep.iterations_run < 5000
-
 
 class TestFista:
     def test_fixed_point_stays(self):
