@@ -109,7 +109,8 @@ def gradient(X: np.ndarray, W: np.ndarray, labels: np.ndarray, mu: np.ndarray) -
     mu = np.asarray(mu, float)
     labels = check_labels(labels)
     _check_dims(X, W, labels, mu)
-    return X.T @ (X @ W - mu[labels])
+    # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
+    return ((X @ W - mu[labels]).T @ X).T
 
 
 def centroids(labels: np.ndarray, Z: np.ndarray, k: int | None = None) -> np.ndarray:

@@ -10,6 +10,7 @@ File formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -122,6 +123,74 @@ def load_matrix_csv(
     Ragged rows, non-numeric cells, NaN/Inf, and empty files raise with the
     offending 1-based row/column position.
     """
+    try:
+        X, feature_names, sample_ids = _parse_loadtxt(
+            path, has_header, has_rownames, delimiter
+        )
+    except ValueError:
+        # the scan accepts the same files; on a bad one it names the cell
+        X, feature_names, sample_ids = _parse_scan(
+            path, has_header, has_rownames, delimiter
+        )
+    m, d = X.shape
+    if feature_names is not None and len(feature_names) != d:
+        raise ValueError(
+            f"{path}: header names {len(feature_names)} columns but rows have {d}"
+        )
+    if feature_names is None:
+        feature_names = [f"g{j}" for j in range(d)]
+    if sample_ids is None:
+        sample_ids = [f"s{i}" for i in range(m)]
+    return Dataset(X, feature_names, sample_ids)
+
+
+def _parse_loadtxt(path, has_header, has_rownames, delimiter):
+    """Fast path of :func:`load_matrix_csv`: ``np.loadtxt`` on the data lines.
+
+    Returns ``(X, feature_names or None, sample_ids or None)``.  Raises
+    ValueError on any file it cannot parse exactly as the scan would.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (ln for ln in fh if not ln.isspace())  # the scan skips these too
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        if delimiter is None:
+            delimiter = _detect_delimiter(first)
+        if len(delimiter) != 1:
+            raise ValueError("np.loadtxt takes a one-character delimiter")
+        feature_names = None
+        if has_header:
+            header = first.rstrip("\n").rstrip("\r").split(delimiter)
+            if has_rownames:
+                header = header[1:]
+            feature_names = [h.strip() for h in header]
+            first = next(lines, None)
+            if first is None:
+                raise ValueError(f"{path}: no data rows after header")
+        rows = itertools.chain([first], lines)
+        sample_ids = None
+        if has_rownames:
+            sample_ids = []
+            rows = _split_rownames(rows, delimiter, sample_ids)
+        X = np.loadtxt(rows, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
+    # a row that is only a rowname reaches loadtxt empty and is skipped there
+    if sample_ids is not None and len(sample_ids) != X.shape[0]:
+        raise ValueError(f"{path}: a row has no data columns")
+    if not np.all(np.isfinite(X)):
+        raise ValueError(f"{path}: non-finite value")
+    return X, feature_names, sample_ids
+
+
+def _split_rownames(rows, delimiter, sample_ids):
+    for row in rows:
+        name, _, rest = row.partition(delimiter)
+        sample_ids.append(name.strip())
+        yield rest
+
+
+def _parse_scan(path, has_header, has_rownames, delimiter):
+    """Row-by-row parse of :func:`load_matrix_csv` with positional errors."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
     lines = [ln for ln in lines if ln.strip() != ""]
@@ -174,16 +243,7 @@ def load_matrix_csv(
         rows.append(parsed)
 
     X = np.asarray(rows, dtype=float)
-    m, d = X.shape
-    if feature_names is not None and len(feature_names) != d:
-        raise ValueError(
-            f"{path}: header names {len(feature_names)} columns but rows have {d}"
-        )
-    if feature_names is None:
-        feature_names = [f"g{j}" for j in range(d)]
-    if not has_rownames:
-        sample_ids = [f"s{i}" for i in range(m)]
-    return Dataset(X, feature_names, sample_ids)
+    return X, feature_names, (sample_ids if has_rownames else None)
 
 
 def load_labels(path) -> np.ndarray:
@@ -348,6 +408,12 @@ def read_result(path) -> ResultDocument:
         doc = json.load(fh)
     if doc.get("format") != RESULT_FORMAT:
         raise ValueError(f"{path}: not a {RESULT_FORMAT} document")
+    version = doc.get("version")
+    if type(version) is not int or version != RESULT_VERSION:
+        raise ValueError(
+            f"{path}: unsupported {RESULT_FORMAT} version {version!r}; "
+            f"this reader accepts version {RESULT_VERSION}"
+        )
     return ResultDocument(
         eta=float(doc["eta"]),
         k=int(doc["k"]),

@@ -134,7 +134,8 @@ def k_sparse(
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
-    X = check_data_matrix(X)
+    # the solver's products are laid out for C-ordered X; copy only other layouts
+    X = np.ascontiguousarray(check_data_matrix(X))
     m, d = X.shape
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
@@ -264,17 +265,22 @@ def sweep_eta(
     X = check_data_matrix(X)
     sigma = spectral_norm(X)
 
-    _sweep_init(X, k, cfg, labels_true, sigma)
+    ctx = None
     if n_jobs > 1 and len(etas) > 1:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
-            ctx = None
-        if ctx is not None:
-            with ctx.Pool(
-                min(n_jobs, len(etas)),
-                initializer=_sweep_init,
-                initargs=(X, k, cfg, labels_true, sigma),
-            ) as pool:
-                return pool.map(_sweep_one, etas)
-    return [_sweep_one(eta) for eta in etas]
+            pass
+    _sweep_init(X, k, cfg, labels_true, sigma)
+    try:
+        if ctx is None:
+            return [_sweep_one(eta) for eta in etas]
+        with ctx.Pool(
+            min(n_jobs, len(etas)),
+            initializer=_sweep_init,
+            initargs=(X, k, cfg, labels_true, sigma),
+        ) as pool:
+            return pool.map(_sweep_one, etas)
+    finally:
+        # the module-level state must not keep the caller's matrix alive
+        _SWEEP_STATE.clear()

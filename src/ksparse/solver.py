@@ -72,11 +72,13 @@ def sparse_aware_product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
         if nz.size == 0:
             return np.zeros((X.shape[0], W.shape[1]))
         return X[:, nz] @ W[nz]
-    return X @ W
+    # same product as X @ W; for C-ordered X, OpenBLAS runs this layout faster
+    return (W.T @ X.T).T
 
 
 def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
-    X = np.asarray(X, float)
+    # the loop's products are laid out for C-ordered X; copy only other layouts
+    X = np.ascontiguousarray(X, float)
     mu = np.asarray(mu, float)
     W0 = np.asarray(W0, float)
     labels = check_labels(labels, m=X.shape[0], k=mu.shape[0])
@@ -128,7 +130,8 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     R = R_proj
     t = 1.0
     for n in range(n_iters):
-        G = X.T @ R
+        # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
+        G = (R.T @ X).T
         W_proj = project_l1_ball(W - gamma * G, eta)
         R_proj = sparse_aware_product(X, W_proj) - Ymu
         trace.append(0.5 * float(np.vdot(R_proj, R_proj)))

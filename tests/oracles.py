@@ -140,3 +140,38 @@ def best_two_cluster_wcss(Z: np.ndarray) -> float:
             wcss += 0.5 * float(np.sum((part - mu) ** 2))
         best = min(best, wcss)
     return best
+
+
+def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, accelerated):
+    """The inner weight solve written out as in the textbook.
+
+    Every iteration recomputes the residual ``X @ W - Y @ mu`` and the
+    gradient ``X.T @ R`` at the extrapolated point, projects with
+    :func:`l1_projection_oracle`, and relaxes with
+    ``W = (1 - lambda) W + lambda P(V)``, where ``t_n = (n + 5) / 4`` and
+    ``lambda = 1 + (t_{n-1} - 1) / t_n`` (``lambda = 1`` without acceleration).
+    Returns the last projected point and the objective at every projected point.
+    """
+    Ymu = mu[labels]
+
+    def project(V):
+        return l1_projection_oracle(V.ravel(), eta).reshape(V.shape)
+
+    def objective(W):
+        R = X @ W - Ymu
+        return 0.5 * float(np.sum(R * R))
+
+    W_proj = project(W0)
+    trace = [objective(W_proj)]
+    W = W_proj
+    t = 1.0
+    for n in range(n_iters):
+        W_proj = project(W - gamma * (X.T @ (X @ W - Ymu)))
+        trace.append(objective(W_proj))
+        lam = 1.0
+        if accelerated:
+            t_new = (n + 5) / 4.0
+            lam = 1.0 + (t - 1.0) / t_new
+            t = t_new
+        W = (1.0 - lam) * W + lam * W_proj
+    return W_proj, np.asarray(trace)

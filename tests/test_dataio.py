@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,82 @@ class TestLoadMatrix:
         np.testing.assert_array_equal(back.matrix, ds.matrix)  # bitwise via repr
         assert back.feature_names == ds.feature_names
         assert back.sample_ids == ds.sample_ids
+
+
+def _load_both_ways(monkeypatch, path, **kwargs):
+    """Load once through the np.loadtxt fast path and once through the row scan."""
+    real_loadtxt = np.loadtxt
+    parsed = []
+
+    def spy(*args, **kw):
+        parsed.append(real_loadtxt(*args, **kw))
+        return parsed[-1]
+
+    def refuse(*args, **kw):
+        raise ValueError("loadtxt refused")
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    fast = load_matrix_csv(path, **kwargs)
+    assert len(parsed) == 1 and fast.matrix is parsed[0]  # no fallback happened
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    scan = load_matrix_csv(path, **kwargs)
+    return fast, scan
+
+
+class TestLoadPaths:
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            (b"1,2\n3,4\n", {}),
+            (b"a,b\n1,2\n3,4\n", {"has_header": True}),
+            (b",a,b\ncell1,1,2\ncell2,3,4\n", {"has_header": True, "has_rownames": True}),
+            (b"r1\t1\t2\nr2\t3\t4\n", {"has_rownames": True}),
+            (b"1\t2\n3\t4\n", {}),
+            (b"a,b\r\n1,2\r\n3,4\r\n", {"has_header": True}),
+            (b"\n1,2\n\n   \n3,4\n\t\n", {}),
+            (b"\n \n,a\n\nr1,5\n  \nr2,6", {"has_header": True, "has_rownames": True}),
+            (b" 1 , 2\n3 ,\t4 \n", {}),
+            (b"1e3,-2.5E-7\n+4e+0,.5\n", {}),
+            (b"-0.0,0.0\n1,-0\n", {}),
+            (b"1,2,3\n", {}),
+            (b"1\n2\n3\n", {}),
+        ],
+        ids=[
+            "plain", "header", "header-rownames", "rownames-tab", "tab", "crlf",
+            "blank-lines", "blank-lines-rownames", "padded", "exponents",
+            "negative-zero", "one-row", "one-column",
+        ],
+    )
+    def test_fast_path_matches_scan(self, tmp_path, monkeypatch, text, kwargs):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text)
+        fast, scan = _load_both_ways(monkeypatch, p, **kwargs)
+        assert fast.matrix.shape == scan.matrix.shape
+        assert fast.matrix.dtype == scan.matrix.dtype
+        assert fast.matrix.tobytes() == scan.matrix.tobytes()
+        assert fast.feature_names == scan.feature_names
+        assert fast.sample_ids == scan.sample_ids
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2\n3,#4\n", "non-numeric value '#4' at row 2, column 2"),
+            ("1,1e500\n3,4\n", "non-finite value at row 1, column 2"),
+            ("1,2\nnan,4\n", "non-finite value at row 2, column 1"),
+        ],
+    )
+    def test_bad_cells_keep_positional_errors(self, tmp_path, text, message):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            load_matrix_csv(p)
+
+    def test_rowname_only_row_falls_back_to_scan(self, tmp_path):
+        p = tmp_path / "m.csv"
+        for row, width in (("r2,", 1), ("r2", 0)):
+            p.write_text(f"r1,1,2\n{row}\nr3,5,6\n")
+            with pytest.raises(ValueError, match=f"row 2 has {width} columns, expected 2"):
+                load_matrix_csv(p, has_rownames=True)
 
 
 class TestLabelsFiles:
@@ -280,6 +357,16 @@ class TestResultDocument:
         p.write_text('{"format": "other"}')
         with pytest.raises(ValueError, match="not a"):
             read_result(p)
+
+    def test_other_version_rejected(self, tmp_path):
+        p = tmp_path / "res.json"
+        write_result(self._result(), self._dataset(), p)
+        doc = json.loads(p.read_text())
+        for version in (2, 0, "1", None):
+            doc["version"] = version
+            p.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match="unsupported ksparse-result version"):
+                read_result(p)
 
     def test_label_count_mismatch(self, tmp_path):
         res = self._result()

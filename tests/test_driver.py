@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ksparse.dataio import SyntheticSpec, generate_synthetic
+from ksparse import driver
 from ksparse.driver import SolverConfig, k_sparse, selected_features, sweep_eta
 from ksparse.metrics import ari
 from ksparse.projection import project_l1_ball
@@ -140,6 +141,14 @@ class TestSweep:
         assert [(r.eta, r.selected_count, r.frobenius_objective) for r in seq] == [
             (r.eta, r.selected_count, r.frobenius_objective) for r in par
         ]
+
+    def test_state_released_after_sweep(self, two_cluster_ds):
+        for n_jobs in (1, 2):
+            sweep_eta(two_cluster_ds.matrix, 2, [0.2, 0.3], cfg=FAST, n_jobs=n_jobs)
+            assert driver._SWEEP_STATE == {}
+        with pytest.raises(ValueError, match="k must be"):
+            sweep_eta(two_cluster_ds.matrix, 1, [0.2], cfg=FAST)  # raises inside the run
+        assert driver._SWEEP_STATE == {}
 
     def test_validation(self, two_cluster_ds):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ksparse.core import spectral_norm
+from oracles import projected_gradient_reference
 from ksparse.solver import (
     default_weight_init,
     momentum_schedule,
@@ -180,3 +181,26 @@ class TestFista:
         X, labels, mu = _instance(15)
         with pytest.raises(ValueError, match="W0 shape"):
             solve_weights_fista(X, labels, mu, np.zeros((4, 3)), 5, 1.0, 1.0, sigma_max=1.0)
+
+
+class TestTextbookForm:
+    """The solver's product layouts and residual recombination change rounding only."""
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("eta", [0.3, 10.0])  # sparse and dense product paths
+    def test_matches_reference_loop(self, accelerated, eta):
+        X, labels, mu = _instance(16, m=40, d=30, dbar=4, k=3)
+        W0 = default_weight_init(30, 4, eta)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        ref_W, ref_trace = projected_gradient_reference(
+            X, labels, mu, W0, 60, 1.0, eta, accelerated
+        )
+        reports = [
+            solve(Xo, labels, mu, W0, 60, 1.0, eta, sigma_max=1.0)
+            for Xo in (np.ascontiguousarray(X), np.asfortranarray(X))
+        ]
+        for rep in reports:
+            np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
+            np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
+        # a Fortran-ordered X is copied to C order, so both runs are one computation
+        np.testing.assert_array_equal(reports[0].final_weights, reports[1].final_weights)
