@@ -162,6 +162,8 @@ def _validate_cluster_args(parser, args) -> None:
         parser.error("--replicates must be >= 1")
     if args.dbar is not None and args.dbar < 1:
         parser.error("--dbar must be >= 1")
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if (args.filter_min_count is None) != (args.filter_min_cells is None):
         parser.error("--filter-min-count and --filter-min-cells go together")
 
@@ -277,7 +279,7 @@ def _cmd_sweep(parser, args) -> int:
     cfg = _make_config(args, normalize_spectral="spectral" in stages)
     records = sweep_eta(
         dataset.matrix, args.k, etas, labels_true=labels_true, cfg=cfg,
-        n_jobs=max(args.threads, 1),
+        n_jobs=args.threads,
     )
     phases.mark("sweep")
 

@@ -7,7 +7,6 @@ and are invariant under relabeling of either side.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 __all__ = ["contingency_table", "accuracy", "ari", "nmi"]
 
@@ -43,6 +42,10 @@ def accuracy(truth: np.ndarray, pred: np.ndarray) -> float:
     (rectangular Hungarian on the negated counts); predicted clusters left
     unmatched when the cluster counts differ contribute no agreement.
     """
+    # imported here: scipy.optimize takes most of a second to load, and a run
+    # without true labels never computes a metric
+    from scipy.optimize import linear_sum_assignment
+
     C = contingency_table(truth, pred)
     rows, cols = linear_sum_assignment(-C)
     return float(C[rows, cols].sum()) / C.sum()

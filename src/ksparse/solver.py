@@ -9,6 +9,36 @@ iterates.  Both run one loop: the plain variant is the extrapolation weight
 ``lambda = 1`` case, where the extrapolated point is the projected point.
 Step sizes are validated against the squared spectral norm of
 ``X`` (the Lipschitz constant of the gradient).
+
+Working set.  When the projected weights keep few rows, most of the
+full-width gradient ``G = X.T @ R`` only confirms that a row stays zero.
+So after a full step with threshold ``tau`` (the projection is
+``sign(v) max(|v| - tau, 0)`` on ``V = W - gamma G``), the loop keeps the
+candidate rows ``C`` whose largest ``|V_ij|`` exceeds ``0.8 tau``.  While
+they are at most a fifth of the rows, the next steps compute the
+gradient, the projection and the residual product on ``X[:, C]`` alone.
+Such a step is accepted only under a certificate that the projection of
+the full ``V`` would have zeroed every row outside ``C``, in the style of
+safe feature elimination (El Ghaoui et al., 2012).  With ``R_ref`` and
+``G_ref`` the residual and gradient of the last full step, and ``x_i`` the
+i-th column of ``X``, Cauchy-Schwarz on ``G_ij - G_ref_ij = x_i . (R_j -
+R_ref_j)`` bounds every excluded entry:
+
+    |V_ij| <= |W_ij - gamma G_ref_ij| + gamma ||x_i|| ||R_j - R_ref_j||.
+
+If every such bound is at most the threshold ``tau_C`` of the projection on
+``C`` (less a relative 1e-9 for rounding), the full projection has the same
+threshold and is zero outside ``C``, so the step is the full-width step up
+to rounding.  Otherwise that iteration takes a full-width step, which also
+picks a new ``C``.  A block inside the ball (``tau_C = 0``) certifies
+nothing and also takes a full step.
+
+Ghost rows are excluded rows that still carry weight: the extrapolation
+``(1 - lambda) W + lambda P`` keeps every row that was ever in the support,
+several hundred at paper size, against about a hundred in the support.
+Keeping them in ``C`` would pin ``C`` at that size.  Outside ``C`` their
+weights only scale by ``1 - lambda`` per step, and the ``W_ij`` term of the
+bound covers them, so ``C`` stays near the support.
 """
 
 from __future__ import annotations
@@ -31,18 +61,30 @@ __all__ = [
 
 # below this nonzero-row fraction, X @ W goes through the sparse path
 _SPARSE_ROW_FRACTION = 0.25
+# after a full step, rows whose largest |V| entry exceeds this fraction of the
+# threshold are the working set; the margin absorbs the residual's drift until
+# the certificate fails.  In-process k_sparse at paper size (seed 1, one BLAS
+# thread, two cores) took 7.6, 5.2, 3.9 and 5.5 s at 0.5, 0.7, 0.8 and 0.9.
+_CANDIDATE_FRACTION = 0.8
+# a working set opens only when it holds at most this fraction of the rows
+_WORKING_SET_FRACTION = 0.2
+# relative margin of the certificate against rounding in its bound
+_CERTIFICATE_SLACK = 1e-9
 
 
 @dataclass
 class InnerSolveReport:
-    """Outcome of one inner solve: final weights, per-iteration objective, count.
+    """Outcome of one inner solve: final weights, per-iteration objective, counts.
 
     Every solve runs its full budget, so ``iterations_run == n_iters``.
+    ``full_gradients`` counts the iterations that computed the full-width
+    gradient ``X.T @ R``; the others stepped on a certified working set.
     """
 
     final_weights: np.ndarray
     objective_trace: np.ndarray
     iterations_run: int
+    full_gradients: int
 
 
 def default_weight_init(d: int, dbar: int, eta: float) -> np.ndarray:
@@ -117,6 +159,92 @@ def momentum_schedule(n: int, t: float) -> tuple[float, float]:
     return t_new, 1.0 + (t - 1.0) / t_new
 
 
+def _relax(old, new, lam):
+    """The extrapolated point ``(1 - lambda) old + lambda new``; lambda = 1 gives ``new``."""
+    return new if lam == 1.0 else (1.0 - lam) * old + lam * new
+
+
+def _threshold(V, P):
+    """The threshold of ``P = project_l1_ball(V, eta)``, read off its input and output.
+
+    Kept entries satisfy ``|P| = |V| - tau``; the smallest such difference
+    errs low, which keeps the certificate conservative.  0 when nothing was
+    thresholded, i.e. when ``V`` was inside the ball.
+    """
+    kept = P != 0.0
+    if not kept.any():
+        return 0.0
+    return float(np.min(np.abs(V[kept]) - np.abs(P[kept])))
+
+
+class _WorkingSet:
+    """Candidate rows of the last full step, and the certificate for steps on them.
+
+    While open it holds the extrapolated point: ``W`` on ``rows``,
+    ``W_ghost`` on ``ghosts`` (excluded rows that still carry weight), and
+    zero on every other row.  ``R_ref`` and ``G_ref`` are the residual and
+    gradient of the full step that opened it.
+    """
+
+    def __init__(self, X, norms, rows, W, R_ref, G_ref, gamma):
+        self.rows = rows
+        self.X = X[:, rows]
+        self.W = W[rows]
+        self.P = None
+        excluded = np.ones(W.shape[0], dtype=bool)
+        excluded[rows] = False
+        excluded = np.flatnonzero(excluded)
+        weighted = np.any(W[excluded] != 0.0, axis=1)
+        self.ghosts = excluded[weighted]
+        self.W_ghost = W[self.ghosts]
+        self.R_ref = R_ref
+        self.gG_ghost = gamma * G_ref[self.ghosts]
+        self.gx_ghost = gamma * norms[self.ghosts, None]
+        zero = excluded[~weighted]
+        self.gG_zero = gamma * np.abs(G_ref[zero])
+        self.gx_zero = gamma * norms[zero, None]
+        # columnwise maxima give a cheap first check, which usually settles the zero rows
+        self.zero_caps = (self.gG_zero.max(axis=0), self.gx_zero.max()) if zero.size else None
+
+    def step(self, R, gamma, eta):
+        """Project on the rows alone; True when the result is certified, kept in ``P``."""
+        # same product as X_C.T @ R, in the layout of the full gradient
+        V = self.W - gamma * (R.T @ self.X).T
+        self.P = project_l1_ball(V, eta)
+        tau = _threshold(V, self.P)
+        return tau > 0.0 and self.certifies(R, tau)
+
+    def certifies(self, R, tau):
+        """True when every excluded entry of the full ``V`` is provably at most ``tau``."""
+        limit = tau * (1.0 - _CERTIFICATE_SLACK)
+        D = R - self.R_ref
+        delta = np.sqrt(np.einsum("ij,ij->j", D, D))
+        if self.ghosts.size:
+            bound = np.abs(self.W_ghost - self.gG_ghost) + self.gx_ghost * delta
+            if bound.max() > limit:
+                return False
+        if self.zero_caps is not None:
+            gG_max, gx_max = self.zero_caps
+            if np.any(gG_max + gx_max * delta > limit):
+                return bool((self.gG_zero + self.gx_zero * delta).max() <= limit)
+        return True
+
+    def relax(self, lam):
+        self.W = _relax(self.W, self.P, lam)
+        self.W_ghost = (1.0 - lam) * self.W_ghost
+
+    def extrapolated_point(self, shape):
+        W = np.zeros(shape)
+        W[self.rows] = self.W
+        W[self.ghosts] = self.W_ghost
+        return W
+
+    def projected_point(self, shape):
+        P = np.zeros(shape)
+        P[self.rows] = self.P
+        return P
+
+
 def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     X, labels, mu, W0 = _prepare(
         X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated
@@ -129,20 +257,40 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     W = W_proj  # extrapolated point, gradient is evaluated here
     R = R_proj
     t = 1.0
+    lam = 1.0  # without acceleration the extrapolated point is the projected point
+    ws = None  # the open working set, which then holds W
+    norms = None  # column norms ||x_i||, computed when a first set opens
+    full_gradients = 0
     for n in range(n_iters):
-        # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
-        G = (R.T @ X).T
-        W_proj = project_l1_ball(W - gamma * G, eta)
-        R_proj = sparse_aware_product(X, W_proj) - Ymu
-        trace.append(0.5 * float(np.vdot(R_proj, R_proj)))
         if accelerated:
             t, lam = momentum_schedule(n, t)
-            W = (1.0 - lam) * W + lam * W_proj
-            # residual is affine in W, so recombine instead of re-multiplying
-            R = (1.0 - lam) * R + lam * R_proj
-        else:  # lambda = 1: the extrapolated point is the projected point
-            W, R = W_proj, R_proj
-    return InnerSolveReport(W_proj, np.asarray(trace), n_iters)
+        if ws is not None and ws.step(R, gamma, eta):
+            W_proj = None  # held by ws until needed
+            R_proj = ws.X @ ws.P - Ymu
+            ws.relax(lam)
+        else:
+            if ws is not None:
+                W, ws = ws.extrapolated_point(W0.shape), None
+            full_gradients += 1
+            # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
+            G = (R.T @ X).T
+            V = W - gamma * G
+            W_proj = project_l1_ball(V, eta)
+            R_proj = sparse_aware_product(X, W_proj) - Ymu
+            W = _relax(W, W_proj, lam)
+            tau = _threshold(V, W_proj)
+            if tau > 0.0:
+                rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
+                if rows.size <= _WORKING_SET_FRACTION * W.shape[0]:
+                    if norms is None:
+                        norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+                    ws = _WorkingSet(X, norms, rows, W, R, G, gamma)
+        trace.append(0.5 * float(np.vdot(R_proj, R_proj)))
+        # residual is affine in W, so recombine instead of re-multiplying
+        R = _relax(R, R_proj, lam)
+    if W_proj is None:
+        W_proj = ws.projected_point(W0.shape)
+    return InnerSolveReport(W_proj, np.asarray(trace), n_iters, full_gradients)
 
 
 def solve_weights_ista(

@@ -120,6 +120,17 @@ class TestCluster:
         assert proc.returncode == 2
         assert "eta" in proc.stderr
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, synth_files, tmp_path, threads):
+        out = tmp_path / "x.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv",
+            "--k", "2", "--eta", "1", "--out", str(out), "--threads", threads,
+        )
+        assert proc.returncode == 2
+        assert "--threads must be >= 1" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_flag_rejected(self, synth_files, tmp_path):
         proc = run_cli(
             "cluster", "--input", f"{synth_files}_matrix.csv",
@@ -205,6 +216,17 @@ class TestSweep:
         assert etas == sorted(etas)
         accs = [float(ln.split("\t")[3]) for ln in lines[1:]]
         assert all(0.0 <= a <= 1.0 for a in accs)
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, synth_files, tmp_path, threads):
+        out = tmp_path / "table.tsv"
+        proc = run_cli(
+            "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",
+            "--eta-list", "0.5", *FAST_FLAGS, "--threads", threads, "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "--threads must be >= 1" in proc.stderr
+        assert not out.exists()
 
     def test_requires_exactly_one_eta_source(self, synth_files):
         proc = run_cli("sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2")

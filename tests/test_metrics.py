@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,3 +117,15 @@ def test_exhaustive_small_partitions():
             assert accuracy(a, b) == pytest.approx(accuracy_oracle(a, b), abs=1e-12)
             assert ari(a, b) == pytest.approx(ari_oracle(a, b), abs=1e-12)
             assert nmi(a, b) == pytest.approx(nmi_oracle(a, b), abs=1e-12)
+
+
+def test_driver_import_leaves_scipy_optimize_unloaded():
+    # a run without true labels computes no metric, so it should not pay for
+    # loading the assignment solver
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ksparse.driver; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

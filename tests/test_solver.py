@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ksparse.core import spectral_norm
+import ksparse.solver
+from ksparse.core import centroids, spectral_norm
 from oracles import projected_gradient_reference
 from ksparse.solver import (
     default_weight_init,
@@ -204,3 +205,97 @@ class TestTextbookForm:
             np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
         # a Fortran-ordered X is copied to C order, so both runs are one computation
         np.testing.assert_array_equal(reports[0].final_weights, reports[1].final_weights)
+
+
+def _screening_instance(seed, m=30, d=400, dbar=3, k=3):
+    """Planted clusters in d >> m, with exact duplicate columns and four columns scaled 20x."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(m) % k
+    X = rng.standard_normal((m, d))
+    X[:, :20] += 2.0 * labels[:, None]
+    X[:, 200:260] = X[:, :60]
+    X[:, rng.choice(d, 4, replace=False)] *= 20.0
+    X /= spectral_norm(X)
+    mu = centroids(labels, 30.0 * X[:, rng.choice(d, dbar, replace=False)], k)
+    return X, labels, mu
+
+
+def _assert_matches_reference(rep, X, labels, mu, W0, n_iters, eta, accelerated):
+    ref_W, ref_trace = projected_gradient_reference(
+        X, labels, mu, W0, n_iters, 1.0, eta, accelerated
+    )
+    np.testing.assert_array_equal(rep.final_weights != 0.0, ref_W != 0.0)
+    # an entry just above the threshold is |v| - tau, whose rounding scales
+    # with the largest entries; the full-width loop needs the same atol here
+    np.testing.assert_allclose(
+        rep.final_weights, ref_W, rtol=1e-12, atol=1e-12 * np.abs(ref_W).max()
+    )
+    np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
+
+
+class TestWorkingSet:
+    """Steps on a certified working set give the full-width loop's iterates."""
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("eta", [0.2, 1.0])
+    def test_certificate_stress(self, accelerated, eta):
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        full = []
+        for seed in range(60):
+            X, labels, mu = _screening_instance(seed)
+            W0 = default_weight_init(400, 3, eta)
+            rep = solve(X, labels, mu, W0, 60, 1.0, eta, sigma_max=1.0)
+            _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
+            full.append(rep.full_gradients)
+        # the set both engages and fails its certificate across these seeds
+        assert sum(full) < 60 * 60
+        assert max(full) > 1
+
+    def test_engages_when_d_much_larger_than_m(self):
+        X, labels, mu = _screening_instance(3)
+        rep = solve_weights_fista(
+            X, labels, mu, default_weight_init(400, 3, 1.0), 200, 1.0, 1.0, sigma_max=1.0
+        )
+        assert rep.full_gradients < 200
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_failing_certificate_takes_full_steps(self, monkeypatch, accelerated):
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "certifies", lambda self, R, tau: False)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        X, labels, mu = _screening_instance(4)
+        W0 = default_weight_init(400, 3, 1.0)
+        rep = solve(X, labels, mu, W0, 60, 1.0, 1.0, sigma_max=1.0)
+        assert rep.full_gradients == 60
+        _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
+
+    def test_every_excluded_row_carries_weight(self, monkeypatch):
+        # decaying column scales: FISTA's extrapolation leaves weight on every
+        # row outside the candidates when the set reopens
+        rng = np.random.default_rng(1)
+        m, d, dbar, k = 120, 60, 6, 3
+        X = rng.standard_normal((m, d)) / np.arange(1, d + 1)
+        X /= spectral_norm(X)
+        labels = rng.integers(0, k, m)
+        labels[:k] = np.arange(k)
+        mu = centroids(labels, rng.standard_normal((m, dbar)), k)
+        opened = []
+        init = ksparse.solver._WorkingSet.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            opened.append((self.rows.size, self.ghosts.size))
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
+        W0 = default_weight_init(d, dbar, 20.0)
+        rep = solve_weights_fista(X, labels, mu, W0, 100, 1.0, 20.0, sigma_max=1.0)
+        assert (11, d - 11) in opened
+        assert rep.full_gradients < 100
+        _assert_matches_reference(rep, X, labels, mu, W0, 100, 20.0, True)
+
+    def test_zero_iterations(self):
+        X, labels, mu = _screening_instance(5)
+        rep = solve_weights_fista(
+            X, labels, mu, default_weight_init(400, 3, 1.0), 0, 1.0, 1.0, sigma_max=1.0
+        )
+        assert rep.iterations_run == 0
+        assert rep.full_gradients == 0
