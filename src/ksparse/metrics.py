@@ -35,20 +35,60 @@ def contingency_table(truth: np.ndarray, pred: np.ndarray) -> np.ndarray:
     return table
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-cost perfect matching of a square matrix.
+
+    The O(n^3) Hungarian method by shortest augmenting paths: each row in
+    turn enters through a virtual column ``n`` and a Dijkstra search over
+    the reduced costs ``cost[r, j] - u[r] - v[j]``, which the dual
+    potentials ``u``, ``v`` keep nonnegative; the matching is then flipped
+    along the path to the first free column.  On integer costs every
+    potential is an integer, so the result is exact.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n)
+    v = np.zeros(n + 1)
+    row_of = np.full(n + 1, -1)  # row matched to each column; n is the virtual one
+    for i in range(n):
+        row_of[n] = i
+        j0 = n
+        minv = np.full(n, np.inf)  # shortest reduced distance to each column
+        way = np.full(n, n)  # previous column on that path
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0] != -1:
+            used[j0] = True
+            r = row_of[j0]
+            free = ~used[:n]
+            reduced = cost[r] - u[r] - v[:n]
+            better = free & (reduced < minv)
+            minv[better] = reduced[better]
+            way[better] = j0
+            j0 = int(np.argmin(np.where(free, minv, np.inf)))
+            delta = minv[j0]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
+        while j0 != n:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    cols = np.empty(n, dtype=np.int64)
+    cols[row_of[:n]] = np.arange(n)
+    return cols
+
+
 def accuracy(truth: np.ndarray, pred: np.ndarray) -> float:
     """Fraction of agreeing samples under the best one-to-one cluster matching.
 
-    The matching is the optimal assignment on the contingency table
-    (rectangular Hungarian on the negated counts); predicted clusters left
-    unmatched when the cluster counts differ contribute no agreement.
+    The matching is the optimal assignment on the negated contingency
+    table, padded with zeros to a square; predicted clusters left unmatched
+    when the cluster counts differ contribute no agreement.
     """
-    # imported here: scipy.optimize takes most of a second to load, and a run
-    # without true labels never computes a metric
-    from scipy.optimize import linear_sum_assignment
-
     C = contingency_table(truth, pred)
-    rows, cols = linear_sum_assignment(-C)
-    return float(C[rows, cols].sum()) / C.sum()
+    n = max(C.shape)
+    square = np.zeros((n, n))
+    square[: C.shape[0], : C.shape[1]] = C
+    cols = _min_cost_assignment(-square)
+    return float(square[np.arange(n), cols].sum()) / C.sum()
 
 
 def _pair_sums(C: np.ndarray):

@@ -39,6 +39,23 @@ several hundred at paper size, against about a hundred in the support.
 Keeping them in ``C`` would pin ``C`` at that size.  Outside ``C`` their
 weights only scale by ``1 - lambda`` per step, and the ``W_ij`` term of the
 bound covers them, so ``C`` stays near the support.
+
+Tall data.  When ``d + dbar <= m`` the solve factors ``[X, Y mu]`` once as
+``Q F`` (thin QR, ``Q`` with orthonormal columns, ``F`` upper triangular)
+and runs the loop on ``X_r = F[:d, :d]`` and ``Ymu_r = F[:d, d:]``, which
+are ``d`` rows instead of ``m``.  Since ``X = Q[:, :d] X_r``, the residual
+splits into orthogonal parts, for any ``X``, rank-deficient or not:
+
+    ||X W - Y mu||^2 = ||X_r W - Ymu_r||^2 + ||F[d:, d:]||^2,
+
+and the gradient ``X_r.T (X_r W - Ymu_r)`` equals ``X.T (X W - Y mu)``.  So
+every iterate is the one the loop on ``X`` would take, up to rounding, and
+each trace entry is ``0.5 ||F[d:, d:]||^2 + 0.5 ||X_r W - Ymu_r||^2``: two
+squared norms, where a Gram form ``0.5 <W, X.T X W> - <W, X.T Y mu> + c``
+would lose to cancellation once the objective is small against
+``||Y mu||^2``.  ``Q[:, :d]`` also preserves column norms ``||x_i||`` and
+residual differences ``||R_j - R_ref_j||``, so the working-set certificate
+holds on ``X_r`` unchanged.
 """
 
 from __future__ import annotations
@@ -77,8 +94,13 @@ class InnerSolveReport:
     """Outcome of one inner solve: final weights, per-iteration objective, counts.
 
     Every solve runs its full budget, so ``iterations_run == n_iters``.
+    ``objective_trace`` holds half the squared residual norm at each
+    projected point; on tall data (``d + dbar <= m``) each entry is computed
+    as ``offset + 0.5 ||R_r||^2``, with ``offset = 0.5 ||F[d:, d:]||^2`` and
+    ``R_r = X_r W - Ymu_r`` from the R factor (see the module docstring).
     ``full_gradients`` counts the iterations that computed the full-width
-    gradient ``X.T @ R``; the others stepped on a certified working set.
+    gradient ``X.T @ R``, on tall data ``X_r.T @ R_r`` over all ``d`` rows
+    of the d x d factor; the others stepped on a certified working set.
     """
 
     final_weights: np.ndarray
@@ -250,9 +272,16 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
         X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated
     )
     Ymu = mu[labels]
+    offset = 0.0  # the part of the objective that no W can change
+    d, dbar = W0.shape
+    if d + dbar <= X.shape[0]:
+        # tall X: step on the R factor of [X, Ymu] (see the module docstring)
+        F = np.linalg.qr(np.hstack([X, Ymu]), mode="r")
+        X, Ymu = np.ascontiguousarray(F[:d, :d]), np.ascontiguousarray(F[:d, d:])
+        offset = 0.5 * float(np.vdot(F[d:, d:], F[d:, d:]))
     W_proj = project_l1_ball(W0, eta)
     R_proj = sparse_aware_product(X, W_proj) - Ymu
-    trace = [0.5 * float(np.vdot(R_proj, R_proj))]
+    trace = [offset + 0.5 * float(np.vdot(R_proj, R_proj))]
 
     W = W_proj  # extrapolated point, gradient is evaluated here
     R = R_proj
@@ -285,7 +314,7 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
                     if norms is None:
                         norms = np.sqrt(np.einsum("ij,ij->j", X, X))
                     ws = _WorkingSet(X, norms, rows, W, R, G, gamma)
-        trace.append(0.5 * float(np.vdot(R_proj, R_proj)))
+        trace.append(offset + 0.5 * float(np.vdot(R_proj, R_proj)))
         # residual is affine in W, so recombine instead of re-multiplying
         R = _relax(R, R_proj, lam)
     if W_proj is None:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ksparse.metrics import accuracy, ari, contingency_table, nmi
+from ksparse.metrics import _min_cost_assignment, accuracy, ari, contingency_table, nmi
 
 from oracles import accuracy_oracle, ari_oracle, nmi_oracle, partitions_up_to
 
@@ -36,6 +36,30 @@ class TestAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
             accuracy([0, 1], [0, 1, 1])
+
+    def test_random_rectangular_tables_with_ties(self):
+        # small counts make many assignments tie for the optimum
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            table = rng.integers(0, 3, (rng.integers(1, 6), rng.integers(1, 6)))
+            table[0, 0] += 1  # at least one sample
+            truth, pred = np.nonzero(table)
+            counts = table[truth, pred]
+            truth, pred = np.repeat(truth, counts).tolist(), np.repeat(pred, counts).tolist()
+            assert accuracy(truth, pred) == accuracy_oracle(truth, pred)
+
+    def test_assignment_against_permutations(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 8):
+            for _ in range(20):
+                cost = rng.integers(-4, 5, (n, n)).astype(float)
+                cols = _min_cost_assignment(cost)
+                np.testing.assert_array_equal(np.sort(cols), np.arange(n))
+                best = min(
+                    cost[np.arange(n), list(p)].sum()
+                    for p in itertools.permutations(range(n))
+                )
+                assert cost[np.arange(n), cols].sum() == best
 
 
 class TestAri:
@@ -114,7 +138,7 @@ def test_exhaustive_small_partitions():
     for n in (2, 4, 6):
         parts = partitions_up_to(n, 3)
         for a, b in itertools.product(parts, repeat=2):
-            assert accuracy(a, b) == pytest.approx(accuracy_oracle(a, b), abs=1e-12)
+            assert accuracy(a, b) == accuracy_oracle(a, b)
             assert ari(a, b) == pytest.approx(ari_oracle(a, b), abs=1e-12)
             assert nmi(a, b) == pytest.approx(nmi_oracle(a, b), abs=1e-12)
 
@@ -129,3 +153,14 @@ def test_driver_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_accuracy_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from ksparse.metrics import accuracy; accuracy([0, 0, 1], [1, 1, 0]); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

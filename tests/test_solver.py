@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ksparse.solver
-from ksparse.core import centroids, spectral_norm
+from ksparse.core import centroids, objective, spectral_norm
 from oracles import projected_gradient_reference
 from ksparse.solver import (
     default_weight_init,
@@ -299,3 +299,73 @@ class TestWorkingSet:
         )
         assert rep.iterations_run == 0
         assert rep.full_gradients == 0
+
+
+def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
+    """Solve from the default start against the reference loop; returns the X shapes used.
+
+    A spy on sparse_aware_product records the shape of every X the solver
+    multiplies by.
+    """
+    shapes = []
+    product = ksparse.solver.sparse_aware_product
+
+    def spy(X, W):
+        shapes.append(X.shape)
+        return product(X, W)
+
+    monkeypatch.setattr(ksparse.solver, "sparse_aware_product", spy)
+    W0 = default_weight_init(X.shape[1], mu.shape[1], eta)
+    solve = solve_weights_fista if accelerated else solve_weights_ista
+    rep = solve(X, labels, mu, W0, n_iters, 1.0, eta, sigma_max=1.0)
+    ref_W, ref_trace = projected_gradient_reference(
+        X, labels, mu, W0, n_iters, 1.0, eta, accelerated
+    )
+    np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
+    np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
+    return set(shapes)
+
+
+class TestTallReduction:
+    """On tall X the loop runs on the R factor of [X, Y mu] and gives the same iterates."""
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_rank_deficient_matches_reference(self, monkeypatch, accelerated):
+        rng = np.random.default_rng(20)
+        m, d, dbar, k = 60, 12, 4, 3
+        X = rng.standard_normal((m, d))
+        X[:, 5] = X[:, 2]  # duplicated column
+        X[:, 7] = 0.0  # all-zero column
+        X /= spectral_norm(X)
+        labels = np.arange(m) % k
+        mu = rng.standard_normal((k, dbar))
+        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == {(d, d)}
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
+    def test_boundary(self, monkeypatch, accelerated, extra_rows, reduced):
+        d, dbar = 10, 3
+        X, labels, mu = _instance(21, m=d + dbar + extra_rows, d=d, dbar=dbar)
+        shapes = _tall_run(monkeypatch, X, labels, mu, 0.8, accelerated, 60)
+        assert shapes == {(d, d) if reduced else X.shape}
+
+    def test_objective_on_original_x_near_interpolation(self):
+        # Y mu lies within 1e-2 of X's range, so f is about 5e-7 of ||Y mu||^2;
+        # a Gram-form objective misses the direct one by about 3e-9 relative here
+        rng = np.random.default_rng(0)
+        m, d, dbar, k = 300, 20, 3, 5
+        labels = np.arange(m) % k
+        mu = 10.0 * rng.standard_normal((k, dbar))
+        Ymu = mu[labels]
+        X = np.hstack(
+            [Ymu + 1e-2 * rng.standard_normal((m, dbar)), rng.standard_normal((m, d - dbar))]
+        )
+        s = spectral_norm(X)
+        X /= s
+        eta = 4.0 * dbar * s  # inactive budget
+        rep = solve_weights_fista(
+            X, labels, mu, default_weight_init(d, dbar, eta), 2000, 1.0, eta, sigma_max=1.0
+        )
+        f = objective(X, rep.final_weights, labels, mu)
+        assert f < 1e-6 * np.vdot(Ymu, Ymu)
+        assert rep.objective_trace[-1] == pytest.approx(f, rel=1e-12)
