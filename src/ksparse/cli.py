@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -152,10 +153,10 @@ def _parse_normalize(parser, text: str) -> list[str]:
 def _validate_cluster_args(parser, args) -> None:
     if args.k < 2:
         parser.error(f"--k must be >= 2, got {args.k}")
-    if getattr(args, "eta", 1.0) <= 0:
-        parser.error(f"--eta must be positive, got {args.eta}")
-    if args.gamma <= 0:
-        parser.error(f"--gamma must be positive, got {args.gamma}")
+    if not 0 < getattr(args, "eta", 1.0) < math.inf:
+        parser.error(f"--eta must be positive and finite, got {args.eta}")
+    if not 0 < args.gamma < math.inf:
+        parser.error(f"--gamma must be positive and finite, got {args.gamma}")
     if args.loops < 0 or args.inner_iters < 0:
         parser.error("--loops and --inner-iters must be nonnegative")
     if args.replicates < 1:
@@ -254,6 +255,8 @@ def _parse_etas(parser, args) -> list[float]:
             start, stop, step = (float(tok) for tok in parts)
         except ValueError:
             parser.error(f"--eta-range: could not parse {args.eta_range!r}")
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            parser.error("--eta-range needs finite START, STOP and STEP")
         if step <= 0 or stop < start:
             parser.error("--eta-range needs STOP >= START and STEP > 0")
         etas = []
@@ -261,8 +264,8 @@ def _parse_etas(parser, args) -> list[float]:
         while value <= stop * (1 + 1e-12):
             etas.append(value)
             value = start + len(etas) * step
-    if any(e <= 0 for e in etas):
-        parser.error("all eta values must be positive")
+    if not all(0 < e < math.inf for e in etas):
+        parser.error("all eta values must be positive and finite")
     return sorted(etas)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics as _metrics
 from .core import centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import best_of_replicates, lloyd
-from .solver import default_weight_init, solve_weights_fista, sparse_aware_product
+from .solver import default_weight_init, solve_weights_fista
 
 __all__ = [
     "SolverConfig",
@@ -55,8 +55,8 @@ class SolverConfig:
     normalize: bool = True
 
     def validate(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.inner_iters < 0 or self.outer_loops < 0:
             raise ValueError("iteration counts must be nonnegative")
         if self.dbar is not None and self.dbar < 1:
@@ -141,8 +141,8 @@ def k_sparse(
         raise ValueError(f"k must be >= 2, got {k}")
     if m < k:
         raise ValueError(f"cannot form {k} clusters from {m} samples")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if cfg.normalize and cfg.gamma > 1.0 + 1e-9:
         raise ValueError(
             f"gamma={cfg.gamma} exceeds the accelerated step bound 1 on "
@@ -175,7 +175,7 @@ def k_sparse(
     mu = init.centers
 
     W = default_weight_init(d, dbar, eta)
-    Z = sparse_aware_product(X, W)
+    Z = X @ W
     res0 = mu[labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
@@ -186,7 +186,7 @@ def k_sparse(
         # the accelerated solver is not monotone; never accept a worse endpoint
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights
-        Z = sparse_aware_product(X, W)
+        Z = X @ W
 
         fresh = best_of_replicates(
             Z, k, cfg.replicates, cfg.seed + (loop + 1) * _LOOP_SEED_STRIDE
@@ -220,10 +220,6 @@ def k_sparse(
 
 
 _SWEEP_STATE: dict = {}
-
-
-def _sweep_init(X, k, cfg, labels_true, sigma_max):
-    _SWEEP_STATE["args"] = (X, k, cfg, labels_true, sigma_max)
 
 
 def _sweep_one(eta: float) -> SweepRecord:
@@ -260,8 +256,8 @@ def sweep_eta(
     etas = [float(e) for e in np.atleast_1d(np.asarray(etas, dtype=float))]
     if not etas:
         raise ValueError("etas must be nonempty")
-    if any(e <= 0 for e in etas):
-        raise ValueError("all eta values must be positive")
+    if not all(0 < e < np.inf for e in etas):
+        raise ValueError("all eta values must be positive and finite")
     X = check_data_matrix(X)
     sigma = spectral_norm(X)
 
@@ -271,15 +267,12 @@ def sweep_eta(
             ctx = multiprocessing.get_context("fork")
         except ValueError:
             pass
-    _sweep_init(X, k, cfg, labels_true, sigma)
+    # forked workers start after this and inherit the state
+    _SWEEP_STATE["args"] = (X, k, cfg, labels_true, sigma)
     try:
         if ctx is None:
             return [_sweep_one(eta) for eta in etas]
-        with ctx.Pool(
-            min(n_jobs, len(etas)),
-            initializer=_sweep_init,
-            initargs=(X, k, cfg, labels_true, sigma),
-        ) as pool:
+        with ctx.Pool(min(n_jobs, len(etas))) as pool:
             return pool.map(_sweep_one, etas)
     finally:
         # the module-level state must not keep the caller's matrix alive

@@ -31,7 +31,9 @@ If every such bound is at most the threshold ``tau_C`` of the projection on
 threshold and is zero outside ``C``, so the step is the full-width step up
 to rounding.  Otherwise that iteration takes a full-width step, which also
 picks a new ``C``.  A block inside the ball (``tau_C = 0``) certifies
-nothing and also takes a full step.
+nothing and also takes a full step.  A full step that opens a set forms
+its own residual on ``X[:, C]`` too: every entry the projection keeps has
+``|V_ij| > tau``, so the projected weights are zero outside ``C``.
 
 Ghost rows are excluded rows that still carry weight: the extrapolation
 ``(1 - lambda) W + lambda P`` keeps every row that was ever in the support,
@@ -70,14 +72,11 @@ from .projection import project_l1_ball
 __all__ = [
     "InnerSolveReport",
     "default_weight_init",
-    "sparse_aware_product",
     "momentum_schedule",
     "solve_weights_ista",
     "solve_weights_fista",
 ]
 
-# below this nonzero-row fraction, X @ W goes through the sparse path
-_SPARSE_ROW_FRACTION = 0.25
 # after a full step, rows whose largest |V| entry exceeds this fraction of the
 # threshold are the working set; the margin absorbs the residual's drift until
 # the certificate fails.  In-process k_sparse at paper size (seed 1, one BLAS
@@ -117,27 +116,12 @@ def default_weight_init(d: int, dbar: int, eta: float) -> np.ndarray:
     """
     if d < 1 or dbar < 1:
         raise ValueError("weight matrix dimensions must be positive")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     W0 = np.zeros((d, dbar))
     r = min(d, dbar)
     W0[np.arange(r), np.arange(r)] = eta / r
     return W0
-
-
-def sparse_aware_product(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """X @ W, restricted to the nonzero rows of W when W is row-sparse.
-
-    Agrees with the dense product to rounding error; the sparse path only
-    changes the summation support, not the result.
-    """
-    nz = np.flatnonzero(np.any(W != 0.0, axis=1))
-    if nz.size < _SPARSE_ROW_FRACTION * W.shape[0]:
-        if nz.size == 0:
-            return np.zeros((X.shape[0], W.shape[1]))
-        return X[:, nz] @ W[nz]
-    # same product as X @ W; for C-ordered X, OpenBLAS runs this layout faster
-    return (W.T @ X.T).T
 
 
 def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
@@ -152,8 +136,8 @@ def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
         )
     if n_iters < 0:
         raise ValueError("iteration count must be nonnegative")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     if sigma_max is None:
         sigma_max = spectral_norm(X)
     bound_factor = 1.0 if accelerated else 2.0
@@ -280,7 +264,8 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
         X, Ymu = np.ascontiguousarray(F[:d, :d]), np.ascontiguousarray(F[:d, d:])
         offset = 0.5 * float(np.vdot(F[d:, d:], F[d:, d:]))
     W_proj = project_l1_ball(W0, eta)
-    R_proj = sparse_aware_product(X, W_proj) - Ymu
+    # same product as X @ W_proj; for C-ordered X, OpenBLAS runs this layout faster
+    R_proj = (W_proj.T @ X.T).T - Ymu
     trace = [offset + 0.5 * float(np.vdot(R_proj, R_proj))]
 
     W = W_proj  # extrapolated point, gradient is evaluated here
@@ -288,7 +273,7 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     t = 1.0
     lam = 1.0  # without acceleration the extrapolated point is the projected point
     ws = None  # the open working set, which then holds W
-    norms = None  # column norms ||x_i||, computed when a first set opens
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # column norms ||x_i||
     full_gradients = 0
     for n in range(n_iters):
         if accelerated:
@@ -305,15 +290,15 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
             G = (R.T @ X).T
             V = W - gamma * G
             W_proj = project_l1_ball(V, eta)
-            R_proj = sparse_aware_product(X, W_proj) - Ymu
             W = _relax(W, W_proj, lam)
             tau = _threshold(V, W_proj)
-            if tau > 0.0:
-                rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
-                if rows.size <= _WORKING_SET_FRACTION * W.shape[0]:
-                    if norms is None:
-                        norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-                    ws = _WorkingSet(X, norms, rows, W, R, G, gamma)
+            rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
+            if tau > 0.0 and rows.size <= _WORKING_SET_FRACTION * W.shape[0]:
+                ws = _WorkingSet(X, norms, rows, W, R, G, gamma)
+                # every kept entry has |V| > tau, so the support of W_proj lies in rows
+                R_proj = ws.X @ W_proj[rows] - Ymu
+            else:
+                R_proj = (W_proj.T @ X.T).T - Ymu
         trace.append(offset + 0.5 * float(np.vdot(R_proj, R_proj)))
         # residual is affine in W, so recombine instead of re-multiplying
         R = _relax(R, R_proj, lam)

@@ -120,6 +120,19 @@ class TestCluster:
         assert proc.returncode == 2
         assert "eta" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--eta", "nan"), ("--eta", "inf"), ("--gamma", "nan"), ("--gamma", "inf")]
+    )
+    def test_non_finite_eta_or_gamma_usage_error(self, synth_files, tmp_path, flag, value):
+        out = tmp_path / "x.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv", "--k", "2", "--eta", "1",
+            flag, value, "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert f"{flag} must be positive and finite" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_rejected(self, synth_files, tmp_path, threads):
         out = tmp_path / "x.json"
@@ -236,6 +249,21 @@ class TestSweep:
             "--eta-list", "1", "--eta-range", "1:2:1",
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (("--eta-list", "1,nan"), "all eta values must be positive and finite"),
+            (("--eta-list", "inf"), "all eta values must be positive and finite"),
+            (("--eta-range", "1:nan:1"), "--eta-range needs finite START, STOP and STEP"),
+            (("--eta-range", "1:inf:1"), "--eta-range needs finite START, STOP and STEP"),
+        ],
+        ids=["list-nan", "list-inf", "range-nan", "range-inf"],
+    )
+    def test_non_finite_eta_usage_error(self, synth_files, source, message):
+        proc = run_cli("sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2", *source)
+        assert proc.returncode == 2
+        assert message in proc.stderr
 
 
 class TestEval:

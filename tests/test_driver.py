@@ -99,6 +99,11 @@ class TestKSparse:
             k_sparse(X, 2, 1.0, SolverConfig(replicates=0))
         with pytest.raises(ValueError, match="nonnegative"):
             k_sparse(X, 2, 1.0, SolverConfig(outer_loops=-1))
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                k_sparse(X, 2, value, FAST)
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                k_sparse(X, 2, 1.0, SolverConfig(gamma=value, normalize=False))
 
     def test_dbar_wider_than_d(self):
         ds = generate_synthetic(
@@ -155,3 +160,6 @@ class TestSweep:
             sweep_eta(two_cluster_ds.matrix, 2, [], cfg=FAST)
         with pytest.raises(ValueError):
             sweep_eta(two_cluster_ds.matrix, 2, [1.0, -2.0], cfg=FAST)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="all eta values must be positive and finite"):
+                sweep_eta(two_cluster_ds.matrix, 2, [1.0, value], cfg=FAST)

@@ -152,3 +152,33 @@ class TestReplicates:
         b = best_of_replicates(Z, 4, 10, seed=3)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.wcss == b.wcss
+
+
+def _layouts(Z):
+    """C-ordered, Fortran-ordered and strided copies of Z."""
+    strided = np.zeros((2 * Z.shape[0], 3 * Z.shape[1]))[::2, ::3]
+    strided[...] = Z
+    return [np.ascontiguousarray(Z), np.asfortranarray(Z), strided]
+
+
+class TestLayout:
+    """Outcomes do not depend on the memory layout of Z."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise_equal_across_layouts(self, seed):
+        rng = np.random.default_rng(seed)
+        k = 4
+        Z = rng.standard_normal((200, 6)) + 3.0 * rng.integers(0, k, 200)[:, None]
+        Z[:10] = Z[10:20]  # duplicate rows give exact distance ties
+        layouts = _layouts(Z)
+        assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+        seeds = [kmeanspp_seed(Zl, k, seed) for Zl in layouts]
+        runs = [lloyd(Zl, seeds[0]) for Zl in layouts]
+        bests = [best_of_replicates(Zl, k, 5, seed) for Zl in layouts]
+        for s, run, best in zip(seeds[1:], runs[1:], bests[1:]):
+            np.testing.assert_array_equal(s, seeds[0])
+            for a, b in ((run, runs[0]), (best, bests[0])):
+                np.testing.assert_array_equal(a.labels, b.labels)
+                np.testing.assert_array_equal(a.centers, b.centers)
+                assert a.wcss == b.wcss
+                assert a.iterations == b.iterations

@@ -9,7 +9,6 @@ from ksparse.solver import (
     momentum_schedule,
     solve_weights_fista,
     solve_weights_ista,
-    sparse_aware_product,
 )
 
 
@@ -40,25 +39,9 @@ class TestWeightInit:
             default_weight_init(0, 3, 1.0)
         with pytest.raises(ValueError):
             default_weight_init(3, 3, 0.0)
-
-
-class TestSparseProduct:
-    def test_matches_dense(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((15, 40))
-        W = np.zeros((40, 4))
-        W[[3, 17, 31]] = rng.standard_normal((3, 4))
-        np.testing.assert_allclose(sparse_aware_product(X, W), X @ W, atol=1e-12)
-
-    def test_all_zero_weights(self):
-        X = np.ones((4, 10))
-        np.testing.assert_array_equal(sparse_aware_product(X, np.zeros((10, 2))), np.zeros((4, 2)))
-
-    def test_dense_path_identity(self):
-        rng = np.random.default_rng(1)
-        X = rng.standard_normal((6, 8))
-        W = rng.standard_normal((8, 3))
-        np.testing.assert_array_equal(sparse_aware_product(X, W), X @ W)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                default_weight_init(3, 3, eta)
 
 
 class TestMomentumSchedule:
@@ -129,6 +112,12 @@ class TestIsta:
         # just under the bound is fine
         solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, 1.99, 1.0, sigma_max=1.0)
 
+    def test_non_finite_eta_rejected(self):
+        X, labels, mu = _instance(7)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eta must be positive and finite"):
+                solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, 1.0, eta, sigma_max=1.0)
+
     def test_deterministic(self):
         X, labels, mu = _instance(8)
         a = solve_weights_ista(X, labels, mu, default_weight_init(10, 3, 1.0), 50, 1.0, 1.0, sigma_max=1.0)
@@ -188,19 +177,31 @@ class TestTextbookForm:
     """The solver's product layouts and residual recombination change rounding only."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    @pytest.mark.parametrize("eta", [0.3, 10.0])  # sparse and dense product paths
-    def test_matches_reference_loop(self, accelerated, eta):
+    # eta=0.3 opens a working set; at eta=10 the candidate rows are over a fifth
+    # of the rows at every full step, so every step is full-width
+    @pytest.mark.parametrize("eta", [0.3, 10.0])
+    def test_matches_reference_loop(self, monkeypatch, accelerated, eta):
         X, labels, mu = _instance(16, m=40, d=30, dbar=4, k=3)
         W0 = default_weight_init(30, 4, eta)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 60, 1.0, eta, accelerated
         )
+        opened = []
+        init = ksparse.solver._WorkingSet.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            opened.append(self.rows.size)
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
         reports = [
             solve(Xo, labels, mu, W0, 60, 1.0, eta, sigma_max=1.0)
             for Xo in (np.ascontiguousarray(X), np.asfortranarray(X))
         ]
+        assert bool(opened) == (eta < 1.0)
         for rep in reports:
+            assert (rep.full_gradients < 60) == (eta < 1.0)
             np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
             np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
         # a Fortran-ordered X is copied to C order, so both runs are one computation
@@ -302,28 +303,29 @@ class TestWorkingSet:
 
 
 def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
-    """Solve from the default start against the reference loop; returns the X shapes used.
+    """Solve from the default start against the reference loop; returns the QR input shapes.
 
-    A spy on sparse_aware_product records the shape of every X the solver
-    multiplies by.
+    A spy on ``np.linalg.qr``, as the solver calls it, records the shape of
+    every matrix the solve factors.
     """
     shapes = []
-    product = ksparse.solver.sparse_aware_product
+    qr = ksparse.solver.np.linalg.qr
 
-    def spy(X, W):
-        shapes.append(X.shape)
-        return product(X, W)
+    def spy(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return qr(A, *args, **kwargs)
 
-    monkeypatch.setattr(ksparse.solver, "sparse_aware_product", spy)
     W0 = default_weight_init(X.shape[1], mu.shape[1], eta)
     solve = solve_weights_fista if accelerated else solve_weights_ista
-    rep = solve(X, labels, mu, W0, n_iters, 1.0, eta, sigma_max=1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(ksparse.solver.np.linalg, "qr", spy)
+        rep = solve(X, labels, mu, W0, n_iters, 1.0, eta, sigma_max=1.0)
     ref_W, ref_trace = projected_gradient_reference(
         X, labels, mu, W0, n_iters, 1.0, eta, accelerated
     )
     np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
     np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
-    return set(shapes)
+    return shapes
 
 
 class TestTallReduction:
@@ -339,7 +341,7 @@ class TestTallReduction:
         X /= spectral_norm(X)
         labels = np.arange(m) % k
         mu = rng.standard_normal((k, dbar))
-        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == {(d, d)}
+        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d + dbar)]
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
@@ -347,7 +349,7 @@ class TestTallReduction:
         d, dbar = 10, 3
         X, labels, mu = _instance(21, m=d + dbar + extra_rows, d=d, dbar=dbar)
         shapes = _tall_run(monkeypatch, X, labels, mu, 0.8, accelerated, 60)
-        assert shapes == {(d, d) if reduced else X.shape}
+        assert shapes == ([(X.shape[0], d + dbar)] if reduced else [])
 
     def test_objective_on_original_x_near_interpolation(self):
         # Y mu lies within 1e-2 of X's range, so f is about 5e-7 of ||Y mu||^2;
