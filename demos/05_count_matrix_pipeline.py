@@ -2,7 +2,7 @@
 
 Builds a mock UMI count matrix (cells x genes), drops lowly expressed
 genes, normalizes library sizes to one million, and scales by the spectral
-norm so that the unit gradient step is admissible downstream.
+norm, after which the step k_sparse measures, 1/sigma_max^2, is 1.
 """
 
 import numpy as np
@@ -24,4 +24,4 @@ print(f"CPM: every library size now {cpm.sum(axis=1).min():.0f}..{cpm.sum(axis=1
 
 scaled, sigma = scale_by_spectral_norm(cpm)
 print(f"spectral scaling: sigma_max was {sigma:.1f}, now {spectral_norm(scaled):.6f}")
-print("\nthe scaled matrix feeds k_sparse directly (cfg.normalize=False, gamma=1)")
+print("\nthe scaled matrix feeds k_sparse directly (cfg.normalize=False, step 1/sigma_max^2 = 1)")

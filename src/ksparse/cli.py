@@ -64,8 +64,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="number of clusters (>= 2)")
     p.add_argument("--dbar", type=int, default=None,
                    help="projected-space dimension (default: k+4)")
-    p.add_argument("--gamma", type=float, default=1.0,
-                   help="gradient step size (default: %(default)s)")
     p.add_argument("--loops", type=int, default=10,
                    help="outer alternating loops (default: %(default)s)")
     p.add_argument("--inner-iters", type=int, default=300,
@@ -155,8 +153,6 @@ def _validate_cluster_args(parser, args) -> None:
         parser.error(f"--k must be >= 2, got {args.k}")
     if not 0 < getattr(args, "eta", 1.0) < math.inf:
         parser.error(f"--eta must be positive and finite, got {args.eta}")
-    if not 0 < args.gamma < math.inf:
-        parser.error(f"--gamma must be positive and finite, got {args.gamma}")
     if args.loops < 0 or args.inner_iters < 0:
         parser.error("--loops and --inner-iters must be nonnegative")
     if args.replicates < 1:
@@ -198,7 +194,6 @@ def _make_config(args, normalize_spectral: bool):
     from .driver import SolverConfig
 
     return SolverConfig(
-        gamma=args.gamma,
         inner_iters=args.inner_iters,
         outer_loops=args.loops,
         dbar=args.dbar,

@@ -59,7 +59,9 @@ class Dataset:
         if len(self.sample_ids) != m:
             raise ValueError(f"{len(self.sample_ids)} sample ids for {m} samples")
         if self.labels_true is not None and len(self.labels_true) != m:
-            raise ValueError("labels_true length does not match sample count")
+            raise ValueError(
+                f"labels_true has {len(self.labels_true)} entries for {m} samples"
+            )
 
 
 @dataclass
@@ -271,7 +273,7 @@ def save_labels(path, labels: np.ndarray) -> None:
 
 def write_matrix_csv(path, dataset: Dataset, header: bool = True, rownames: bool = True) -> None:
     """Write a dataset matrix as comma-separated text with full float precision."""
-    X = dataset.matrix
+    X = np.asarray(dataset.matrix, dtype=float)
     out = []
     if header:
         head = ",".join(dataset.feature_names)
@@ -279,7 +281,7 @@ def write_matrix_csv(path, dataset: Dataset, header: bool = True, rownames: bool
             head = "," + head  # empty corner cell above the rowname column
         out.append(head)
     for i in range(X.shape[0]):
-        cells = [repr(float(v)) for v in X[i]]
+        cells = list(map(repr, X[i].tolist()))
         if rownames:
             cells.insert(0, dataset.sample_ids[i])
         out.append(",".join(cells))

@@ -40,13 +40,13 @@ class SolverConfig:
     """Tuning knobs for :func:`k_sparse`.
 
     ``dbar`` is the projected-space dimensionality and defaults to ``k + 4``.
-    ``gamma`` is the constant gradient step, valid up to ``1/sigma_max(X)^2``
-    for the accelerated inner solver (equal to 1 after spectral-norm
-    normalization).  A feature counts as selected when its weight row norm
+    ``normalize`` divides the data by its spectral norm before the run.  The
+    gradient step is not a setting: :func:`k_sparse` uses the largest one the
+    accelerated solver admits, ``1/sigma_max^2``, which is 1 after
+    normalization.  A feature counts as selected when its weight row norm
     exceeds ``1e-10 * eta``.
     """
 
-    gamma: float = 1.0
     inner_iters: int = 300
     outer_loops: int = 10
     dbar: int | None = None
@@ -55,8 +55,6 @@ class SolverConfig:
     normalize: bool = True
 
     def validate(self) -> None:
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.inner_iters < 0 or self.outer_loops < 0:
             raise ValueError("iteration counts must be nonnegative")
         if self.dbar is not None and self.dbar < 1:
@@ -123,14 +121,14 @@ def k_sparse(
     eta: float,
     cfg: SolverConfig | None = None,
     labels_true: np.ndarray | None = None,
-    sigma_max: float | None = None,
 ) -> ClusteringResult:
     """Cluster X into k groups while selecting a sparse feature subset.
 
-    Expects X spectral-norm-normalized, or ``cfg.normalize`` (the default)
-    to request normalization; ``sigma_max`` can pass a precomputed spectral
-    norm to skip computing it.  When ``labels_true`` is given the result
-    carries accuracy/ARI/NMI against it.
+    Measures the spectral norm ``sigma_max`` of X and runs the weight solves
+    at step ``1/sigma_max^2``.  With ``cfg.normalize`` (the default) X is
+    first divided by ``sigma_max``, so the step is 1; otherwise the run
+    works on the data's own scale.  When ``labels_true`` is given the
+    result carries accuracy/ARI/NMI against it.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -143,21 +141,14 @@ def k_sparse(
         raise ValueError(f"cannot form {k} clusters from {m} samples")
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    if cfg.normalize and cfg.gamma > 1.0 + 1e-9:
-        raise ValueError(
-            f"gamma={cfg.gamma} exceeds the accelerated step bound 1 on "
-            "spectral-norm-normalized data"
-        )
     if labels_true is not None:
         labels_true = check_labels(labels_true, m=m)
 
-    if sigma_max is None:
-        sigma_max = spectral_norm(X)
+    sigma_max = spectral_norm(X)
     if cfg.normalize:
         X = X / sigma_max
-        solver_sigma = 1.0
-    else:
-        solver_sigma = sigma_max
+        sigma_max = 1.0
+    step = 1.0 / sigma_max**2
 
     dbar = cfg.dbar if cfg.dbar is not None else k + 4
 
@@ -181,7 +172,7 @@ def k_sparse(
 
     for loop in range(cfg.outer_loops):
         report = solve_weights_fista(
-            X, labels, mu, W, cfg.inner_iters, cfg.gamma, eta, sigma_max=solver_sigma
+            X, labels, mu, W, cfg.inner_iters, step, eta, sigma_max=sigma_max
         )
         # the accelerated solver is not monotone; never accept a worse endpoint
         if report.objective_trace[-1] <= report.objective_trace[0]:
@@ -223,8 +214,8 @@ _SWEEP_STATE: dict = {}
 
 
 def _sweep_one(eta: float) -> SweepRecord:
-    X, k, cfg, labels_true, sigma_max = _SWEEP_STATE["args"]
-    res = k_sparse(X, k, eta, cfg, labels_true=labels_true, sigma_max=sigma_max)
+    X, k, cfg, labels_true = _SWEEP_STATE["args"]
+    res = k_sparse(X, k, eta, cfg, labels_true=labels_true)
     rec = SweepRecord(
         eta=float(eta),
         selected_count=int(res.selected_features.size),
@@ -247,9 +238,9 @@ def sweep_eta(
 ) -> list[SweepRecord]:
     """One independent :func:`k_sparse` run per l1 budget, same seed each time.
 
-    Records are returned in the order of ``etas``.  The spectral norm is
-    computed once and shared.  ``n_jobs > 1`` runs budgets in parallel
-    worker processes; results do not depend on the worker count.
+    Records are returned in the order of ``etas``; each is exactly what
+    :func:`k_sparse` returns for its budget.  ``n_jobs > 1`` runs budgets in
+    parallel worker processes; results do not depend on the worker count.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -259,7 +250,6 @@ def sweep_eta(
     if not all(0 < e < np.inf for e in etas):
         raise ValueError("all eta values must be positive and finite")
     X = check_data_matrix(X)
-    sigma = spectral_norm(X)
 
     ctx = None
     if n_jobs > 1 and len(etas) > 1:
@@ -268,7 +258,7 @@ def sweep_eta(
         except ValueError:
             pass
     # forked workers start after this and inherit the state
-    _SWEEP_STATE["args"] = (X, k, cfg, labels_true, sigma)
+    _SWEEP_STATE["args"] = (X, k, cfg, labels_true)
     try:
         if ctx is None:
             return [_sweep_one(eta) for eta in etas]

@@ -120,9 +120,7 @@ class TestCluster:
         assert proc.returncode == 2
         assert "eta" in proc.stderr
 
-    @pytest.mark.parametrize(
-        "flag, value", [("--eta", "nan"), ("--eta", "inf"), ("--gamma", "nan"), ("--gamma", "inf")]
-    )
+    @pytest.mark.parametrize("flag, value", [("--eta", "nan"), ("--eta", "inf")])
     def test_non_finite_eta_or_gamma_usage_error(self, synth_files, tmp_path, flag, value):
         out = tmp_path / "x.json"
         proc = run_cli(
@@ -195,6 +193,40 @@ class TestCluster:
         plain.write_text("")
         assert out.stat().st_mode == plain.stat().st_mode
 
+    def test_normalize_none_runs_on_raw_scale(self, synth_files, tmp_path):
+        # the step is 1/sigma_max^2 of the data as given, so unscaled input runs
+        out = tmp_path / "r.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv", "--normalize", "none",
+            "--k", "2", "--eta", "0.5", *FAST_FLAGS, "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        trace = json.loads(out.read_text())["objective_trace"]
+        assert len(trace) == 5
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_gamma_flag_rejected(self, synth_files, tmp_path):
+        out = tmp_path / "x.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv", "--k", "2", "--eta", "1",
+            "--gamma", "1", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "--gamma" in proc.stderr
+        assert not out.exists()
+
+    def test_labels_length_mismatch_names_counts(self, synth_files, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n")
+        out = tmp_path / "x.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv", "--labels", str(labels),
+            "--k", "2", "--eta", "1", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "labels_true has 2 entries for 40 samples" in proc.stderr
+        assert not out.exists()
+
     def test_bad_normalize_stage(self, synth_files, tmp_path):
         proc = run_cli(
             "cluster", "--input", f"{synth_files}_matrix.csv", "--k", "2",
@@ -240,6 +272,14 @@ class TestSweep:
         assert proc.returncode == 2
         assert "--threads must be >= 1" in proc.stderr
         assert not out.exists()
+
+    def test_gamma_flag_rejected(self, synth_files):
+        proc = run_cli(
+            "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",
+            "--eta-list", "1", "--gamma", "1",
+        )
+        assert proc.returncode == 2
+        assert "--gamma" in proc.stderr
 
     def test_requires_exactly_one_eta_source(self, synth_files):
         proc = run_cli("sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2")
@@ -322,7 +362,7 @@ class TestHelp:
         proc = run_cli("cluster", "--help")
         assert proc.returncode == 0
         for token in ("--replicates", "40", "--loops", "10", "--inner-iters", "300",
-                      "--gamma", "--dbar", "k+4", "--threads", "--time"):
+                      "--dbar", "k+4", "--threads", "--time"):
             assert token in proc.stdout
         proc = run_cli("synth", "--help")
         assert "5000" in proc.stdout and "600" in proc.stdout

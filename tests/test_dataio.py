@@ -93,6 +93,17 @@ class TestLoadMatrix:
         assert back.feature_names == ds.feature_names
         assert back.sample_ids == ds.sample_ids
 
+    def test_write_matches_per_cell_repr(self, tmp_path):
+        edge = [-0.0, 5e-324, 1e308, 0.1, 1.0, 123456789.0]
+        rng = np.random.default_rng(4)
+        X = np.array([edge, rng.standard_normal(6) * 10.0 ** rng.integers(-8, 9, 6)])
+        ds = Dataset(X, list("abcdef"), ["s0", "s1"])
+        p = tmp_path / "out.csv"
+        write_matrix_csv(p, ds)
+        rows = [",a,b,c,d,e,f"]
+        rows += [",".join([f"s{i}"] + [repr(float(v)) for v in X[i]]) for i in range(2)]
+        assert p.read_bytes() == ("\n".join(rows) + "\n").encode()
+
 
 def _load_both_ways(monkeypatch, path, **kwargs):
     """Load once through the np.loadtxt fast path and once through the row scan."""

@@ -3,6 +3,7 @@ import pytest
 
 from ksparse.dataio import SyntheticSpec, generate_synthetic
 from ksparse import driver
+from ksparse.core import spectral_norm
 from ksparse.driver import SolverConfig, k_sparse, selected_features, sweep_eta
 from ksparse.metrics import ari
 from ksparse.projection import project_l1_ball
@@ -93,8 +94,6 @@ class TestKSparse:
             k_sparse(X, 1, 1.0, FAST)
         with pytest.raises(ValueError, match="eta"):
             k_sparse(X, 2, 0.0, FAST)
-        with pytest.raises(ValueError, match="gamma"):
-            k_sparse(X, 2, 1.0, SolverConfig(gamma=1.5))
         with pytest.raises(ValueError, match="replicates"):
             k_sparse(X, 2, 1.0, SolverConfig(replicates=0))
         with pytest.raises(ValueError, match="nonnegative"):
@@ -102,8 +101,6 @@ class TestKSparse:
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="eta must be positive and finite"):
                 k_sparse(X, 2, value, FAST)
-            with pytest.raises(ValueError, match="gamma must be positive and finite"):
-                k_sparse(X, 2, 1.0, SolverConfig(gamma=value, normalize=False))
 
     def test_dbar_wider_than_d(self):
         ds = generate_synthetic(
@@ -115,15 +112,56 @@ class TestKSparse:
         assert res.metrics["accuracy"] == 1.0
 
 
+class TestStep:
+    """k_sparse runs the accelerated solver at 1/sigma_max^2 of the data it solves on."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        real = driver.solve_weights_fista
+        calls = []
+
+        def spy(X, labels, mu, W0, n_iters, gamma, eta, sigma_max=None):
+            calls.append((gamma, sigma_max))
+            return real(X, labels, mu, W0, n_iters, gamma, eta, sigma_max=sigma_max)
+
+        monkeypatch.setattr(driver, "solve_weights_fista", spy)
+        return calls
+
+    def test_unit_step_after_normalization(self, two_cluster_ds, monkeypatch):
+        calls = self._spy(monkeypatch)
+        k_sparse(two_cluster_ds.matrix, 2, 0.3, FAST)
+        assert calls == [(1.0, 1.0)] * FAST.outer_loops
+
+    def test_raw_scale_step(self, two_cluster_ds, monkeypatch):
+        X = two_cluster_ds.matrix
+        sigma = spectral_norm(X)
+        assert sigma > 1.5  # the unit step would break the bound on this data
+        calls = self._spy(monkeypatch)
+        cfg = SolverConfig(replicates=8, inner_iters=120, outer_loops=5, normalize=False)
+        res = k_sparse(X, 2, 0.3, cfg, labels_true=two_cluster_ds.labels_true)
+        assert calls == [(1.0 / sigma**2, sigma)] * cfg.outer_loops
+        assert np.all(np.diff(res.objective_trace) <= 0)
+        assert res.metrics["accuracy"] == 1.0
+
+    def test_step_is_measured_not_set(self, two_cluster_ds):
+        with pytest.raises(TypeError):
+            SolverConfig(gamma=1.0)
+        with pytest.raises(TypeError):
+            k_sparse(two_cluster_ds.matrix, 2, 1.0, FAST, sigma_max=1.0)
+
+
 class TestSweep:
     def test_singleton_matches_direct_run(self, two_cluster_ds):
         ds = two_cluster_ds
-        recs = sweep_eta(ds.matrix, 2, [0.2], labels_true=ds.labels_true, cfg=FAST)
         direct = k_sparse(ds.matrix, 2, 0.2, FAST, labels_true=ds.labels_true)
-        assert len(recs) == 1
-        assert recs[0].selected_count == direct.selected_features.size
-        assert recs[0].frobenius_objective == pytest.approx(direct.objective_trace[-1])
-        assert recs[0].accuracy == pytest.approx(direct.metrics["accuracy"])
+        for n_jobs in (1, 2):
+            recs = sweep_eta(
+                ds.matrix, 2, [0.2], labels_true=ds.labels_true, cfg=FAST, n_jobs=n_jobs
+            )
+            assert len(recs) == 1
+            assert recs[0].selected_count == direct.selected_features.size
+            assert recs[0].frobenius_objective == direct.objective_trace[-1]
+            assert recs[0].accuracy == direct.metrics["accuracy"]
 
     def test_inactive_budget_keeps_nearly_all_features(self):
         ds = generate_synthetic(
