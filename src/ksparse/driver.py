@@ -109,8 +109,20 @@ def _compute_metrics(labels_true, labels) -> dict:
     }
 
 
+# columns per block of _column_variances; a block's centred copy is m x 256
+_VARIANCE_BLOCK = 256
+
+
+def _column_variances(X: np.ndarray) -> np.ndarray:
+    """``X.var(axis=0)`` bit for bit, without an X-sized centred temporary."""
+    d = X.shape[1]
+    return np.concatenate(
+        [X[:, j : j + _VARIANCE_BLOCK].var(axis=0) for j in range(0, d, _VARIANCE_BLOCK)]
+    )
+
+
 def _top_variance_columns(X: np.ndarray, dbar: int) -> np.ndarray:
-    var = X.var(axis=0)
+    var = _column_variances(X)
     order = np.argsort(-var, kind="stable")
     return order[: min(dbar, X.shape[1])]
 

@@ -3,7 +3,9 @@
 Each oracle recomputes a quantity along a different path than the library:
 explicit pair loops instead of contingency algebra, candidate enumeration
 instead of a closed-form threshold, exhaustive partition search instead of
-Lloyd iterations.  They are deliberately slow and simple.
+Lloyd iterations.  They are deliberately slow and simple.  The k-means
+references are different in kind: frozen copies of the library's earlier
+sequential form, whose results the library must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -175,3 +177,67 @@ def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, acceler
             t = t_new
         W = (1.0 - lam) * W + lam * W_proj
     return W_proj, np.asarray(trace)
+
+
+def _broadcast_sq_distances(Z, centers):
+    diff = Z[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def kmeanspp_seed_reference(Z, k, rng_seed):
+    """k-means++ seeding as the library did it before its assignment was certified."""
+    Z = np.asfortranarray(Z, dtype=float)
+    m = Z.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    centers = np.empty((k, Z.shape[1]))
+    centers[0] = Z[rng.integers(m)]
+    d2 = np.sum((Z - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        centers[j] = Z[rng.choice(m, p=d2 / d2.sum())]
+        d2 = np.minimum(d2, np.sum((Z - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def lloyd_reference(Z, init_centers, max_iter=100):
+    """Lloyd iterations with every sample assigned by ``argmin`` over the
+    broadcast ``einsum`` distances of the whole column-major ``Z``.
+
+    A frozen copy of the library's sequential form before assignment went
+    through a GEMM under a rounding certificate; the library must reproduce
+    its labels, centers, wcss and iteration count bit for bit.  Returns them
+    as a tuple.
+    """
+    from ksparse.core import centroids
+    from ksparse.kmeans import repair_empty_clusters
+
+    Z = np.asfortranarray(Z, dtype=float)
+    centers = np.array(init_centers, dtype=float, copy=True)
+    k = centers.shape[0]
+
+    def assign(C):
+        labels = np.argmin(_broadcast_sq_distances(Z, C), axis=1)
+        return repair_empty_clusters(labels, Z, C)
+
+    labels = assign(centers)
+    iterations = 0
+    for it in range(1, max_iter + 1):
+        centers = centroids(labels, Z, k)
+        new_labels = assign(centers)
+        iterations = it
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    centers = centroids(labels, Z, k)
+    R = Z - centers[labels]
+    return labels, centers, 0.5 * float(np.vdot(R, R)), iterations
+
+
+def best_of_replicates_reference(Z, k, replicates, seed):
+    """Lowest-wcss :func:`lloyd_reference` run over seeds ``seed + r``, first on ties."""
+    Z = np.asfortranarray(Z, dtype=float)
+    best = None
+    for r in range(replicates):
+        run = lloyd_reference(Z, kmeanspp_seed_reference(Z, k, seed + r))
+        if best is None or run[2] < best[2]:
+            best = run
+    return best

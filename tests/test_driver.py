@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,32 @@ class TestSelectedFeatures:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             selected_features(np.zeros((2, 2)), -1.0)
+
+
+class TestColumnVariances:
+    """The start's column variances, formed over column blocks."""
+
+    def test_bitwise_equal_to_numpy_var(self):
+        X = generate_synthetic(SyntheticSpec(seed=1)).matrix
+        assert X.shape == (600, 5000)
+        for M in (X, X / spectral_norm(X)):
+            np.testing.assert_array_equal(driver._column_variances(M), M.var(axis=0))
+
+    def test_constant_columns(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((50, 600))
+        X[:, [0, 255, 256, 599]] = [0.0, 3.7, -1e-300, 0.1]
+        np.testing.assert_array_equal(driver._column_variances(X), X.var(axis=0))
+
+    def test_no_matrix_sized_temporary(self):
+        X = generate_synthetic(SyntheticSpec(seed=1)).matrix
+        tracemalloc.start()
+        try:
+            driver._column_variances(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes / 8
 
 
 class TestKSparse:

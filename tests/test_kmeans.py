@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+from ksparse import kmeans
 from ksparse.kmeans import (
+    _assign,
+    _exact_distances,
+    _samples,
+    _squared_distances,
+    _tolerance,
     best_of_replicates,
     kmeanspp_seed,
     lloyd,
@@ -9,7 +15,11 @@ from ksparse.kmeans import (
 )
 from ksparse.metrics import ari
 
-from oracles import best_two_cluster_wcss
+from oracles import (
+    best_of_replicates_reference,
+    best_two_cluster_wcss,
+    lloyd_reference,
+)
 
 FOUR_POINTS = np.array([[0.0], [0.1], [10.0], [10.1]])
 
@@ -182,3 +192,165 @@ class TestLayout:
                 np.testing.assert_array_equal(a.centers, b.centers)
                 assert a.wcss == b.wcss
                 assert a.iterations == b.iterations
+
+
+_MAKEUPS = ["gaussian", "far", "ties", "underflow", "dbar1"]
+
+
+def _argmin_assignment(Z, C):
+    return np.argmin(_squared_distances(np.asfortranarray(Z), C), axis=1)
+
+
+def _assignment_case(rng, kind):
+    """A random Z and k centers of one make-up; see TestCertifiedAssignment."""
+    m = int(rng.integers(2, 300))
+    dbar = 1 if kind == "dbar1" else int(rng.integers(1, 16))
+    k = int(rng.integers(2, 9))
+    if kind == "far":
+        Z = rng.standard_normal((m, dbar))
+        C = Z[rng.integers(0, m, k)] + 0.5 * rng.standard_normal((k, dbar))
+        return Z + 1e8, C + 1e8
+    Z = rng.standard_normal((m, dbar)) + 3.0 * rng.integers(0, k, m)[:, None]
+    C = Z[rng.integers(0, m, k)] + 0.5 * rng.standard_normal((k, dbar))
+    if kind == "ties":
+        # an integer grid: rows midway between centers, and a duplicated center
+        Z, C = np.round(Z), np.round(C)
+        C[-1] = C[0]
+    elif kind == "underflow":
+        # 1e-150 keeps squared distances normal, 1e-160 makes them subnormal
+        scale = 1e-150 if rng.integers(2) else 1e-160
+        Z, C = Z * scale, C * scale
+    return Z, C
+
+
+def _spy_exact_rows(monkeypatch):
+    """Record the rows of every exact-path call."""
+    seen = []
+    original = kmeans._exact_distances
+
+    def spy(Z, centers, rows):
+        seen.append(rows.copy())
+        return original(Z, centers, rows)
+
+    monkeypatch.setattr(kmeans, "_exact_distances", spy)
+    return seen
+
+
+def _assert_same_outcome(outcome, reference):
+    labels, centers, wcss, iterations = reference
+    np.testing.assert_array_equal(outcome.labels, labels)
+    np.testing.assert_array_equal(outcome.centers, centers)
+    assert outcome.wcss == wcss
+    assert outcome.iterations == iterations
+
+
+def _layout_makeup(seed, k=4):
+    # TestLayout's make-up: separated groups with duplicated rows
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((200, 6)) + 3.0 * rng.integers(0, k, 200)[:, None]
+    Z[:10] = Z[10:20]
+    return Z
+
+
+class TestCertifiedAssignment:
+    """The GEMM assignment gives the broadcast argmin's labels exactly."""
+
+    @pytest.mark.parametrize("kind", _MAKEUPS)
+    def test_equals_broadcast_argmin(self, kind, monkeypatch):
+        seen = _spy_exact_rows(monkeypatch)
+        rng = np.random.default_rng(_MAKEUPS.index(kind))
+        for _ in range(60):
+            Z, C = _assignment_case(rng, kind)
+            seen.clear()
+            labels = _assign(_samples(Z), C)
+            np.testing.assert_array_equal(labels, _argmin_assignment(Z, C))
+            if kind == "far":
+                # rounding of the product form swamps every distance gap here
+                assert [rows.size for rows in seen] == [Z.shape[0]]
+            if kind == "ties":
+                # rows nearest the duplicated center can never be certified
+                assert seen
+
+    def test_exact_path_matches_full_array_bitwise(self):
+        rng = np.random.default_rng(11)
+        for m, dbar, k in [(1, 5, 3), (2, 7, 4), (50, 1, 3), (120, 9, 6), (300, 16, 2)]:
+            Zf = np.asfortranarray(rng.standard_normal((m, dbar)) * 10.0 ** rng.integers(-3, 4))
+            C = rng.standard_normal((k, dbar))
+            full = _squared_distances(Zf, C)
+            subsets = [np.arange(m), np.array([m - 1]), np.array([0, m - 1])]
+            subsets += [np.sort(rng.choice(m, int(rng.integers(1, m + 1)), replace=False))
+                        for _ in range(20)]
+            for rows in subsets:
+                rows = np.unique(rows)
+                np.testing.assert_array_equal(_exact_distances(Zf, C, rows), full[rows])
+
+    def test_margin_is_twice_the_tolerance(self, monkeypatch):
+        # one coordinate, centers 0 and 2 + delta: row z has the distance gap
+        # g_1 - g_0 = (2 + delta) (2 + delta - 2 z) in the product form
+        tol = float(_tolerance(np.array([1.0]), np.array([0.0, 4.0]), 1)[0])
+        delta = 0.75 * tol
+        C = np.array([[0.0], [2.0 + delta]])
+        z_near = 1.0  # gap about 2 delta = 1.5 tol: inside the 2 tol margin
+        z_clear = 1.0 - 0.375 * tol  # gap about 3 tol: certified
+        Z = np.array([[z_near], [z_clear], [-5.0]])
+        seen = _spy_exact_rows(monkeypatch)
+        labels = _assign(_samples(Z), C)
+        np.testing.assert_array_equal(labels, [0, 0, 0])
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], [0])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lloyd_and_replicates_match_frozen_reference(self, seed):
+        Z = _layout_makeup(seed)
+        init = kmeanspp_seed(Z, 4, seed)
+        _assert_same_outcome(lloyd(Z, init), lloyd_reference(Z, init))
+        _assert_same_outcome(
+            best_of_replicates(Z, 4, 5, seed), best_of_replicates_reference(Z, 4, 5, seed)
+        )
+
+    @pytest.mark.parametrize("kind", ["ties", "far", "underflow"])
+    def test_hard_makeups_match_frozen_reference(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            Z, C = _assignment_case(rng, kind)
+            _assert_same_outcome(lloyd(Z, C), lloyd_reference(Z, C))
+
+    def test_nothing_certified_still_matches(self, monkeypatch):
+        monkeypatch.setattr(
+            kmeans, "_tolerance", lambda norms, centers_sq, dbar: np.full(norms.shape, np.inf)
+        )
+        seen = _spy_exact_rows(monkeypatch)
+        for seed in range(3):
+            Z = _layout_makeup(seed)
+            _assert_same_outcome(
+                best_of_replicates(Z, 4, 3, seed), best_of_replicates_reference(Z, 4, 3, seed)
+            )
+        assert seen and all(rows.size == 200 for rows in seen)
+
+
+class TestNonFinite:
+    """The certificate's rounding bound needs finite inputs."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lloyd(self, bad):
+        Z = _layout_makeup(0)
+        init = kmeanspp_seed(Z, 4, 0)
+        Z_bad = Z.copy()
+        Z_bad[7, 2] = bad
+        with pytest.raises(ValueError, match="^Z contains"):
+            lloyd(Z_bad, init)
+        init[1, 0] = bad
+        with pytest.raises(ValueError, match="^init_centers contains"):
+            lloyd(Z, init)
+
+    def test_kmeanspp_seed(self):
+        Z = _layout_makeup(1)
+        Z[3, 0] = np.nan
+        with pytest.raises(ValueError, match="^Z contains"):
+            kmeanspp_seed(Z, 4, 0)
+
+    def test_best_of_replicates(self):
+        Z = _layout_makeup(2)
+        Z[-1, -1] = np.inf
+        with pytest.raises(ValueError, match="^Z contains"):
+            best_of_replicates(Z, 4, 3, 0)
