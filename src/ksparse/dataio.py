@@ -123,7 +123,8 @@ def load_matrix_csv(
 
     The delimiter is auto-detected between comma and tab unless given.
     Ragged rows, non-numeric cells, NaN/Inf, and empty files raise with the
-    offending 1-based row/column position.
+    offending 1-based row/column position; rows are numbered by file line,
+    blank lines and the header included.
     """
     try:
         X, feature_names, sample_ids = _parse_loadtxt(
@@ -194,17 +195,17 @@ def _split_rownames(rows, delimiter, sample_ids):
 def _parse_scan(path, has_header, has_rownames, delimiter):
     """Row-by-row parse of :func:`load_matrix_csv` with positional errors."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh]
-    lines = [ln for ln in lines if ln.strip() != ""]
+        lines = [(n, ln.rstrip("\n").rstrip("\r")) for n, ln in enumerate(fh, start=1)]
+    lines = [(n, ln) for n, ln in lines if ln.strip() != ""]
     if not lines:
         raise ValueError(f"{path}: empty file")
     if delimiter is None:
-        delimiter = _detect_delimiter(lines[0])
+        delimiter = _detect_delimiter(lines[0][1])
 
     feature_names: list[str] | None = None
     body_start = 0
     if has_header:
-        header = lines[0].split(delimiter)
+        header = lines[0][1].split(delimiter)
         if has_rownames:
             header = header[1:]
         feature_names = [h.strip() for h in header]
@@ -215,18 +216,18 @@ def _parse_scan(path, has_header, has_rownames, delimiter):
     sample_ids: list[str] = []
     rows: list[list[float]] = []
     width = None
-    for lineno in range(body_start, len(lines)):
-        cells = lines[lineno].split(delimiter)
+    for lineno, line in lines[body_start:]:
+        cells = line.split(delimiter)
         if has_rownames:
             sample_ids.append(cells[0].strip())
             cells = cells[1:]
         if width is None:
             width = len(cells)
             if width == 0:
-                raise ValueError(f"{path}: row {lineno + 1} has no data columns")
+                raise ValueError(f"{path}: row {lineno} has no data columns")
         elif len(cells) != width:
             raise ValueError(
-                f"{path}: row {lineno + 1} has {len(cells)} columns, expected {width}"
+                f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
             )
         parsed = []
         for col, cell in enumerate(cells):
@@ -234,12 +235,12 @@ def _parse_scan(path, has_header, has_rownames, delimiter):
                 value = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {lineno + 1}, "
+                    f"{path}: non-numeric value {cell.strip()!r} at row {lineno}, "
                     f"column {col + 1}"
                 ) from None
             if not np.isfinite(value):
                 raise ValueError(
-                    f"{path}: non-finite value at row {lineno + 1}, column {col + 1}"
+                    f"{path}: non-finite value at row {lineno}, column {col + 1}"
                 )
             parsed.append(value)
         rows.append(parsed)
@@ -257,11 +258,14 @@ def load_labels(path) -> np.ndarray:
             if not text:
                 continue
             try:
-                labels.append(int(text))
+                label = int(text)
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: expected an integer label, got {text!r}"
                 ) from None
+            if label < 0:
+                raise ValueError(f"{path}: line {lineno}: negative cluster index {label}")
+            labels.append(label)
     if not labels:
         raise ValueError(f"{path}: empty labels file")
     return check_labels(np.asarray(labels))

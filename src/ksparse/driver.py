@@ -41,8 +41,8 @@ class SolverConfig:
 
     ``dbar`` is the projected-space dimensionality and defaults to ``k + 4``.
     ``normalize`` divides the data by its spectral norm before the run.  The
-    gradient step is not a setting: :func:`k_sparse` uses the largest one the
-    accelerated solver admits, ``1/sigma_max^2``, which is 1 after
+    gradient step is not a setting: the weight solves step at
+    ``1/sigma_max^2`` of the data they solve on, which is 1 after
     normalization.  A feature counts as selected when its weight row norm
     exceeds ``1e-10 * eta``.
     """
@@ -136,10 +136,10 @@ def k_sparse(
 ) -> ClusteringResult:
     """Cluster X into k groups while selecting a sparse feature subset.
 
-    Measures the spectral norm ``sigma_max`` of X and runs the weight solves
-    at step ``1/sigma_max^2``.  With ``cfg.normalize`` (the default) X is
-    first divided by ``sigma_max``, so the step is 1; otherwise the run
-    works on the data's own scale.  When ``labels_true`` is given the
+    Measures the spectral norm ``sigma_max`` of X and passes it to the
+    weight solves, which step at ``1/sigma_max^2``.  With ``cfg.normalize``
+    (the default) X is first divided by ``sigma_max``, so the step is 1;
+    otherwise the run works on the data's own scale.  When ``labels_true`` is given the
     result carries accuracy/ARI/NMI against it.
     """
     cfg = cfg if cfg is not None else SolverConfig()
@@ -160,7 +160,6 @@ def k_sparse(
     if cfg.normalize:
         X = X / sigma_max
         sigma_max = 1.0
-    step = 1.0 / sigma_max**2
 
     dbar = cfg.dbar if cfg.dbar is not None else k + 4
 
@@ -183,9 +182,7 @@ def k_sparse(
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
     for loop in range(cfg.outer_loops):
-        report = solve_weights_fista(
-            X, labels, mu, W, cfg.inner_iters, step, eta, sigma_max=sigma_max
-        )
+        report = solve_weights_fista(X, labels, mu, W, cfg.inner_iters, eta, sigma_max=sigma_max)
         # the accelerated solver is not monotone; never accept a worse endpoint
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights

@@ -7,8 +7,9 @@ The accelerated variant adds momentum with the Chambolle-Dossal parameter
 rule ``t_n = (n + 5) / 4``, which also guarantees convergence of the
 iterates.  Both run one loop: the plain variant is the extrapolation weight
 ``lambda = 1`` case, where the extrapolated point is the projected point.
-Step sizes are validated against the squared spectral norm of
-``X`` (the Lipschitz constant of the gradient).
+Both step at ``gamma = 1/sigma_max^2``, one over the gradient's Lipschitz
+constant, with ``sigma_max`` the spectral norm of ``X``: given or measured,
+and rejected when provably too small (below the largest column norm of ``X``).
 
 Working set.  When the projected weights keep few rows, most of the
 full-width gradient ``G = X.T @ R`` only confirms that a row stays zero.
@@ -124,7 +125,7 @@ def default_weight_init(d: int, dbar: int, eta: float) -> np.ndarray:
     return W0
 
 
-def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
+def _prepare(X, labels, mu, W0, n_iters, eta, sigma_max):
     # the loop's products are laid out for C-ordered X; copy only other layouts
     X = np.ascontiguousarray(X, float)
     mu = np.asarray(mu, float)
@@ -140,19 +141,9 @@ def _prepare(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
         raise ValueError(f"eta must be positive and finite, got {eta}")
     if sigma_max is None:
         sigma_max = spectral_norm(X)
-    bound_factor = 1.0 if accelerated else 2.0
-    bound = bound_factor / sigma_max**2
-    # the accelerated bound is inclusive; its small slack absorbs rounding in
-    # sigma_max and in the normalization that makes gamma = 1 the intended step
-    ok = 0.0 < gamma <= bound * (1.0 + 1e-9) if accelerated else 0.0 < gamma < bound
-    if not ok:
-        paren = "]" if accelerated else ")"
-        raise ValueError(
-            f"step size gamma={gamma} outside (0, {bound_factor:g}/sigma_max(X)^2{paren} = "
-            f"(0, {bound:.6g}{paren}; the gradient is sigma_max(X)^2-Lipschitz, which caps "
-            "the admissible constant step"
-        )
-    return X, labels, mu, W0
+    if not 0 < sigma_max < np.inf:
+        raise ValueError(f"sigma_max must be positive and finite, got {sigma_max}")
+    return X, labels, mu, W0, sigma_max
 
 
 def momentum_schedule(n: int, t: float) -> tuple[float, float]:
@@ -251,10 +242,8 @@ class _WorkingSet:
         return P
 
 
-def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
-    X, labels, mu, W0 = _prepare(
-        X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated
-    )
+def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
+    X, labels, mu, W0, sigma_max = _prepare(X, labels, mu, W0, n_iters, eta, sigma_max)
     Ymu = mu[labels]
     offset = 0.0  # the part of the objective that no W can change
     d, dbar = W0.shape
@@ -263,6 +252,14 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
         F = np.linalg.qr(np.hstack([X, Ymu]), mode="r")
         X, Ymu = np.ascontiguousarray(F[:d, :d]), np.ascontiguousarray(F[:d, d:])
         offset = 0.5 * float(np.vdot(F[d:, d:], F[d:, d:]))
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # column norms ||x_i||, those of X on tall data
+    # a column norm is a lower bound on the spectral norm; the margin absorbs rounding
+    if norms.max(initial=0.0) > sigma_max * (1.0 + 1e-9):
+        raise ValueError(
+            f"sigma_max={sigma_max} is below the largest column norm {norms.max():.6g} "
+            "of X, so it cannot be the spectral norm of X"
+        )
+    gamma = 1.0 / sigma_max**2
     W_proj = project_l1_ball(W0, eta)
     # same product as X @ W_proj; for C-ordered X, OpenBLAS runs this layout faster
     R_proj = (W_proj.T @ X.T).T - Ymu
@@ -273,7 +270,6 @@ def _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated):
     t = 1.0
     lam = 1.0  # without acceleration the extrapolated point is the projected point
     ws = None  # the open working set, which then holds W
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # column norms ||x_i||
     full_gradients = 0
     for n in range(n_iters):
         if accelerated:
@@ -313,20 +309,20 @@ def solve_weights_ista(
     mu: np.ndarray,
     W0: np.ndarray,
     n_iters: int,
-    gamma: float,
     eta: float,
     *,
     sigma_max: float | None = None,
 ) -> InnerSolveReport:
     """Projected gradient descent: V = W - gamma * X.T @ (X@W - Y@mu); W = P_eta(V).
 
-    Requires ``gamma`` in ``(0, 2/sigma_max(X)^2)``; with
-    ``gamma <= 1/sigma_max^2`` the objective trace is non-increasing.
-    ``W0`` is projected onto the ball if it is not already feasible.
-    ``objective_trace[0]`` is the objective at the (projected) start point,
-    followed by one entry per iteration.
+    Steps at ``gamma = 1/sigma_max^2``, so the objective trace is non-increasing.
+    ``sigma_max``, the spectral norm of ``X``, is measured when not given; one
+    that is not positive and finite, or is below the largest column norm of
+    ``X``, raises ``ValueError``.  ``W0`` is projected onto the ball if it is
+    not already feasible.  ``objective_trace[0]`` is the objective at the
+    (projected) start point, followed by one entry per iteration.
     """
-    return _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated=False)
+    return _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated=False)
 
 
 def solve_weights_fista(
@@ -335,15 +331,15 @@ def solve_weights_fista(
     mu: np.ndarray,
     W0: np.ndarray,
     n_iters: int,
-    gamma: float,
     eta: float,
     *,
     sigma_max: float | None = None,
 ) -> InnerSolveReport:
     """Accelerated projected gradient with the t = (n+5)/4 momentum rule.
 
-    Requires ``gamma`` in ``(0, 1/sigma_max(X)^2]``.  The extrapolated
-    iterate may leave the l1 ball transiently; the reported weights and
-    trace are taken at the projected points, which are always feasible.
+    Steps at ``gamma = 1/sigma_max^2``, with ``sigma_max`` measured and
+    checked as in :func:`solve_weights_ista`.  The extrapolated iterate may
+    leave the l1 ball transiently; the reported weights and trace are taken
+    at the projected points, which are always feasible.
     """
-    return _solve(X, labels, mu, W0, n_iters, gamma, eta, sigma_max, accelerated=True)
+    return _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated=True)

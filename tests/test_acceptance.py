@@ -144,8 +144,8 @@ def test_criterion_04_solver_monotonicity_and_rates():
     mu = rng.standard_normal((k, dbar))
     W0 = default_weight_init(d, dbar, 1.0)
 
-    ista = solve_weights_ista(X, labels, mu, W0, 2000, 1.0, 1.0, sigma_max=1.0)
-    fista = solve_weights_fista(X, labels, mu, W0, 500, 1.0, 1.0, sigma_max=1.0)
+    ista = solve_weights_ista(X, labels, mu, W0, 2000, 1.0, sigma_max=1.0)
+    fista = solve_weights_fista(X, labels, mu, W0, 500, 1.0, sigma_max=1.0)
 
     max_step_up = float(np.max(np.diff(ista.objective_trace)))
     gap_200 = abs(fista.objective_trace[200] - ista.objective_trace[-1])

@@ -227,6 +227,18 @@ class TestCluster:
         assert "labels_true has 2 entries for 40 samples" in proc.stderr
         assert not out.exists()
 
+    def test_negative_label_names_file_and_line(self, synth_files, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("0\n1\n-1\n" + "0\n" * 37)
+        out = tmp_path / "x.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv", "--labels", str(labels),
+            "--k", "2", "--eta", "1", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert f"{labels}: line 3: negative cluster index -1" in proc.stderr
+        assert not out.exists()
+
     def test_bad_normalize_stage(self, synth_files, tmp_path):
         proc = run_cli(
             "cluster", "--input", f"{synth_files}_matrix.csv", "--k", "2",
@@ -337,6 +349,15 @@ class TestEval:
         p.write_text("0\n1\n0\n")
         proc = run_cli("eval", "--pred", str(p), "--truth", str(t))
         assert proc.returncode == 1
+
+    def test_negative_label_names_file_and_line(self, tmp_path):
+        t = tmp_path / "t.txt"
+        p = tmp_path / "p.txt"
+        t.write_text("0\n0\n1\n1\n")
+        p.write_text("0\n1\n-1\n1\n")
+        proc = run_cli("eval", "--pred", str(p), "--truth", str(t))
+        assert proc.returncode == 1
+        assert f"{p}: line 3: negative cluster index -1" in proc.stderr
 
     def test_time_flag_rejected(self, tmp_path):
         f = tmp_path / "labels.txt"

@@ -173,6 +173,20 @@ class TestLoadPaths:
         with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_matrix_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, header, message",
+        [
+            ("1,2\n\n\n3,x\n5,6\n", False, "non-numeric value 'x' at row 4, column 2"),
+            ("a,b\n\n1,2\n3,4,5\n", True, "row 4 has 3 columns, expected 2"),
+        ],
+    )
+    def test_errors_number_rows_by_file_line(self, tmp_path, text, header, message):
+        # blank lines are skipped but still counted
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
+            load_matrix_csv(p, has_header=header)
+
     def test_rowname_only_row_falls_back_to_scan(self, tmp_path):
         p = tmp_path / "m.csv"
         for row, width in (("r2,", 1), ("r2", 0)):
@@ -193,6 +207,12 @@ class TestLabelsFiles:
         p = tmp_path / "labels.txt"
         p.write_text("0\nx\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_labels(p)
+
+    def test_negative_label_names_line(self, tmp_path):
+        p = tmp_path / "labels.txt"
+        p.write_text("0\n\n-1\n1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: line 3: negative cluster index -1")):
             load_labels(p)
 
 

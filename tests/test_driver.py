@@ -9,7 +9,7 @@ from ksparse.core import spectral_norm
 from ksparse.driver import SolverConfig, k_sparse, selected_features, sweep_eta
 from ksparse.metrics import ari
 from ksparse.projection import project_l1_ball
-from ksparse.solver import default_weight_init
+from ksparse.solver import default_weight_init, solve_weights_fista, solve_weights_ista
 
 FAST = SolverConfig(replicates=8, inner_iters=120, outer_loops=5)
 
@@ -141,16 +141,16 @@ class TestKSparse:
 
 
 class TestStep:
-    """k_sparse runs the accelerated solver at 1/sigma_max^2 of the data it solves on."""
+    """k_sparse passes the accelerated solver sigma_max of the data it solves on."""
 
     @staticmethod
     def _spy(monkeypatch):
         real = driver.solve_weights_fista
         calls = []
 
-        def spy(X, labels, mu, W0, n_iters, gamma, eta, sigma_max=None):
-            calls.append((gamma, sigma_max))
-            return real(X, labels, mu, W0, n_iters, gamma, eta, sigma_max=sigma_max)
+        def spy(X, labels, mu, W0, n_iters, eta, *, sigma_max=None):
+            calls.append(sigma_max)
+            return real(X, labels, mu, W0, n_iters, eta, sigma_max=sigma_max)
 
         monkeypatch.setattr(driver, "solve_weights_fista", spy)
         return calls
@@ -158,7 +158,7 @@ class TestStep:
     def test_unit_step_after_normalization(self, two_cluster_ds, monkeypatch):
         calls = self._spy(monkeypatch)
         k_sparse(two_cluster_ds.matrix, 2, 0.3, FAST)
-        assert calls == [(1.0, 1.0)] * FAST.outer_loops
+        assert calls == [1.0] * FAST.outer_loops
 
     def test_raw_scale_step(self, two_cluster_ds, monkeypatch):
         X = two_cluster_ds.matrix
@@ -167,7 +167,7 @@ class TestStep:
         calls = self._spy(monkeypatch)
         cfg = SolverConfig(replicates=8, inner_iters=120, outer_loops=5, normalize=False)
         res = k_sparse(X, 2, 0.3, cfg, labels_true=two_cluster_ds.labels_true)
-        assert calls == [(1.0 / sigma**2, sigma)] * cfg.outer_loops
+        assert calls == [sigma] * cfg.outer_loops
         assert np.all(np.diff(res.objective_trace) <= 0)
         assert res.metrics["accuracy"] == 1.0
 
@@ -176,6 +176,16 @@ class TestStep:
             SolverConfig(gamma=1.0)
         with pytest.raises(TypeError):
             k_sparse(two_cluster_ds.matrix, 2, 1.0, FAST, sigma_max=1.0)
+        X = two_cluster_ds.matrix / spectral_norm(two_cluster_ds.matrix)
+        labels = np.arange(X.shape[0]) % 2
+        mu = np.zeros((2, 3))
+        W0 = default_weight_init(X.shape[1], 3, 1.0)
+        for solve in (solve_weights_ista, solve_weights_fista):
+            with pytest.raises(TypeError):
+                solve(X, labels, mu, W0, 5, 1.0, gamma=1.0)
+            # the old (..., n_iters, gamma, eta) call must not read gamma as eta
+            with pytest.raises(TypeError):
+                solve(X, labels, mu, W0, 5, 1.0, 1.0)
 
 
 class TestSweep:

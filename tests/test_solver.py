@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -58,14 +60,14 @@ class TestIsta:
     def test_scalar_clips_to_interval(self):
         X = np.array([[1.0]])
         mu = np.array([[3.0]])
-        rep = solve_weights_ista(X, [0], mu, np.array([[0.0]]), 50, 1.0, 1.0)
+        rep = solve_weights_ista(X, [0], mu, np.array([[0.0]]), 50, 1.0)
         np.testing.assert_allclose(rep.final_weights, [[1.0]], atol=1e-12)
 
     def test_fixed_point_trace_constant(self):
         X, labels, mu = _instance(2)
         W0 = default_weight_init(10, 3, 0.5)
-        long = solve_weights_ista(X, labels, mu, W0, 5000, 1.0, 0.5, sigma_max=1.0)
-        again = solve_weights_ista(X, labels, mu, long.final_weights, 20, 1.0, 0.5, sigma_max=1.0)
+        long = solve_weights_ista(X, labels, mu, W0, 5000, 0.5, sigma_max=1.0)
+        again = solve_weights_ista(X, labels, mu, long.final_weights, 20, 0.5, sigma_max=1.0)
         assert np.ptp(again.objective_trace) <= 1e-10 * max(1.0, again.objective_trace[0])
 
     def test_inactive_budget_reaches_least_squares(self):
@@ -75,21 +77,21 @@ class TestIsta:
         eta = 2.0 * np.abs(W_ls).sum()
         best = 0.5 * np.sum((target - X @ W_ls) ** 2)
         rep = solve_weights_ista(
-            X, labels, mu, default_weight_init(10, 3, eta), 4000, 1.0, eta, sigma_max=1.0
+            X, labels, mu, default_weight_init(10, 3, eta), 4000, eta, sigma_max=1.0
         )
         assert rep.objective_trace[-1] == pytest.approx(best, abs=1e-8)
 
     def test_monotone_trace_at_unit_step(self):
         X, labels, mu = _instance(4, m=50, d=30, dbar=5, k=3)
         rep = solve_weights_ista(
-            X, labels, mu, default_weight_init(30, 5, 1.0), 400, 1.0, 1.0, sigma_max=1.0
+            X, labels, mu, default_weight_init(30, 5, 1.0), 400, 1.0, sigma_max=1.0
         )
         assert np.all(np.diff(rep.objective_trace) <= 1e-12)
 
     def test_zero_iterations_projects_start(self):
         X, labels, mu = _instance(5)
         W0 = np.full((10, 3), 1.0)  # infeasible for eta=1
-        rep = solve_weights_ista(X, labels, mu, W0, 0, 1.0, 1.0, sigma_max=1.0)
+        rep = solve_weights_ista(X, labels, mu, W0, 0, 1.0, sigma_max=1.0)
         assert rep.iterations_run == 0
         assert np.abs(rep.final_weights).sum() <= 1.0 + 1e-9
         assert rep.objective_trace.shape == (1,)
@@ -99,29 +101,20 @@ class TestIsta:
         X, labels, mu = _instance(6)
         for eta in (0.05, 0.5, 5.0):
             rep = solve_weights_ista(
-                X, labels, mu, rng.standard_normal((10, 3)), 30, 1.0, eta, sigma_max=1.0
+                X, labels, mu, rng.standard_normal((10, 3)), 30, eta, sigma_max=1.0
             )
             assert np.abs(rep.final_weights).sum() <= eta * (1 + 1e-12)
-
-    def test_step_bound_is_open(self):
-        X, labels, mu = _instance(7)
-        with pytest.raises(ValueError, match="step size"):
-            solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, 2.0, 1.0, sigma_max=1.0)
-        with pytest.raises(ValueError, match="step size"):
-            solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, 0.0, 1.0, sigma_max=1.0)
-        # just under the bound is fine
-        solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, 1.99, 1.0, sigma_max=1.0)
 
     def test_non_finite_eta_rejected(self):
         X, labels, mu = _instance(7)
         for eta in (np.nan, np.inf):
             with pytest.raises(ValueError, match="eta must be positive and finite"):
-                solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, 1.0, eta, sigma_max=1.0)
+                solve_weights_ista(X, labels, mu, np.zeros((10, 3)), 5, eta, sigma_max=1.0)
 
     def test_deterministic(self):
         X, labels, mu = _instance(8)
-        a = solve_weights_ista(X, labels, mu, default_weight_init(10, 3, 1.0), 50, 1.0, 1.0, sigma_max=1.0)
-        b = solve_weights_ista(X, labels, mu, default_weight_init(10, 3, 1.0), 50, 1.0, 1.0, sigma_max=1.0)
+        a = solve_weights_ista(X, labels, mu, default_weight_init(10, 3, 1.0), 50, 1.0, sigma_max=1.0)
+        b = solve_weights_ista(X, labels, mu, default_weight_init(10, 3, 1.0), 50, 1.0, sigma_max=1.0)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
         np.testing.assert_array_equal(a.final_weights, b.final_weights)
 
@@ -130,35 +123,29 @@ class TestFista:
     def test_fixed_point_stays(self):
         X, labels, mu = _instance(10)
         W0 = default_weight_init(10, 3, 0.5)
-        long = solve_weights_ista(X, labels, mu, W0, 8000, 1.0, 0.5, sigma_max=1.0)
-        rep = solve_weights_fista(X, labels, mu, long.final_weights, 50, 1.0, 0.5, sigma_max=1.0)
+        long = solve_weights_ista(X, labels, mu, W0, 8000, 0.5, sigma_max=1.0)
+        rep = solve_weights_fista(X, labels, mu, long.final_weights, 50, 0.5, sigma_max=1.0)
         assert np.ptp(rep.objective_trace) <= 1e-9 * max(1.0, rep.objective_trace[0])
 
     def test_matches_long_ista(self):
         X, labels, mu = _instance(11, m=20, d=10, dbar=3)
         W0 = default_weight_init(10, 3, 0.8)
-        ista = solve_weights_ista(X, labels, mu, W0, 2000, 1.0, 0.8, sigma_max=1.0)
-        fista = solve_weights_fista(X, labels, mu, W0, 200, 1.0, 0.8, sigma_max=1.0)
+        ista = solve_weights_ista(X, labels, mu, W0, 2000, 0.8, sigma_max=1.0)
+        fista = solve_weights_fista(X, labels, mu, W0, 200, 0.8, sigma_max=1.0)
         assert abs(fista.objective_trace[-1] - ista.objective_trace[-1]) <= 1e-6
-
-    def test_step_bound_is_inclusive(self):
-        X, labels, mu = _instance(12)
-        solve_weights_fista(X, labels, mu, np.zeros((10, 3)), 5, 1.0, 1.0, sigma_max=1.0)
-        with pytest.raises(ValueError, match="step size"):
-            solve_weights_fista(X, labels, mu, np.zeros((10, 3)), 5, 1.2, 1.0, sigma_max=1.0)
 
     def test_returned_weights_feasible(self):
         X, labels, mu = _instance(13)
         rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(10, 3, 0.3), 120, 1.0, 0.3, sigma_max=1.0
+            X, labels, mu, default_weight_init(10, 3, 0.3), 120, 0.3, sigma_max=1.0
         )
         assert np.abs(rep.final_weights).sum() <= 0.3 * (1 + 1e-12)
 
     def test_rate_does_not_blow_up(self):
         X, labels, mu = _instance(14, m=50, d=30, dbar=5, k=3)
         W0 = default_weight_init(30, 5, 1.0)
-        ista = solve_weights_ista(X, labels, mu, W0, 2000, 1.0, 1.0, sigma_max=1.0)
-        fista = solve_weights_fista(X, labels, mu, W0, 500, 1.0, 1.0, sigma_max=1.0)
+        ista = solve_weights_ista(X, labels, mu, W0, 2000, 1.0, sigma_max=1.0)
+        fista = solve_weights_fista(X, labels, mu, W0, 500, 1.0, sigma_max=1.0)
         star = min(ista.objective_trace.min(), fista.objective_trace.min())
         n = np.arange(10, 501)
         for trace, power in ((ista.objective_trace, 1), (fista.objective_trace, 2)):
@@ -170,7 +157,58 @@ class TestFista:
     def test_shape_mismatch(self):
         X, labels, mu = _instance(15)
         with pytest.raises(ValueError, match="W0 shape"):
-            solve_weights_fista(X, labels, mu, np.zeros((4, 3)), 5, 1.0, 1.0, sigma_max=1.0)
+            solve_weights_fista(X, labels, mu, np.zeros((4, 3)), 5, 1.0, sigma_max=1.0)
+
+
+class TestStep:
+    """Both solvers step at 1/sigma_max^2, from a given or measured sigma_max."""
+
+    @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
+    def test_signature(self, solve):
+        params = inspect.signature(solve).parameters.values()
+        bare = inspect.Signature([p.replace(annotation=p.empty) for p in params])
+        assert str(bare) == "(X, labels, mu, W0, n_iters, eta, *, sigma_max=None)"
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    # eta=0.1 opens a working set on this instance, eta=3 keeps every step full-width
+    @pytest.mark.parametrize("eta", [0.1, 3.0])
+    def test_raw_scale_matches_reference(self, accelerated, eta):
+        X, labels, mu = _instance(30, m=40, d=30, dbar=4, k=3, normalize=False)
+        X *= 10.0 / spectral_norm(X)
+        X[:, 0] *= 1.5  # off a round number
+        sigma = spectral_norm(X)
+        W0 = default_weight_init(30, 4, eta)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        ref_W, ref_trace = projected_gradient_reference(
+            X, labels, mu, W0, 80, 1.0 / sigma**2, eta, accelerated
+        )
+        for sigma_max in (sigma, None):
+            rep = solve(X, labels, mu, W0, 80, eta, sigma_max=sigma_max)
+            assert (rep.full_gradients < 80) == (eta < 1.0)
+            np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
+            np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
+
+    @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
+    @pytest.mark.parametrize("sigma_max", [0.0, -1.0, -0.5, np.nan, np.inf, -np.inf])
+    def test_non_positive_or_non_finite_sigma_rejected(self, solve, sigma_max):
+        X, labels, mu = _instance(31)
+        with pytest.raises(ValueError, match="sigma_max must be positive and finite"):
+            solve(X, labels, mu, default_weight_init(10, 3, 1.0), 5, 1.0, sigma_max=sigma_max)
+
+    @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
+    # m=20 steps on X itself, m=60 on the R factor of [X, Y mu]
+    @pytest.mark.parametrize("m", [20, 60])
+    def test_sigma_below_a_column_norm_rejected(self, solve, m):
+        X, labels, mu = _instance(32, m=m)
+        X = 10.0 * X
+        W0 = default_weight_init(10, 3, 1.0)
+        with pytest.raises(ValueError, match="sigma_max=1.0 is below the largest column norm"):
+            solve(X, labels, mu, W0, 5, 1.0, sigma_max=1.0)
+        # the bound is the largest column norm itself, less only rounding
+        top = float(np.linalg.norm(X, axis=0).max())
+        with pytest.raises(ValueError, match="below the largest column norm"):
+            solve(X, labels, mu, W0, 5, 1.0, sigma_max=top * (1.0 - 1e-8))
+        solve(X, labels, mu, W0, 5, 1.0, sigma_max=top)
 
 
 class TestTextbookForm:
@@ -196,7 +234,7 @@ class TestTextbookForm:
 
         monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
         reports = [
-            solve(Xo, labels, mu, W0, 60, 1.0, eta, sigma_max=1.0)
+            solve(Xo, labels, mu, W0, 60, eta, sigma_max=1.0)
             for Xo in (np.ascontiguousarray(X), np.asfortranarray(X))
         ]
         assert bool(opened) == (eta < 1.0)
@@ -245,7 +283,7 @@ class TestWorkingSet:
         for seed in range(60):
             X, labels, mu = _screening_instance(seed)
             W0 = default_weight_init(400, 3, eta)
-            rep = solve(X, labels, mu, W0, 60, 1.0, eta, sigma_max=1.0)
+            rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
             _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
             full.append(rep.full_gradients)
         # the set both engages and fails its certificate across these seeds
@@ -255,7 +293,7 @@ class TestWorkingSet:
     def test_engages_when_d_much_larger_than_m(self):
         X, labels, mu = _screening_instance(3)
         rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(400, 3, 1.0), 200, 1.0, 1.0, sigma_max=1.0
+            X, labels, mu, default_weight_init(400, 3, 1.0), 200, 1.0, sigma_max=1.0
         )
         assert rep.full_gradients < 200
 
@@ -265,7 +303,7 @@ class TestWorkingSet:
         solve = solve_weights_fista if accelerated else solve_weights_ista
         X, labels, mu = _screening_instance(4)
         W0 = default_weight_init(400, 3, 1.0)
-        rep = solve(X, labels, mu, W0, 60, 1.0, 1.0, sigma_max=1.0)
+        rep = solve(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
         assert rep.full_gradients == 60
         _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
 
@@ -288,7 +326,7 @@ class TestWorkingSet:
 
         monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
         W0 = default_weight_init(d, dbar, 20.0)
-        rep = solve_weights_fista(X, labels, mu, W0, 100, 1.0, 20.0, sigma_max=1.0)
+        rep = solve_weights_fista(X, labels, mu, W0, 100, 20.0, sigma_max=1.0)
         assert (11, d - 11) in opened
         assert rep.full_gradients < 100
         _assert_matches_reference(rep, X, labels, mu, W0, 100, 20.0, True)
@@ -296,7 +334,7 @@ class TestWorkingSet:
     def test_zero_iterations(self):
         X, labels, mu = _screening_instance(5)
         rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(400, 3, 1.0), 0, 1.0, 1.0, sigma_max=1.0
+            X, labels, mu, default_weight_init(400, 3, 1.0), 0, 1.0, sigma_max=1.0
         )
         assert rep.iterations_run == 0
         assert rep.full_gradients == 0
@@ -319,7 +357,7 @@ def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
     solve = solve_weights_fista if accelerated else solve_weights_ista
     with monkeypatch.context() as patch:
         patch.setattr(ksparse.solver.np.linalg, "qr", spy)
-        rep = solve(X, labels, mu, W0, n_iters, 1.0, eta, sigma_max=1.0)
+        rep = solve(X, labels, mu, W0, n_iters, eta, sigma_max=1.0)
     ref_W, ref_trace = projected_gradient_reference(
         X, labels, mu, W0, n_iters, 1.0, eta, accelerated
     )
@@ -366,7 +404,7 @@ class TestTallReduction:
         X /= s
         eta = 4.0 * dbar * s  # inactive budget
         rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(d, dbar, eta), 2000, 1.0, eta, sigma_max=1.0
+            X, labels, mu, default_weight_init(d, dbar, eta), 2000, eta, sigma_max=1.0
         )
         f = objective(X, rep.final_weights, labels, mu)
         assert f < 1e-6 * np.vdot(Ymu, Ymu)
