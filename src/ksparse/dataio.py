@@ -232,6 +232,10 @@ def _parse_scan(path, has_header, has_rownames, delimiter):
         parsed = []
         for col, cell in enumerate(cells):
             try:
+                # float also reads digit separators ("4_0" is 40) and non-ASCII
+                # digits; loadtxt reads neither
+                if "_" in cell or not cell.strip().isascii():
+                    raise ValueError
                 value = float(cell)
             except ValueError:
                 raise ValueError(
@@ -258,6 +262,9 @@ def load_labels(path) -> np.ndarray:
             if not text:
                 continue
             try:
+                # int also reads digit separators ("1_0" is 10) and non-ASCII digits
+                if "_" in text or not text.isascii():
+                    raise ValueError
                 label = int(text)
             except ValueError:
                 raise ValueError(

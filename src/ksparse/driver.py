@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics as _metrics
 from .core import centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import best_of_replicates, lloyd
-from .solver import default_weight_init, solve_weights_fista
+from .solver import _Design, default_weight_init, solve_weights_fista
 
 __all__ = [
     "SolverConfig",
@@ -176,13 +176,18 @@ def k_sparse(
     labels = init.labels
     mu = init.centers
 
+    # every solve reuses its column norms and, on tall data, its factor of
+    # [X, Y] while the labels stay the same
+    design = _Design(X)
     W = default_weight_init(d, dbar, eta)
     Z = X @ W
     res0 = mu[labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
     for loop in range(cfg.outer_loops):
-        report = solve_weights_fista(X, labels, mu, W, cfg.inner_iters, eta, sigma_max=sigma_max)
+        report = solve_weights_fista(
+            design, labels, mu, W, cfg.inner_iters, eta, sigma_max=sigma_max
+        )
         # the accelerated solver is not monotone; never accept a worse endpoint
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights

@@ -75,10 +75,12 @@ class _Samples:
 
     ``best_of_replicates`` prepares one and passes it as ``Z`` to
     ``kmeanspp_seed`` and ``lloyd``, so its replicates share the checks, the
-    transposed copy and the row norms.
+    transposed and row-major copies, the row norms and the workspace.
     """
 
     Z: np.ndarray  # column-major and finite
+    ZC: np.ndarray  # the same values row-major, for the wcss residual
+    work: np.ndarray  # row-major, Z's shape: where _wcss forms the residual
     ZT1: np.ndarray  # Z.T over a row of ones, the GEMM's right operand
     norms: np.ndarray  # ||z_i||
 
@@ -92,7 +94,8 @@ def _samples(Z) -> _Samples:
     if not np.isfinite(Z).all():
         raise ValueError("Z contains NaN or Inf entries")
     ZT1 = np.vstack([Z.T, np.ones(Z.shape[0])])
-    return _Samples(Z, ZT1, np.sqrt(np.einsum("ij,ij->i", Z, Z)))
+    ZC = np.ascontiguousarray(Z)
+    return _Samples(Z, ZC, np.empty_like(ZC), ZT1, np.sqrt(np.einsum("ij,ij->i", Z, Z)))
 
 
 def _tolerance(norms: np.ndarray, centers_sq: np.ndarray, dbar: int) -> np.ndarray:
@@ -129,8 +132,16 @@ def _assign(S: _Samples, centers: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _wcss(Z: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> float:
-    R = Z - centers[labels]
+def _wcss(S: _Samples, labels: np.ndarray, centers: np.ndarray) -> float:
+    """``0.5 ||Z - centers[labels]||^2`` bit for bit, for any layout of ``Z``.
+
+    ``vdot`` sums a row-major operand in place and copies any other to row
+    major first, so the residual is formed row-major, in ``S.work``.
+    """
+    # labels from the assignment are in range, so "clip" clips nothing; with
+    # an out array, "raise" would gather through a temporary
+    R = np.take(centers, labels, axis=0, out=S.work, mode="clip")
+    np.subtract(S.ZC, R, out=R)
     return 0.5 * float(np.vdot(R, R))
 
 
@@ -229,7 +240,7 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 100) -> Kmean
             break
         labels = new_labels
     centers = centroids(labels, Z, k)
-    return KmeansOutcome(labels, centers, _wcss(Z, labels, centers), iterations)
+    return KmeansOutcome(labels, centers, _wcss(S, labels, centers), iterations)
 
 
 def best_of_replicates(Z: np.ndarray, k: int, replicates: int, seed: int) -> KmeansOutcome:

@@ -43,22 +43,27 @@ Keeping them in ``C`` would pin ``C`` at that size.  Outside ``C`` their
 weights only scale by ``1 - lambda`` per step, and the ``W_ij`` term of the
 bound covers them, so ``C`` stays near the support.
 
-Tall data.  When ``d + dbar <= m`` the solve factors ``[X, Y mu]`` once as
-``Q F`` (thin QR, ``Q`` with orthonormal columns, ``F`` upper triangular)
-and runs the loop on ``X_r = F[:d, :d]`` and ``Ymu_r = F[:d, d:]``, which
-are ``d`` rows instead of ``m``.  Since ``X = Q[:, :d] X_r``, the residual
-splits into orthogonal parts, for any ``X``, rank-deficient or not:
+Tall data.  When ``d + dbar <= m`` the solve factors ``[X, Y]`` as ``Q F``
+(QR, ``Q`` with orthonormal columns, ``F`` upper triangular), with ``Y``
+the m x k one-hot matrix of the labels, and runs the loop on ``X_r =
+F[:d, :d]`` and ``Ymu_r = F[:d, d:] mu``, which are ``d`` rows instead of
+``m``.  Since ``[X, Y mu] = Q [X_r, F[:d, d:] mu; 0, F[d:, d:] mu]``, the
+residual splits into orthogonal parts, for any ``X``, rank-deficient or
+not:
 
-    ||X W - Y mu||^2 = ||X_r W - Ymu_r||^2 + ||F[d:, d:]||^2,
+    ||X W - Y mu||^2 = ||X_r W - Ymu_r||^2 + ||F[d:, d:] mu||^2,
 
 and the gradient ``X_r.T (X_r W - Ymu_r)`` equals ``X.T (X W - Y mu)``.  So
 every iterate is the one the loop on ``X`` would take, up to rounding, and
-each trace entry is ``0.5 ||F[d:, d:]||^2 + 0.5 ||X_r W - Ymu_r||^2``: two
-squared norms, where a Gram form ``0.5 <W, X.T X W> - <W, X.T Y mu> + c``
-would lose to cancellation once the objective is small against
+each trace entry is ``0.5 ||F[d:, d:] mu||^2 + 0.5 ||X_r W - Ymu_r||^2``:
+two squared norms, where a Gram form ``0.5 <W, X.T X W> - <W, X.T Y mu> +
+c`` would lose to cancellation once the objective is small against
 ``||Y mu||^2``.  ``Q[:, :d]`` also preserves column norms ``||x_i||`` and
 residual differences ``||R_j - R_ref_j||``, so the working-set certificate
-holds on ``X_r`` unchanged.
+holds on ``X_r`` unchanged.  ``F`` depends on the labels and not on
+``mu``, so a run that passes the same :class:`_Design` to every solve
+factors once per label set: the labels stop moving after a few outer
+loops, while ``mu`` changes in each.
 """
 
 from __future__ import annotations
@@ -96,8 +101,9 @@ class InnerSolveReport:
     Every solve runs its full budget, so ``iterations_run == n_iters``.
     ``objective_trace`` holds half the squared residual norm at each
     projected point; on tall data (``d + dbar <= m``) each entry is computed
-    as ``offset + 0.5 ||R_r||^2``, with ``offset = 0.5 ||F[d:, d:]||^2`` and
-    ``R_r = X_r W - Ymu_r`` from the R factor (see the module docstring).
+    as ``offset + 0.5 ||R_r||^2``, with ``offset = 0.5 ||F[d:, d:] mu||^2``
+    and ``R_r = X_r W - Ymu_r`` from the R factor ``F`` of ``[X, Y]`` (see
+    the module docstring).
     ``full_gradients`` counts the iterations that computed the full-width
     gradient ``X.T @ R``, on tall data ``X_r.T @ R_r`` over all ``d`` rows
     of the d x d factor; the others stepped on a certified working set.
@@ -125,9 +131,39 @@ def default_weight_init(d: int, dbar: int, eta: float) -> np.ndarray:
     return W0
 
 
+class _Design:
+    """A C-ordered ``X`` with what every solve on it reuses.
+
+    ``driver.k_sparse`` prepares one per run and passes it as ``X`` to each
+    weight solve; a solve given an ndarray prepares its own.  It holds the
+    column norms ``||x_i||`` and, on tall data, the factor of ``[X, Y]`` for
+    the last label set it was asked for (module docstring).
+    """
+
+    def __init__(self, X):
+        # the loop's products are laid out for C-ordered X; copy only other layouts
+        self.X = np.ascontiguousarray(X, float)
+        self.norms = np.sqrt(np.einsum("ij,ij->j", self.X, self.X))
+        self._labels = None
+        self._factor = None  # (X_r, Rxy, Ryy) of self._labels
+
+    def factor(self, labels, k):
+        """``(F[:d, :d], F[:d, d:], F[d:, d:])`` of ``[X, Y] = Q F``, ``Y`` one-hot in k columns."""
+        # checked labels occupy all k clusters, so equal labels mean equal k
+        if self._factor is None or not np.array_equal(labels, self._labels):
+            m, d = self.X.shape
+            A = np.zeros((m, d + k))
+            A[:, :d] = self.X
+            A[np.arange(m), d + labels] = 1.0
+            F = np.linalg.qr(A, mode="r")
+            self._labels = labels.copy()
+            self._factor = (np.ascontiguousarray(F[:d, :d]), F[:d, d:].copy(), F[d:, d:].copy())
+        return self._factor
+
+
 def _prepare(X, labels, mu, W0, n_iters, eta, sigma_max):
-    # the loop's products are laid out for C-ordered X; copy only other layouts
-    X = np.ascontiguousarray(X, float)
+    design = X if isinstance(X, _Design) else _Design(X)
+    X = design.X
     mu = np.asarray(mu, float)
     W0 = np.asarray(W0, float)
     labels = check_labels(labels, m=X.shape[0], k=mu.shape[0])
@@ -143,7 +179,7 @@ def _prepare(X, labels, mu, W0, n_iters, eta, sigma_max):
         sigma_max = spectral_norm(X)
     if not 0 < sigma_max < np.inf:
         raise ValueError(f"sigma_max must be positive and finite, got {sigma_max}")
-    return X, labels, mu, W0, sigma_max
+    return design, labels, mu, W0, sigma_max
 
 
 def momentum_schedule(n: int, t: float) -> tuple[float, float]:
@@ -243,16 +279,18 @@ class _WorkingSet:
 
 
 def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
-    X, labels, mu, W0, sigma_max = _prepare(X, labels, mu, W0, n_iters, eta, sigma_max)
-    Ymu = mu[labels]
-    offset = 0.0  # the part of the objective that no W can change
+    design, labels, mu, W0, sigma_max = _prepare(X, labels, mu, W0, n_iters, eta, sigma_max)
+    X, norms = design.X, design.norms  # on tall data, X_r has the same column norms
     d, dbar = W0.shape
     if d + dbar <= X.shape[0]:
-        # tall X: step on the R factor of [X, Ymu] (see the module docstring)
-        F = np.linalg.qr(np.hstack([X, Ymu]), mode="r")
-        X, Ymu = np.ascontiguousarray(F[:d, :d]), np.ascontiguousarray(F[:d, d:])
-        offset = 0.5 * float(np.vdot(F[d:, d:], F[d:, d:]))
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))  # column norms ||x_i||, those of X on tall data
+        # tall X: step on the R factor of [X, Y] (see the module docstring)
+        X, Rxy, Ryy = design.factor(labels, mu.shape[0])
+        Ymu = Rxy @ mu
+        tail = Ryy @ mu
+        offset = 0.5 * float(np.vdot(tail, tail))  # the part of the objective no W changes
+    else:
+        Ymu = mu[labels]
+        offset = 0.0
     # a column norm is a lower bound on the spectral norm; the margin absorbs rounding
     if norms.max(initial=0.0) > sigma_max * (1.0 + 1e-9):
         raise ValueError(

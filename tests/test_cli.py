@@ -169,6 +169,17 @@ class TestCluster:
         assert proc.returncode == 1
         assert not out.exists()
 
+    def test_digit_separator_in_matrix_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,4_0\n5,6\n")
+        out = tmp_path / "x.json"
+        proc = run_cli(
+            "cluster", "--input", str(bad), "--k", "2", "--eta", "1", "--out", str(out)
+        )
+        assert proc.returncode == 1
+        assert f"{bad}: non-numeric value '4_0' at row 2, column 2" in proc.stderr
+        assert not out.exists()
+
     def test_unwritable_out_leaves_no_stray_file(self, synth_files, tmp_path):
         out = tmp_path / "somedir"
         out.mkdir()
@@ -358,6 +369,15 @@ class TestEval:
         proc = run_cli("eval", "--pred", str(p), "--truth", str(t))
         assert proc.returncode == 1
         assert f"{p}: line 3: negative cluster index -1" in proc.stderr
+
+    def test_digit_separator_in_labels_rejected(self, tmp_path):
+        t = tmp_path / "t.txt"
+        p = tmp_path / "p.txt"
+        t.write_text("0\n0\n1\n1\n")
+        p.write_text("0\n1\n1_0\n1\n")
+        proc = run_cli("eval", "--pred", str(p), "--truth", str(t))
+        assert proc.returncode == 1
+        assert f"{p}: line 3: expected an integer label, got '1_0'" in proc.stderr
 
     def test_time_flag_rejected(self, tmp_path):
         f = tmp_path / "labels.txt"

@@ -163,13 +163,16 @@ class TestLoadPaths:
         "text, message",
         [
             ("1,2\n3,#4\n", "non-numeric value '#4' at row 2, column 2"),
+            # Python's float reads "4_0" as 40 and an Arabic-Indic four as 4
+            ("1,2\n3,4_0\n", "non-numeric value '4_0' at row 2, column 2"),
+            ("1,2\n3,\u0664\n", "non-numeric value '\u0664' at row 2, column 2"),
             ("1,1e500\n3,4\n", "non-finite value at row 1, column 2"),
             ("1,2\nnan,4\n", "non-finite value at row 2, column 1"),
         ],
     )
     def test_bad_cells_keep_positional_errors(self, tmp_path, text, message):
         p = tmp_path / "m.csv"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{p}: {message}")):
             load_matrix_csv(p)
 
@@ -207,6 +210,16 @@ class TestLabelsFiles:
         p = tmp_path / "labels.txt"
         p.write_text("0\nx\n")
         with pytest.raises(ValueError, match="line 2"):
+            load_labels(p)
+
+    # Python's int reads "1_0" as 10 and an Arabic-Indic one as 1
+    @pytest.mark.parametrize("label", ["1_0", "\u0661"])
+    def test_digit_separator_or_non_ascii_digit_rejected(self, tmp_path, label):
+        p = tmp_path / "labels.txt"
+        p.write_text(f"0\n{label}\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=re.escape(f"{p}: line 2: expected an integer label, got '{label}'")
+        ):
             load_labels(p)
 
     def test_negative_label_names_line(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksparse.dataio import SyntheticSpec, generate_synthetic
+import ksparse.solver
 from ksparse import driver
 from ksparse.core import spectral_norm
 from ksparse.driver import SolverConfig, k_sparse, selected_features, sweep_eta
@@ -186,6 +187,65 @@ class TestStep:
             # the old (..., n_iters, gamma, eta) call must not read gamma as eta
             with pytest.raises(TypeError):
                 solve(X, labels, mu, W0, 5, 1.0, 1.0)
+
+
+class TestSharedDesign:
+    """k_sparse passes one design to every solve; on tall data it factors [X, Y] once per label set."""
+
+    @staticmethod
+    def _spy(monkeypatch, fresh):
+        """Record each solve's labels and count the solver's QR calls.
+
+        With ``fresh`` every solve gets the bare matrix, so it prepares a design of its own.
+        """
+        real = driver.solve_weights_fista
+        qr = np.linalg.qr
+        seen, factored = [], []
+
+        def solve(X, labels, *args, **kwargs):
+            seen.append(np.array(labels))
+            return real(X.X if fresh else X, labels, *args, **kwargs)
+
+        def spy_qr(A, *args, **kwargs):
+            factored.append(A.shape)
+            return qr(A, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_weights_fista", solve)
+        monkeypatch.setattr(ksparse.solver.np.linalg, "qr", spy_qr)
+        return seen, factored
+
+    def test_tall_factors_once_per_label_set(self, monkeypatch):
+        ds = generate_synthetic(
+            SyntheticSpec(m=150, d=20, k=3, n_informative=4, shift=2.5, noise_sd=1.0, seed=0)
+        )
+        cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=8)
+        seen, factored = self._spy(monkeypatch, fresh=False)
+        k_sparse(ds.matrix, 3, 1.0, cfg)
+        assert len(seen) == cfg.outer_loops
+        changed = sum(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+        assert 0 < changed < cfg.outer_loops - 1  # loops of both kinds ran
+        assert factored == [(150, 20 + 3)] * (1 + changed)
+
+    # 40 x 60 is wide (d + dbar > m); 150 x 20 is tall
+    @pytest.mark.parametrize("m, d", [(40, 60), (150, 20)])
+    def test_bitwise_equal_to_a_fresh_design_per_solve(self, monkeypatch, m, d):
+        ds = generate_synthetic(
+            SyntheticSpec(m=m, d=d, k=3, n_informative=4, shift=2.5, noise_sd=1.0, seed=0)
+        )
+        cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=6)
+        runs = []
+        for fresh in (False, True):
+            with monkeypatch.context() as patch:
+                _, factored = self._spy(patch, fresh)
+                runs.append((k_sparse(ds.matrix, 3, 0.5, cfg), len(factored)))
+        (shared, shared_qr), (each, each_qr) = runs
+        np.testing.assert_array_equal(shared.labels, each.labels)
+        np.testing.assert_array_equal(shared.weights, each.weights)
+        np.testing.assert_array_equal(shared.objective_trace, each.objective_trace)
+        if m < d:
+            assert shared_qr == each_qr == 0
+        else:
+            assert shared_qr < each_qr == cfg.outer_loops
 
 
 class TestSweep:

@@ -193,6 +193,22 @@ class TestLayout:
                 assert a.wcss == b.wcss
                 assert a.iterations == b.iterations
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_wcss_bitwise_equal_to_plain_expression(self, seed):
+        # magnitudes over 16 decades, so another summation order changes the bits
+        rng = np.random.default_rng(seed)
+        k, dbar = 5, 7
+        for m in (1, 2, 300):
+            Z = rng.standard_normal((m, dbar)) * 10.0 ** rng.uniform(-8, 8, (m, dbar))
+            labels = rng.integers(0, k, m)
+            centers = rng.standard_normal((k, dbar))
+            for Zl in _layouts(Z):
+                R = Zl - centers[labels]
+                want = 0.5 * float(np.vdot(R, R))
+                S = _samples(Zl)
+                assert kmeans._wcss(S, labels, centers) == want
+                assert kmeans._wcss(S, labels, centers) == want  # the workspace is reused
+
 
 _MAKEUPS = ["gaussian", "far", "ties", "underflow", "dbar1"]
 

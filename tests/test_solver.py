@@ -196,7 +196,7 @@ class TestStep:
             solve(X, labels, mu, default_weight_init(10, 3, 1.0), 5, 1.0, sigma_max=sigma_max)
 
     @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
-    # m=20 steps on X itself, m=60 on the R factor of [X, Y mu]
+    # m=20 steps on X itself, m=60 on the R factor of [X, Y]
     @pytest.mark.parametrize("m", [20, 60])
     def test_sigma_below_a_column_norm_rejected(self, solve, m):
         X, labels, mu = _instance(32, m=m)
@@ -340,12 +340,8 @@ class TestWorkingSet:
         assert rep.full_gradients == 0
 
 
-def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
-    """Solve from the default start against the reference loop; returns the QR input shapes.
-
-    A spy on ``np.linalg.qr``, as the solver calls it, records the shape of
-    every matrix the solve factors.
-    """
+def _qr_spy(patch):
+    """Record the shape of every matrix the solver factors; returns the list."""
     shapes = []
     qr = ksparse.solver.np.linalg.qr
 
@@ -353,10 +349,16 @@ def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
         shapes.append(A.shape)
         return qr(A, *args, **kwargs)
 
+    patch.setattr(ksparse.solver.np.linalg, "qr", spy)
+    return shapes
+
+
+def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
+    """Solve from the default start against the reference loop; returns the QR input shapes."""
     W0 = default_weight_init(X.shape[1], mu.shape[1], eta)
     solve = solve_weights_fista if accelerated else solve_weights_ista
     with monkeypatch.context() as patch:
-        patch.setattr(ksparse.solver.np.linalg, "qr", spy)
+        shapes = _qr_spy(patch)
         rep = solve(X, labels, mu, W0, n_iters, eta, sigma_max=1.0)
     ref_W, ref_trace = projected_gradient_reference(
         X, labels, mu, W0, n_iters, 1.0, eta, accelerated
@@ -367,7 +369,7 @@ def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
 
 
 class TestTallReduction:
-    """On tall X the loop runs on the R factor of [X, Y mu] and gives the same iterates."""
+    """On tall X the loop runs on the R factor of [X, Y] and gives the same iterates."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_rank_deficient_matches_reference(self, monkeypatch, accelerated):
@@ -379,7 +381,7 @@ class TestTallReduction:
         X /= spectral_norm(X)
         labels = np.arange(m) % k
         mu = rng.standard_normal((k, dbar))
-        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d + dbar)]
+        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d + k)]
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
@@ -387,7 +389,7 @@ class TestTallReduction:
         d, dbar = 10, 3
         X, labels, mu = _instance(21, m=d + dbar + extra_rows, d=d, dbar=dbar)
         shapes = _tall_run(monkeypatch, X, labels, mu, 0.8, accelerated, 60)
-        assert shapes == ([(X.shape[0], d + dbar)] if reduced else [])
+        assert shapes == ([(X.shape[0], d + mu.shape[0])] if reduced else [])
 
     def test_objective_on_original_x_near_interpolation(self):
         # Y mu lies within 1e-2 of X's range, so f is about 5e-7 of ||Y mu||^2;
@@ -409,3 +411,59 @@ class TestTallReduction:
         f = objective(X, rep.final_weights, labels, mu)
         assert f < 1e-6 * np.vdot(Ymu, Ymu)
         assert rep.objective_trace[-1] == pytest.approx(f, rel=1e-12)
+
+
+class TestDesignReuse:
+    """A design shared across solves factors [X, Y] once per label set."""
+
+    @staticmethod
+    def _instance(case):
+        rng = np.random.default_rng(40)
+        if case == "rank_deficient":
+            m, d, dbar, k = 60, 12, 4, 3
+            X = rng.standard_normal((m, d))
+            X[:, 5] = X[:, 2]  # duplicated column
+            X[:, 7] = 0.0  # all-zero column
+        elif case == "dbar_below_k":
+            # d + dbar <= m < d + k: reduced, and F[d:, d:] has fewer rows than k
+            m, d, dbar, k = 13, 10, 2, 5
+            X = rng.standard_normal((m, d))
+        else:
+            m, d, dbar, k = 50, 8, 3, 3
+            X = rng.standard_normal((m, d))
+        X /= spectral_norm(X)
+        labels = rng.integers(0, k, m)
+        labels[:k] = np.arange(k)
+        changed = labels.copy()
+        changed[k:] = rng.integers(0, k, m - k)
+        assert not np.array_equal(changed, labels)
+        mus = [rng.standard_normal((k, dbar)) for _ in range(2)]
+        # first solve, the same labels with a new mu, then changed labels
+        return X, [(labels, mus[0]), (labels, mus[1]), (changed, mus[1])]
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("case", ["full_rank", "rank_deficient", "dbar_below_k"])
+    def test_matches_fresh_calls(self, monkeypatch, accelerated, case):
+        X, solves = self._instance(case)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        d, dbar = X.shape[1], solves[0][1].shape[1]
+        eta, n_iters = 1.2, 60
+        W0 = default_weight_init(d, dbar, eta)
+        design = ksparse.solver._Design(X)
+        counts = []
+        for labels, mu in solves:
+            with monkeypatch.context() as patch:
+                shapes = _qr_spy(patch)
+                shared = solve(design, labels, mu, W0, n_iters, eta, sigma_max=1.0)
+                counts.append(len(shapes))
+            fresh = solve(X, labels, mu, W0, n_iters, eta, sigma_max=1.0)
+            np.testing.assert_allclose(shared.final_weights, fresh.final_weights, rtol=1e-12)
+            np.testing.assert_allclose(shared.objective_trace, fresh.objective_trace, rtol=1e-12)
+            ref_W, ref_trace = projected_gradient_reference(
+                X, labels, mu, W0, n_iters, 1.0, eta, accelerated
+            )
+            np.testing.assert_allclose(shared.final_weights, ref_W, rtol=1e-12)
+            np.testing.assert_allclose(shared.objective_trace, ref_trace, rtol=1e-12)
+            W0 = shared.final_weights
+        # factored for the first labels, reused for a new mu, factored for new labels
+        assert counts == [1, 0, 1]
