@@ -163,6 +163,10 @@ def _validate_cluster_args(parser, args) -> None:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     if (args.filter_min_count is None) != (args.filter_min_cells is None):
         parser.error("--filter-min-count and --filter-min-cells go together")
+    if args.filter_min_count is not None and not math.isfinite(args.filter_min_count):
+        parser.error(f"--filter-min-count must be finite, got {args.filter_min_count}")
+    if args.filter_min_cells is not None and args.filter_min_cells < 0:
+        parser.error(f"--filter-min-cells must be >= 0, got {args.filter_min_cells}")
 
 
 def _load_and_preprocess(args, stages, phases):
@@ -173,6 +177,11 @@ def _load_and_preprocess(args, stages, phases):
         args.input, has_header=args.header, has_rownames=args.rownames, delimiter=delim
     )
     labels_true = dataio.load_labels(args.labels) if args.labels else None
+    if labels_true is not None and len(labels_true) != len(dataset.sample_ids):
+        raise ValueError(
+            f"{args.labels}: labels_true has {len(labels_true)} entries for "
+            f"{len(dataset.sample_ids)} samples in {args.input}"
+        )
     phases.mark("load")
 
     X = dataset.matrix
@@ -184,7 +193,12 @@ def _load_and_preprocess(args, stages, phases):
         names = [names[j] for j in kept]
         phases.mark("filter")
     if "cpm" in stages:
-        X = dataio.cpm_normalize(X)
+        try:
+            X = dataio.cpm_normalize(X)
+        except ValueError as exc:
+            # cpm_normalize numbers the filtered matrix; name the input's own cell
+            fault = dataio._count_fault(X, X.sum(axis=1), dataset.sample_ids, names)
+            raise ValueError(f"{args.input}: {fault or exc}") from None
         phases.mark("cpm")
     dataset = dataio.Dataset(X, names, dataset.sample_ids, labels_true)
     return dataset, labels_true

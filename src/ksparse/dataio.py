@@ -1,8 +1,9 @@
 """Dataset ingestion, count-matrix preprocessing, synthetic data, and result files.
 
 File formats:
-  * matrix: delimited text (comma or tab, auto-detected), rows are samples,
-    optional header row of feature names and leading rowname column;
+  * matrix: delimited text (one-character delimiter, comma or tab
+    auto-detected), rows are samples, optional header row of feature names
+    and leading rowname column;
   * labels: one integer per line;
   * result: a JSON document with labels per sample id, selected feature
     names, the l1 budget, the objective trace, and metrics when available.
@@ -109,10 +110,6 @@ class ResultDocument:
     metrics: dict | None = None
 
 
-def _detect_delimiter(first_line: str) -> str:
-    return "\t" if "\t" in first_line else ","
-
-
 def load_matrix_csv(
     path,
     has_header: bool = False,
@@ -121,20 +118,37 @@ def load_matrix_csv(
 ) -> Dataset:
     """Load a delimited numeric matrix (rows = samples, columns = features).
 
-    The delimiter is auto-detected between comma and tab unless given.
-    Ragged rows, non-numeric cells, NaN/Inf, and empty files raise with the
-    offending 1-based row/column position; rows are numbered by file line,
-    blank lines and the header included.
+    The delimiter is one character, auto-detected between comma and tab
+    unless given.  ``np.loadtxt`` parses every value.  Ragged rows,
+    non-numeric cells, NaN/Inf, rows without data and empty files raise
+    with the offending 1-based row/column position; rows are numbered by
+    file line, blank lines and the header included.
     """
-    try:
-        X, feature_names, sample_ids = _parse_loadtxt(
-            path, has_header, has_rownames, delimiter
+    if delimiter is not None and len(delimiter) != 1:
+        raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    sample_ids = [] if has_rownames else None
+    with open(path, "r", encoding="utf-8") as fh:
+        delimiter, feature_names, rows = _matrix_lines(
+            path, fh, has_header, has_rownames, delimiter
         )
-    except ValueError:
-        # the scan accepts the same files; on a bad one it names the cell
-        X, feature_names, sample_ids = _parse_scan(
-            path, has_header, has_rownames, delimiter
-        )
+
+        def values():
+            for _, line in rows:
+                if has_rownames:
+                    name, _, line = line.partition(delimiter)
+                    if not line or line.isspace():
+                        raise ValueError  # a rowname alone; the locator names the row
+                    sample_ids.append(name.strip())
+                yield line
+
+        try:
+            X = np.loadtxt(
+                values(), dtype=float, delimiter=delimiter, comments=None, ndmin=2
+            )
+        except ValueError:
+            X = None
+    if X is None or not np.all(np.isfinite(X)):
+        _locate_error(path, has_header, has_rownames, delimiter)
     m, d = X.shape
     if feature_names is not None and len(feature_names) != d:
         raise ValueError(
@@ -147,110 +161,61 @@ def load_matrix_csv(
     return Dataset(X, feature_names, sample_ids)
 
 
-def _parse_loadtxt(path, has_header, has_rownames, delimiter):
-    """Fast path of :func:`load_matrix_csv`: ``np.loadtxt`` on the data lines.
+def _matrix_lines(path, fh, has_header, has_rownames, delimiter):
+    """Front end of :func:`load_matrix_csv` and of its error locator.
 
-    Returns ``(X, feature_names or None, sample_ids or None)``.  Raises
-    ValueError on any file it cannot parse exactly as the scan would.
+    Returns ``(delimiter, feature names or None, data lines)``; the data
+    lines are ``(file line number, line)`` for every non-blank line after
+    the header.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (ln for ln in fh if not ln.isspace())  # the scan skips these too
-        first = next(lines, None)
-        if first is None:
-            raise ValueError(f"{path}: empty file")
-        if delimiter is None:
-            delimiter = _detect_delimiter(first)
-        if len(delimiter) != 1:
-            raise ValueError("np.loadtxt takes a one-character delimiter")
-        feature_names = None
-        if has_header:
-            header = first.rstrip("\n").rstrip("\r").split(delimiter)
-            if has_rownames:
-                header = header[1:]
-            feature_names = [h.strip() for h in header]
-            first = next(lines, None)
-            if first is None:
-                raise ValueError(f"{path}: no data rows after header")
-        rows = itertools.chain([first], lines)
-        sample_ids = None
-        if has_rownames:
-            sample_ids = []
-            rows = _split_rownames(rows, delimiter, sample_ids)
-        X = np.loadtxt(rows, dtype=float, delimiter=delimiter, comments=None, ndmin=2)
-    # a row that is only a rowname reaches loadtxt empty and is skipped there
-    if sample_ids is not None and len(sample_ids) != X.shape[0]:
-        raise ValueError(f"{path}: a row has no data columns")
-    if not np.all(np.isfinite(X)):
-        raise ValueError(f"{path}: non-finite value")
-    return X, feature_names, sample_ids
-
-
-def _split_rownames(rows, delimiter, sample_ids):
-    for row in rows:
-        name, _, rest = row.partition(delimiter)
-        sample_ids.append(name.strip())
-        yield rest
-
-
-def _parse_scan(path, has_header, has_rownames, delimiter):
-    """Row-by-row parse of :func:`load_matrix_csv` with positional errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, ln.rstrip("\n").rstrip("\r")) for n, ln in enumerate(fh, start=1)]
-    lines = [(n, ln) for n, ln in lines if ln.strip() != ""]
-    if not lines:
+    lines = ((n, ln) for n, ln in enumerate(fh, start=1) if not ln.isspace())
+    first = next(lines, None)
+    if first is None:
         raise ValueError(f"{path}: empty file")
     if delimiter is None:
-        delimiter = _detect_delimiter(lines[0][1])
-
-    feature_names: list[str] | None = None
-    body_start = 0
+        delimiter = "\t" if "\t" in first[1] else ","
+    feature_names = None
     if has_header:
-        header = lines[0][1].split(delimiter)
-        if has_rownames:
-            header = header[1:]
-        feature_names = [h.strip() for h in header]
-        body_start = 1
-    if body_start >= len(lines):
-        raise ValueError(f"{path}: no data rows after header")
+        header = first[1].rstrip("\n").split(delimiter)
+        feature_names = [h.strip() for h in header[1 if has_rownames else 0:]]
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows after header")
+    return delimiter, feature_names, itertools.chain([first], lines)
 
-    sample_ids: list[str] = []
-    rows: list[list[float]] = []
-    width = None
-    for lineno, line in lines[body_start:]:
-        cells = line.split(delimiter)
-        if has_rownames:
-            sample_ids.append(cells[0].strip())
-            cells = cells[1:]
-        if width is None:
-            width = len(cells)
-            if width == 0:
-                raise ValueError(f"{path}: row {lineno} has no data columns")
-        elif len(cells) != width:
-            raise ValueError(
-                f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
-            )
-        parsed = []
-        for col, cell in enumerate(cells):
-            try:
-                # float also reads digit separators ("4_0" is 40) and non-ASCII
-                # digits; loadtxt reads neither
-                if "_" in cell or not cell.strip().isascii():
-                    raise ValueError
-                value = float(cell)
-            except ValueError:
+
+def _locate_error(path, has_header, has_rownames, delimiter):
+    """Raise the first fault, in file order, of a matrix np.loadtxt refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        _, _, rows = _matrix_lines(path, fh, has_header, has_rownames, delimiter)
+        width = None
+        for lineno, line in rows:
+            cells = line.rstrip("\n").split(delimiter)[1 if has_rownames else 0:]
+            if width is None:
+                width = len(cells)
+                if width == 0:
+                    raise ValueError(f"{path}: row {lineno} has no data columns")
+            elif len(cells) != width:
                 raise ValueError(
-                    f"{path}: non-numeric value {cell.strip()!r} at row {lineno}, "
-                    f"column {col + 1}"
-                ) from None
-            if not np.isfinite(value):
-                raise ValueError(
-                    f"{path}: non-finite value at row {lineno}, column {col + 1}"
+                    f"{path}: row {lineno} has {len(cells)} columns, expected {width}"
                 )
-            parsed.append(value)
-        rows.append(parsed)
-
-    X = np.asarray(rows, dtype=float)
-    return X, feature_names, (sample_ids if has_rownames else None)
+            for col, cell in enumerate(cells, start=1):
+                try:
+                    # float also reads digit separators ("4_0" is 40) and non-ASCII
+                    # digits; loadtxt reads neither
+                    if "_" in cell or not cell.strip().isascii():
+                        raise ValueError
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: non-numeric value {cell.strip()!r} at row {lineno}, "
+                        f"column {col}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise ValueError(
+                        f"{path}: non-finite value at row {lineno}, column {col}"
+                    )
+    raise ValueError(f"{path}: np.loadtxt cannot read this matrix")
 
 
 def load_labels(path) -> np.ndarray:
@@ -310,6 +275,10 @@ def filter_low_expressed(X: np.ndarray, min_count: float, min_cells: int):
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains NaN or Inf entries")
+    if not np.isfinite(min_count):
+        raise ValueError(f"min_count must be finite, got {min_count}")
+    if min_cells < 0:
+        raise ValueError(f"min_cells must be nonnegative, got {min_cells}")
     if min_cells > X.shape[0]:
         raise ValueError(
             f"min_cells={min_cells} exceeds the number of samples {X.shape[0]}"
@@ -327,14 +296,22 @@ def cpm_normalize(X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains NaN or Inf entries")
+    sums = X.sum(axis=1)
+    fault = _count_fault(X, sums, range(X.shape[0]), range(X.shape[1]))
+    if fault:
+        raise ValueError(fault)
+    return X / sums[:, None] * 1e6
+
+
+def _count_fault(X, sums, sample_ids, feature_names) -> str | None:
+    """Why :func:`cpm_normalize` refuses X, naming the first bad sample and feature."""
     if np.any(X < 0):
         i, j = np.argwhere(X < 0)[0]
-        raise ValueError(f"negative count at sample {i}, feature {j}")
-    sums = X.sum(axis=1)
+        return f"negative count at sample {sample_ids[i]}, feature {feature_names[j]}"
     zero = np.flatnonzero(sums == 0)
     if zero.size:
-        raise ValueError(f"sample {zero[0]} has zero total count")
-    return X / sums[:, None] * 1e6
+        return f"sample {sample_ids[zero[0]]} has zero total count"
+    return None
 
 
 def scale_by_spectral_norm(X: np.ndarray):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,12 +32,12 @@ def synth_files(tmp_path_factory):
 
 class TestSynth:
     def test_files_and_shapes(self, synth_files):
-        matrix = open(f"{synth_files}_matrix.csv").read().strip().split("\n")
+        matrix = Path(f"{synth_files}_matrix.csv").read_text().strip().split("\n")
         assert len(matrix) == 40
         assert len(matrix[0].split(",")) == 30
-        labels = open(f"{synth_files}_labels.txt").read().split()
+        labels = Path(f"{synth_files}_labels.txt").read_text().split()
         assert len(labels) == 40
-        informative = open(f"{synth_files}_informative.txt").read().split()
+        informative = Path(f"{synth_files}_informative.txt").read_text().split()
         assert len(informative) == 3
 
     def test_same_seed_identical_files(self, tmp_path):
@@ -47,8 +48,8 @@ class TestSynth:
                 "--seed", "3", "--out", prefix,
             )
             assert proc.returncode == 0
-        assert open(f"{a}_matrix.csv").read() == open(f"{b}_matrix.csv").read()
-        assert open(f"{a}_labels.txt").read() == open(f"{b}_labels.txt").read()
+        assert Path(f"{a}_matrix.csv").read_text() == Path(f"{b}_matrix.csv").read_text()
+        assert Path(f"{a}_labels.txt").read_text() == Path(f"{b}_labels.txt").read_text()
 
     def test_invalid_spec_is_usage_error(self, tmp_path):
         proc = run_cli("synth", "--m", "4", "--k", "9", "--out", str(tmp_path / "x"))
@@ -180,6 +181,64 @@ class TestCluster:
         assert f"{bad}: non-numeric value '4_0' at row 2, column 2" in proc.stderr
         assert not out.exists()
 
+    def test_rownames_without_data_exact_stderr(self, tmp_path):
+        bad = tmp_path / "f.csv"
+        bad.write_text("s0\ns1\n")
+        out = tmp_path / "r.json"
+        proc = run_cli(
+            "cluster", "--input", str(bad), "--rownames",
+            "--k", "2", "--eta", "1", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {bad}: row 1 has no data columns\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            (",a,b,c\nr1,0,-1,9\nr2,0,5,9\nr3,0,5,9\n",
+             ["--filter-min-count", "2", "--filter-min-cells", "2",
+              "--normalize", "cpm,spectral"],
+             "negative count at sample r1, feature b"),
+            (",a,b,c\nr1,1,2,3\nr2,0,0,0\nr3,4,5,6\n", ["--normalize", "cpm"],
+             "sample r2 has zero total count"),
+        ],
+        ids=["negative-after-filter", "zero-total"],
+    )
+    def test_cpm_error_names_file_sample_and_feature(self, tmp_path, text, flags, message):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text)
+        out = tmp_path / "r.json"
+        proc = run_cli(
+            "cluster", "--input", str(counts), "--header", "--rownames", *flags,
+            "--k", "2", "--eta", "1", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {counts}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--filter-min-count", "nan", "--filter-min-cells", "1"],
+             "--filter-min-count must be finite, got nan"),
+            (["--filter-min-count", "inf", "--filter-min-cells", "1"],
+             "--filter-min-count must be finite, got inf"),
+            (["--filter-min-count", "1", "--filter-min-cells", "-3"],
+             "--filter-min-cells must be >= 0, got -3"),
+        ],
+        ids=["nan", "inf", "negative-cells"],
+    )
+    def test_bad_filter_flags_usage_error(self, synth_files, tmp_path, flags, message):
+        out = tmp_path / "r.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv", *flags,
+            "--k", "2", "--eta", "1", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert not out.exists()
+
     def test_unwritable_out_leaves_no_stray_file(self, synth_files, tmp_path):
         out = tmp_path / "somedir"
         out.mkdir()
@@ -235,7 +294,10 @@ class TestCluster:
             "--k", "2", "--eta", "1", "--out", str(out),
         )
         assert proc.returncode == 1
-        assert "labels_true has 2 entries for 40 samples" in proc.stderr
+        assert proc.stderr == (
+            f"error: {labels}: labels_true has 2 entries for 40 samples in "
+            f"{synth_files}_matrix.csv\n"
+        )
         assert not out.exists()
 
     def test_negative_label_names_file_and_line(self, synth_files, tmp_path):

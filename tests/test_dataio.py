@@ -105,43 +105,27 @@ class TestLoadMatrix:
         assert p.read_bytes() == ("\n".join(rows) + "\n").encode()
 
 
-def _load_both_ways(monkeypatch, path, **kwargs):
-    """Load once through the np.loadtxt fast path and once through the row scan."""
-    real_loadtxt = np.loadtxt
-    parsed = []
-
-    def spy(*args, **kw):
-        parsed.append(real_loadtxt(*args, **kw))
-        return parsed[-1]
-
-    def refuse(*args, **kw):
-        raise ValueError("loadtxt refused")
-
-    monkeypatch.setattr(np, "loadtxt", spy)
-    fast = load_matrix_csv(path, **kwargs)
-    assert len(parsed) == 1 and fast.matrix is parsed[0]  # no fallback happened
-    monkeypatch.setattr(np, "loadtxt", refuse)
-    scan = load_matrix_csv(path, **kwargs)
-    return fast, scan
-
-
 class TestLoadPaths:
     @pytest.mark.parametrize(
-        "text, kwargs",
+        "text, kwargs, rows, names, ids",
         [
-            (b"1,2\n3,4\n", {}),
-            (b"a,b\n1,2\n3,4\n", {"has_header": True}),
-            (b",a,b\ncell1,1,2\ncell2,3,4\n", {"has_header": True, "has_rownames": True}),
-            (b"r1\t1\t2\nr2\t3\t4\n", {"has_rownames": True}),
-            (b"1\t2\n3\t4\n", {}),
-            (b"a,b\r\n1,2\r\n3,4\r\n", {"has_header": True}),
-            (b"\n1,2\n\n   \n3,4\n\t\n", {}),
-            (b"\n \n,a\n\nr1,5\n  \nr2,6", {"has_header": True, "has_rownames": True}),
-            (b" 1 , 2\n3 ,\t4 \n", {}),
-            (b"1e3,-2.5E-7\n+4e+0,.5\n", {}),
-            (b"-0.0,0.0\n1,-0\n", {}),
-            (b"1,2,3\n", {}),
-            (b"1\n2\n3\n", {}),
+            (b"1,2\n3,4\n", {}, [[1, 2], [3, 4]], None, None),
+            (b"a,b\n1,2\n3,4\n", {"has_header": True}, [[1, 2], [3, 4]], ["a", "b"], None),
+            (b",a,b\ncell1,1,2\ncell2,3,4\n", {"has_header": True, "has_rownames": True},
+             [[1, 2], [3, 4]], ["a", "b"], ["cell1", "cell2"]),
+            (b"r1\t1\t2\nr2\t3\t4\n", {"has_rownames": True},
+             [[1, 2], [3, 4]], None, ["r1", "r2"]),
+            (b"1\t2\n3\t4\n", {}, [[1, 2], [3, 4]], None, None),
+            (b"a,b\r\n1,2\r\n3,4\r\n", {"has_header": True},
+             [[1, 2], [3, 4]], ["a", "b"], None),
+            (b"\n1,2\n\n   \n3,4\n\t\n", {}, [[1, 2], [3, 4]], None, None),
+            (b"\n \n,a\n\nr1,5\n  \nr2,6", {"has_header": True, "has_rownames": True},
+             [[5], [6]], ["a"], ["r1", "r2"]),
+            (b" 1 , 2\n3 ,\t4 \n", {}, [[1, 2], [3, 4]], None, None),
+            (b"1e3,-2.5E-7\n+4e+0,.5\n", {}, [[1000, -2.5e-7], [4, 0.5]], None, None),
+            (b"-0.0,0.0\n1,-0\n", {}, [[-0.0, 0.0], [1, -0.0]], None, None),
+            (b"1,2,3\n", {}, [[1, 2, 3]], None, None),
+            (b"1\n2\n3\n", {}, [[1], [2], [3]], None, None),
         ],
         ids=[
             "plain", "header", "header-rownames", "rownames-tab", "tab", "crlf",
@@ -149,15 +133,33 @@ class TestLoadPaths:
             "negative-zero", "one-row", "one-column",
         ],
     )
-    def test_fast_path_matches_scan(self, tmp_path, monkeypatch, text, kwargs):
+    def test_fast_path_matches_scan(self, tmp_path, monkeypatch, text, kwargs, rows,
+                                    names, ids):
+        # np.loadtxt reads the expected bits; refused, the row scan finds no faulty
+        # cell and builds no matrix, but still names the file
         p = tmp_path / "m.csv"
         p.write_bytes(text)
-        fast, scan = _load_both_ways(monkeypatch, p, **kwargs)
-        assert fast.matrix.shape == scan.matrix.shape
-        assert fast.matrix.dtype == scan.matrix.dtype
-        assert fast.matrix.tobytes() == scan.matrix.tobytes()
-        assert fast.feature_names == scan.feature_names
-        assert fast.sample_ids == scan.sample_ids
+        ds = load_matrix_csv(p, **kwargs)
+        expected = np.array(rows, dtype=float)
+        assert ds.matrix.shape == expected.shape
+        assert ds.matrix.dtype == expected.dtype
+        assert ds.matrix.tobytes() == expected.tobytes()
+        m, d = expected.shape
+        assert ds.feature_names == (names or [f"g{j}" for j in range(d)])
+        assert ds.sample_ids == (ids or [f"s{i}" for i in range(m)])
+
+        def refuse(*args, **kwargs):
+            raise ValueError("loadtxt refused")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(ValueError, match=re.escape(f"{p}: np.loadtxt cannot read")):
+            load_matrix_csv(p, **kwargs)
+
+    def test_multi_character_delimiter_rejected(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("1::2\n3::4\n")
+        with pytest.raises(ValueError, match="delimiter must be one character, got '::'"):
+            load_matrix_csv(p, delimiter="::")
 
     @pytest.mark.parametrize(
         "text, message",
@@ -196,6 +198,13 @@ class TestLoadPaths:
             p.write_text(f"r1,1,2\n{row}\nr3,5,6\n")
             with pytest.raises(ValueError, match=f"row 2 has {width} columns, expected 2"):
                 load_matrix_csv(p, has_rownames=True)
+
+    def test_rownames_without_data_name_first_row(self, tmp_path):
+        # np.loadtxt sees no data at all here; no warning may escape
+        p = tmp_path / "m.csv"
+        p.write_text("s0\ns1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: row 1 has no data columns")):
+            load_matrix_csv(p, has_rownames=True)
 
 
 class TestLabelsFiles:
@@ -259,6 +268,15 @@ class TestFilter:
     def test_min_cells_exceeds_samples(self):
         with pytest.raises(ValueError, match="min_cells"):
             filter_low_expressed(np.ones((4, 3)), 1.0, 5)
+
+    @pytest.mark.parametrize("min_count", [np.nan, np.inf, -np.inf])
+    def test_non_finite_min_count_rejected(self, min_count):
+        with pytest.raises(ValueError, match="min_count must be finite"):
+            filter_low_expressed(np.ones((4, 3)), min_count, 1)
+
+    def test_negative_min_cells_rejected(self):
+        with pytest.raises(ValueError, match="min_cells must be nonnegative, got -3"):
+            filter_low_expressed(np.ones((4, 3)), 1.0, -3)
 
 
 class TestCpm:
