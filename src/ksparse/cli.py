@@ -151,7 +151,7 @@ def _parse_normalize(parser, text: str) -> list[str]:
 def _validate_cluster_args(parser, args) -> None:
     if args.k < 2:
         parser.error(f"--k must be >= 2, got {args.k}")
-    if not 0 < getattr(args, "eta", 1.0) < math.inf:
+    if args.command == "cluster" and not 0 < args.eta < math.inf:
         parser.error(f"--eta must be positive and finite, got {args.eta}")
     if args.loops < 0 or args.inner_iters < 0:
         parser.error("--loops and --inner-iters must be nonnegative")
@@ -176,20 +176,37 @@ def _load_and_preprocess(args, stages, phases):
     dataset = dataio.load_matrix_csv(
         args.input, has_header=args.header, has_rownames=args.rownames, delimiter=delim
     )
+    m = len(dataset.sample_ids)
+    if args.k > m:
+        raise ValueError(f"{args.input}: cannot form --k {args.k} clusters from {m} samples")
     labels_true = dataio.load_labels(args.labels) if args.labels else None
-    if labels_true is not None and len(labels_true) != len(dataset.sample_ids):
+    if labels_true is not None and len(labels_true) != m:
         raise ValueError(
             f"{args.labels}: labels_true has {len(labels_true)} entries for "
-            f"{len(dataset.sample_ids)} samples in {args.input}"
+            f"{m} samples in {args.input}"
         )
     phases.mark("load")
 
     X = dataset.matrix
     names = dataset.feature_names
     if args.filter_min_count is not None:
-        X, kept = dataio.filter_low_expressed(
-            X, args.filter_min_count, args.filter_min_cells
-        )
+        if args.filter_min_cells > m:
+            raise ValueError(
+                f"{args.input}: --filter-min-cells {args.filter_min_cells} "
+                f"exceeds its {m} samples"
+            )
+        try:
+            X, kept = dataio.filter_low_expressed(
+                X, args.filter_min_count, args.filter_min_cells
+            )
+        except ValueError:
+            # the flags and the matrix are checked by now; only an empty
+            # result is left
+            raise ValueError(
+                f"{args.input}: no feature reaches --filter-min-count "
+                f"{args.filter_min_count:g} in --filter-min-cells "
+                f"{args.filter_min_cells} samples"
+            ) from None
         names = [names[j] for j in kept]
         phases.mark("filter")
     if "cpm" in stages:
@@ -200,41 +217,44 @@ def _load_and_preprocess(args, stages, phases):
             fault = dataio._count_fault(X, X.sum(axis=1), dataset.sample_ids, names)
             raise ValueError(f"{args.input}: {fault or exc}") from None
         phases.mark("cpm")
-    dataset = dataio.Dataset(X, names, dataset.sample_ids, labels_true)
-    return dataset, labels_true
+    return dataio.Dataset(X, names, dataset.sample_ids, labels_true)
 
 
-def _make_config(args, normalize_spectral: bool):
+def _prepare_run(parser, args):
+    """Flag checks, load and preprocessing: the first steps of cluster and sweep."""
+    phases = _Phases(args.time)
+    stages = _parse_normalize(parser, args.normalize)
+    _validate_cluster_args(parser, args)
+    etas = [args.eta] if args.command == "cluster" else _parse_etas(parser, args)
+
     from .driver import SolverConfig
 
-    return SolverConfig(
+    dataset = _load_and_preprocess(args, stages, phases)
+    cfg = SolverConfig(
         inner_iters=args.inner_iters,
         outer_loops=args.loops,
         dbar=args.dbar,
         replicates=args.replicates,
         seed=args.seed,
-        normalize=normalize_spectral,
+        normalize="spectral" in stages,
     )
+    return phases, etas, dataset, cfg
 
 
 def _cmd_cluster(parser, args) -> int:
-    phases = _Phases(args.time)
-    stages = _parse_normalize(parser, args.normalize)
-    _validate_cluster_args(parser, args)
+    phases, (eta,), dataset, cfg = _prepare_run(parser, args)
 
     from . import dataio
     from .driver import k_sparse
 
-    dataset, labels_true = _load_and_preprocess(args, stages, phases)
-    cfg = _make_config(args, normalize_spectral="spectral" in stages)
-    result = k_sparse(dataset.matrix, args.k, args.eta, cfg, labels_true=labels_true)
+    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true)
     phases.mark("cluster")
 
     dataio.write_result(result, dataset, args.out)
     phases.mark("write")
 
     line = (
-        f"{args.eta:g}\t{result.selected_features.size}"
+        f"{eta:g}\t{result.selected_features.size}"
         f"\t{result.objective_trace[-1]:.15g}"
     )
     if result.metrics is not None:
@@ -279,18 +299,13 @@ def _parse_etas(parser, args) -> list[float]:
 
 
 def _cmd_sweep(parser, args) -> int:
-    phases = _Phases(args.time)
-    stages = _parse_normalize(parser, args.normalize)
-    _validate_cluster_args(parser, args)
-    etas = _parse_etas(parser, args)
+    phases, etas, dataset, cfg = _prepare_run(parser, args)
 
     from . import dataio
     from .driver import sweep_eta
 
-    dataset, labels_true = _load_and_preprocess(args, stages, phases)
-    cfg = _make_config(args, normalize_spectral="spectral" in stages)
     records = sweep_eta(
-        dataset.matrix, args.k, etas, labels_true=labels_true, cfg=cfg,
+        dataset.matrix, args.k, etas, labels_true=dataset.labels_true, cfg=cfg,
         n_jobs=args.threads,
     )
     phases.mark("sweep")
@@ -355,6 +370,11 @@ def _cmd_eval(parser, args) -> int:
 
     pred = dataio.load_labels(args.pred)
     truth = dataio.load_labels(args.truth)
+    if len(pred) != len(truth):
+        raise ValueError(
+            f"length mismatch: --pred {args.pred} has {len(pred)} labels, "
+            f"--truth {args.truth} has {len(truth)}"
+        )
     acc = metrics.accuracy(truth, pred)
     ari = metrics.ari(truth, pred)
     nmi = metrics.nmi(truth, pred)

@@ -4,7 +4,9 @@ Each outer loop solves the weight subproblem for the current labels
 (accelerated projected gradient), then re-clusters the projected samples.
 The re-clustering step keeps the best of three candidates: a fresh
 best-of-replicates k-means++ run, a Lloyd run warm-started from the
-previous labels, and the previous labels themselves.  Together with a
+previous labels, and the previous labels themselves.  All three are scored
+by the same wcss on one shared set of k-means samples, and ties go to the
+warm start, then the fresh run, then the previous labels.  Together with a
 matching guard on the weight step, this makes the reported Frobenius trace
 non-increasing loop over loop.
 """
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kmeans as _kmeans
 from . import metrics as _metrics
 from .core import centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import best_of_replicates, lloyd
@@ -172,49 +175,44 @@ def k_sparse(
     Z0 = X[:, init_cols]
     if Z0.shape[1] < dbar:
         Z0 = np.hstack([Z0, np.zeros((m, dbar - Z0.shape[1]))])
-    init = best_of_replicates(Z0, k, cfg.replicates, cfg.seed)
-    labels = init.labels
-    mu = init.centers
+    best = best_of_replicates(Z0, k, cfg.replicates, cfg.seed)
 
     # every solve reuses its column norms and, on tall data, its factor of
     # [X, Y] while the labels stay the same
     design = _Design(X)
     W = default_weight_init(d, dbar, eta)
     Z = X @ W
-    res0 = mu[labels] - Z
+    res0 = best.centers[best.labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
     for loop in range(cfg.outer_loops):
         report = solve_weights_fista(
-            design, labels, mu, W, cfg.inner_iters, eta, sigma_max=sigma_max
+            design, best.labels, best.centers, W, cfg.inner_iters, eta,
+            sigma_max=sigma_max,
         )
         # the accelerated solver is not monotone; never accept a worse endpoint
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights
         Z = X @ W
 
+        S = _kmeans._samples(Z)
         fresh = best_of_replicates(
-            Z, k, cfg.replicates, cfg.seed + (loop + 1) * _LOOP_SEED_STRIDE
+            S, k, cfg.replicates, cfg.seed + (loop + 1) * _LOOP_SEED_STRIDE
         )
-        prev_mu = centroids(labels, Z, k)
-        warm = lloyd(Z, prev_mu)
-        prev_res = Z - prev_mu[labels]
-        prev_wcss = 0.5 * float(np.vdot(prev_res, prev_res))
+        prev_mu = centroids(best.labels, Z, k)
+        warm = lloyd(S, prev_mu)
+        prev_wcss = _kmeans._wcss(S, best.labels, prev_mu)
+        previous = _kmeans.KmeansOutcome(best.labels, prev_mu, prev_wcss, 0)
 
-        candidates = (
-            (warm.wcss, warm.labels, warm.centers),
-            (fresh.wcss, fresh.labels, fresh.centers),
-            (prev_wcss, labels, prev_mu),
-        )
-        wcss, labels, mu = min(candidates, key=lambda c: c[0])
-        trace.append(np.sqrt(2.0 * wcss))
+        best = min((warm, fresh, previous), key=lambda c: c.wcss)
+        trace.append(np.sqrt(2.0 * best.wcss))
 
     selected = selected_features(W, 1e-10 * eta)
     result_metrics = (
-        _compute_metrics(labels_true, labels) if labels_true is not None else None
+        _compute_metrics(labels_true, best.labels) if labels_true is not None else None
     )
     return ClusteringResult(
-        labels=labels,
+        labels=best.labels,
         k=k,
         weights=W,
         eta=float(eta),

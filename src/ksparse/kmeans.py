@@ -73,9 +73,9 @@ def _squared_distances(Z: np.ndarray, centers: np.ndarray) -> np.ndarray:
 class _Samples:
     """A validated ``Z`` with what every assignment on it reuses.
 
-    ``best_of_replicates`` prepares one and passes it as ``Z`` to
-    ``kmeanspp_seed`` and ``lloyd``, so its replicates share the checks, the
-    transposed and row-major copies, the row norms and the workspace.
+    Passed as ``Z`` to ``best_of_replicates``, ``kmeanspp_seed`` and ``lloyd``,
+    one lets every run on the same ``Z`` share the checks, the transposed and
+    row-major copies, the row norms and the workspace.
     """
 
     Z: np.ndarray  # column-major and finite
@@ -188,7 +188,7 @@ def repair_empty_clusters(
     m = Z.shape[0]
     if m < k:
         raise ValueError(f"cannot fill {k} clusters with {m} samples")
-    labels = check_labels(labels, m=m).copy()
+    labels = check_labels(labels, m=m)
     counts = np.bincount(labels, minlength=k)
     empty = np.flatnonzero(counts == 0)
     if empty.size == 0:
@@ -231,16 +231,16 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 100) -> Kmean
         raise ValueError(f"cannot form {k} clusters from {Z.shape[0]} samples")
 
     labels = repair_empty_clusters(_assign(S, centers), Z, centers)
-    iterations = 0
     for it in range(1, max_iter + 1):
         centers = centroids(labels, Z, k)
         new_labels = repair_empty_clusters(_assign(S, centers), Z, centers)
-        iterations = it
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    centers = centroids(labels, Z, k)
-    return KmeansOutcome(labels, centers, _wcss(S, labels, centers), iterations)
+    else:
+        # stopped at max_iter: the last assignment moved, so recenter on it
+        centers = centroids(labels, Z, k)
+    return KmeansOutcome(labels, centers, _wcss(S, labels, centers), it)
 
 
 def best_of_replicates(Z: np.ndarray, k: int, replicates: int, seed: int) -> KmeansOutcome:

@@ -30,9 +30,10 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
     Returns the unique l2-closest point, which has the thresholded form
     ``max(v - tau, 0)``.  Entries exactly at the threshold map to zero.
     Negative inputs are permitted; the projection is still well-defined.
+    ``eta`` must be a positive, finite scalar.
     """
-    if not np.isscalar(eta) or eta <= 0:
-        raise ValueError(f"eta must be a positive scalar, got {eta!r}")
+    if not (np.isscalar(eta) and 0 < eta < np.inf):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
@@ -44,14 +45,15 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
 def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
     """Project a vector or matrix onto the l1 ball of radius eta.
 
-    Points already inside the ball are returned unchanged.  Otherwise the
-    result is ``sign(w) * v`` where ``v`` is the simplex projection of the
-    absolute values, so the output l1 norm equals ``eta``.  Matrix inputs
-    are vectorized in column-major order and reshaped back; the order is
-    irrelevant to the result but fixed for determinism.
+    ``eta`` must be a positive, finite scalar.  Points already inside the
+    ball are returned unchanged.  Otherwise the result is ``sign(w) * v``
+    where ``v`` is the simplex projection of the absolute values, so the
+    output l1 norm equals ``eta``.  Matrix inputs are vectorized in
+    column-major order and reshaped back; the order is irrelevant to the
+    result but fixed for determinism.
     """
-    if not np.isscalar(eta) or eta <= 0:
-        raise ValueError(f"eta must be a positive scalar, got {eta!r}")
+    if not (np.isscalar(eta) and 0 < eta < np.inf):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     W = np.asarray(W, dtype=float)
     if not np.all(np.isfinite(W)):
         raise ValueError("input contains NaN or Inf entries")

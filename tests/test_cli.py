@@ -391,6 +391,51 @@ class TestSweep:
         assert message in proc.stderr
 
 
+class TestPrelude:
+    """Input errors that cluster and sweep share name the file and the flags."""
+
+    COUNTS = ",a,b,c\nr1,1,2,3\nr2,4,5,6\nr3,7,8,9\n"
+
+    @staticmethod
+    def _run(command, tmp_path, *flags):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(TestPrelude.COUNTS)
+        out = tmp_path / "out.txt"
+        budget = ["--eta", "1"] if command == "cluster" else ["--eta-list", "1,2"]
+        proc = run_cli(
+            command, "--input", str(counts), "--header", "--rownames", *flags,
+            *budget, "--out", str(out),
+        )
+        assert not out.exists()
+        return proc, counts
+
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--filter-min-count", "1e9", "--filter-min-cells", "1"],
+             "no feature reaches --filter-min-count 1e+09 in --filter-min-cells 1 samples"),
+            (["--filter-min-count", "1", "--filter-min-cells", "9"],
+             "--filter-min-cells 9 exceeds its 3 samples"),
+        ],
+        ids=["removes-every-feature", "cells-above-samples"],
+    )
+    def test_filter_error_names_file_and_flags(self, tmp_path, command, flags, message):
+        proc, counts = self._run(command, tmp_path, "--k", "2", *flags)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {counts}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, threads",
+        [("cluster", "1"), ("sweep", "1"), ("sweep", "2")],
+        ids=["cluster", "sweep", "sweep-threads-2"],
+    )
+    def test_k_above_samples_names_file_and_flag(self, tmp_path, command, threads):
+        proc, counts = self._run(command, tmp_path, "--k", "5", "--threads", threads)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {counts}: cannot form --k 5 clusters from 3 samples\n"
+
+
 class TestEval:
     def test_identity(self, tmp_path):
         f = tmp_path / "labels.txt"
@@ -422,6 +467,9 @@ class TestEval:
         p.write_text("0\n1\n0\n")
         proc = run_cli("eval", "--pred", str(p), "--truth", str(t))
         assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: length mismatch: --pred {p} has 3 labels, --truth {t} has 2\n"
+        )
 
     def test_negative_label_names_file_and_line(self, tmp_path):
         t = tmp_path / "t.txt"
@@ -461,6 +509,18 @@ class TestTiming:
 
 
 class TestHelp:
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    def test_solver_flag_defaults_match_config(self, command):
+        from ksparse.cli import _build_parser
+        from ksparse.driver import SolverConfig
+
+        required = ["--eta", "1", "--out", "r.json"] if command == "cluster" else []
+        args = _build_parser().parse_args([command, "--input", "m.csv", "--k", "2", *required])
+        cfg = SolverConfig()
+        assert (args.inner_iters, args.loops, args.replicates, args.seed, args.dbar) == (
+            cfg.inner_iters, cfg.outer_loops, cfg.replicates, cfg.seed, cfg.dbar
+        )
+
     def test_subcommand_help_lists_defaults(self):
         proc = run_cli("cluster", "--help")
         assert proc.returncode == 0

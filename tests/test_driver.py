@@ -5,7 +5,7 @@ import pytest
 
 from ksparse.dataio import SyntheticSpec, generate_synthetic
 import ksparse.solver
-from ksparse import driver
+from ksparse import driver, kmeans
 from ksparse.core import spectral_norm
 from ksparse.driver import SolverConfig, k_sparse, selected_features, sweep_eta
 from ksparse.metrics import ari
@@ -246,6 +246,24 @@ class TestSharedDesign:
             assert shared_qr == each_qr == 0
         else:
             assert shared_qr < each_qr == cfg.outer_loops
+
+
+class TestSharedSamples:
+    def test_one_sample_set_per_clustering_step(self, two_cluster_ds, monkeypatch):
+        # the start and each outer loop prepare their k-means samples once,
+        # shared by the fresh replicates, the warm start and the previous labels
+        real = kmeans._samples
+        built = []
+
+        def spy(Z):
+            if isinstance(Z, np.ndarray):
+                built.append(Z.shape)
+            return real(Z)
+
+        monkeypatch.setattr(kmeans, "_samples", spy)
+        cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=10)
+        k_sparse(two_cluster_ds.matrix, 2, 1.0, cfg)
+        assert len(built) == cfg.outer_loops + 1
 
 
 class TestSweep:

@@ -128,6 +128,30 @@ class TestLloyd:
         b = lloyd(Z, init[[2, 0, 1]])
         assert ari(a.labels, b.labels) == pytest.approx(1.0)
 
+    def test_centers_computed_once_per_iteration(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        Z = rng.standard_normal((60, 2))
+        init = kmeanspp_seed(Z, 4, 3)
+        real = kmeans.centroids
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kmeans, "centroids", spy)
+        converged = lloyd(Z, init)
+        assert 2 <= converged.iterations < 100
+        assert len(calls) == converged.iterations
+
+        # one iteration short of convergence: the last labels moved, so the
+        # centers are recomputed once more, and still match the labels
+        calls.clear()
+        stopped = lloyd(Z, init, max_iter=converged.iterations - 1)
+        assert stopped.iterations == converged.iterations - 1
+        assert len(calls) == stopped.iterations + 1
+        np.testing.assert_array_equal(stopped.centers, real(stopped.labels, Z, 4))
+
 
 class TestReplicates:
     def test_single_replicate_identity(self):

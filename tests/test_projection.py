@@ -36,6 +36,9 @@ class TestSimplex:
             project_simplex(np.array([1.0]), 0.0)
         with pytest.raises(ValueError):
             project_simplex(np.array([1.0]), -1.0)
+        for eta, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+            with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {shown}$"):
+                project_simplex(np.array([1.0, 2.0]), eta)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -140,3 +143,6 @@ class TestL1Ball:
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             project_l1_ball(np.ones(3), 0.0)
+        for eta, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
+            with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {shown}$"):
+                project_l1_ball(np.ones((3, 2)), eta)
