@@ -3,7 +3,9 @@
 Numerical libraries are imported lazily so that BLAS threading can be
 pinned before they load: all in-process linear algebra runs single-threaded,
 which makes outputs byte-identical for any ``--threads`` value.  The
-``--threads`` flag instead parallelizes the sweep across worker processes.
+``--threads`` flag instead sizes the worker processes: the sweep runs its
+budgets in parallel, and ``cluster`` with two or more runs each loop's
+fresh k-means in one worker while the next weight solve goes on.
 
 Summary lines are stable and tab-separated:
 
@@ -39,6 +41,14 @@ def _pin_blas_threads() -> None:
         os.environ.setdefault(var, "1")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; ``os.cpu_count()`` also counts those it may not."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time", action="store_true",
                    help="print wall-clock time per phase to stderr")
@@ -71,9 +81,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int, default=40,
                    help="k-means++ replicates per clustering step (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="run seed (default: %(default)s)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for sweeps; results do not depend on it "
-                        "(default: machine parallelism, %(default)s here)")
+    p.add_argument("--threads", type=int, default=_usable_cpus(),
+                   help="worker processes: sweep budgets run in parallel, and with 2 or "
+                        "more cluster runs its fresh k-means in one worker; results do "
+                        "not depend on it (default: usable CPUs, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -247,7 +258,8 @@ def _cmd_cluster(parser, args) -> int:
     from . import dataio
     from .driver import k_sparse
 
-    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true)
+    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true,
+                      n_jobs=args.threads)
     phases.mark("cluster")
 
     dataio.write_result(result, dataset, args.out)

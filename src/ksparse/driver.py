@@ -9,6 +9,19 @@ by the same wcss on one shared set of k-means samples, and ties go to the
 warm start, then the fresh run, then the previous labels.  Together with a
 matching guard on the weight step, this makes the reported Frobenius trace
 non-increasing loop over loop.
+
+With ``n_jobs >= 2`` the fresh run, the costliest candidate and the one
+that least often wins, goes to one forked worker process while the parent
+scores the other two.  When the warm start won the previous loop, the
+parent does not wait for the fresh outcome: it guesses that the better of
+the warm start and the previous labels wins again and starts the next
+weight solve on that guess.  When the fresh outcome arrives, the winner is
+picked from all three with the tie order above, and a solve on a wrong
+guess is discarded and run again on the winner.  Every candidate and every
+kept solve is the same call on the same arrays as in a run without the
+worker, so results do not depend on ``n_jobs``.  The first loop never
+guesses, and with ``n_jobs = 1`` the fresh outcome is in hand before any
+guess could be made, so that run is the plain serial loop.
 """
 
 from __future__ import annotations
@@ -130,12 +143,100 @@ def _top_variance_columns(X: np.ndarray, dbar: int) -> np.ndarray:
     return order[: min(dbar, X.shape[1])]
 
 
+def _fork_context():
+    """The ``fork`` start method, or None where this process cannot fork workers."""
+    if multiprocessing.current_process().daemon:
+        return None  # a daemonic process may not have children
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
+def _fresh_worker(conn, parent_end, k: int, replicates: int) -> None:
+    """Worker loop: one fresh run per ``(S, seed)`` received, until the parent is gone.
+
+    Calls ``best_of_replicates`` through this module's global name, so a
+    wrapper installed there before the fork sees the worker's calls too.
+    """
+    parent_end.close()  # so that the parent's exit reads as EOF here
+    while True:
+        try:
+            S, seed = conn.recv()
+        except EOFError:
+            return
+        try:
+            outcome = best_of_replicates(S, k, replicates, seed)
+        except Exception as exc:
+            conn.send((False, exc))
+        else:
+            conn.send((True, outcome))
+
+
+class _FreshRuns:
+    """Each loop's fresh best-of-replicates run, inline or in one forked worker.
+
+    Inline, ``submit`` runs it at once and raises as it does; with a worker,
+    ``result`` waits for it and raises the worker's exception, or
+    ``ChildProcessError`` if the worker died.  On leaving the ``with`` block
+    the worker is stopped and reaped, on every path.
+    """
+
+    def __init__(self, k: int, replicates: int, ctx):
+        self.k, self.replicates = k, replicates
+        self._outcome = self._conn = self._proc = None
+        if ctx is not None:
+            self._conn, child_end = ctx.Pipe()
+            self._proc = ctx.Process(
+                target=_fresh_worker, args=(child_end, self._conn, k, replicates)
+            )
+            self._proc.start()
+            child_end.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._proc is not None:
+            # idle after its last run, or mid-run on an error: it holds nothing to keep
+            self._proc.kill()
+            self._proc.join()
+            self._conn.close()
+
+    def submit(self, S, seed: int) -> None:
+        if self._proc is None:
+            self._outcome = best_of_replicates(S, self.k, self.replicates, seed)
+        else:
+            self._conn.send((S, seed))
+
+    @property
+    def pending(self) -> bool:
+        """Whether the submitted run's outcome is still out of hand."""
+        return self._outcome is None
+
+    def result(self) -> _kmeans.KmeansOutcome:
+        outcome, self._outcome = self._outcome, None
+        if outcome is not None:
+            return outcome
+        try:
+            ok, value = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise ChildProcessError(
+                f"the k-means worker process exited with code {self._proc.exitcode}"
+            ) from None
+        if not ok:
+            raise value
+        return value
+
+
 def k_sparse(
     X: np.ndarray,
     k: int,
     eta: float,
     cfg: SolverConfig | None = None,
     labels_true: np.ndarray | None = None,
+    n_jobs: int = 1,
 ) -> ClusteringResult:
     """Cluster X into k groups while selecting a sparse feature subset.
 
@@ -143,7 +244,9 @@ def k_sparse(
     weight solves, which step at ``1/sigma_max^2``.  With ``cfg.normalize``
     (the default) X is first divided by ``sigma_max``, so the step is 1;
     otherwise the run works on the data's own scale.  When ``labels_true`` is given the
-    result carries accuracy/ARI/NMI against it.
+    result carries accuracy/ARI/NMI against it.  ``n_jobs >= 2`` runs each
+    loop's fresh k-means in one forked worker process, overlapped with the
+    parent's work (module docstring); results do not depend on it.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -185,27 +288,43 @@ def k_sparse(
     res0 = best.centers[best.labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
-    for loop in range(cfg.outer_loops):
-        report = solve_weights_fista(
-            design, best.labels, best.centers, W, cfg.inner_iters, eta,
+    def solve(start):
+        return solve_weights_fista(
+            design, start.labels, start.centers, W, cfg.inner_iters, eta,
             sigma_max=sigma_max,
         )
-        # the accelerated solver is not monotone; never accept a worse endpoint
-        if report.objective_trace[-1] <= report.objective_trace[0]:
-            W = report.final_weights
-        Z = X @ W
 
-        S = _kmeans._samples(Z)
-        fresh = best_of_replicates(
-            S, k, cfg.replicates, cfg.seed + (loop + 1) * _LOOP_SEED_STRIDE
-        )
-        prev_mu = centroids(best.labels, Z, k)
-        warm = lloyd(S, prev_mu)
-        prev_wcss = _kmeans._wcss(S, best.labels, prev_mu)
-        previous = _kmeans.KmeansOutcome(best.labels, prev_mu, prev_wcss, 0)
+    # one worker, and only when a later loop's solve can overlap its run
+    ctx = _fork_context() if n_jobs > 1 and cfg.outer_loops > 1 else None
+    ahead = None  # (guess, report): the next solve, started on a guessed winner
+    warm_won = False  # the first loop's previous labels are a fresh run's
+    with _FreshRuns(k, cfg.replicates, ctx) as fresh_runs:
+        for loop in range(cfg.outer_loops):
+            report = ahead[1] if ahead is not None and ahead[0] is best else solve(best)
+            # the accelerated solver is not monotone; never accept a worse endpoint
+            if report.objective_trace[-1] <= report.objective_trace[0]:
+                W = report.final_weights
+            Z = X @ W
 
-        best = min((warm, fresh, previous), key=lambda c: c.wcss)
-        trace.append(np.sqrt(2.0 * best.wcss))
+            S = _kmeans._samples(Z)
+            fresh_runs.submit(S, cfg.seed + (loop + 1) * _LOOP_SEED_STRIDE)
+            ahead = None
+            try:
+                prev_mu = centroids(best.labels, Z, k)
+                warm = lloyd(S, prev_mu)
+                prev_wcss = _kmeans._wcss(S, best.labels, prev_mu)
+                previous = _kmeans.KmeansOutcome(best.labels, prev_mu, prev_wcss, 0)
+                if fresh_runs.pending and warm_won and loop + 1 < cfg.outer_loops:
+                    guess = min((warm, previous), key=lambda c: c.wcss)
+                    ahead = (guess, solve(guess))
+            except Exception:
+                fresh_runs.result()  # the fresh run's error comes first, as run serially
+                raise
+            fresh = fresh_runs.result()
+
+            best = min((warm, fresh, previous), key=lambda c: c.wcss)
+            warm_won = best is warm
+            trace.append(np.sqrt(2.0 * best.wcss))
 
     selected = selected_features(W, 1e-10 * eta)
     result_metrics = (
@@ -263,12 +382,7 @@ def sweep_eta(
         raise ValueError("all eta values must be positive and finite")
     X = check_data_matrix(X)
 
-    ctx = None
-    if n_jobs > 1 and len(etas) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            pass
+    ctx = _fork_context() if n_jobs > 1 and len(etas) > 1 else None
     # forked workers start after this and inherit the state
     _SWEEP_STATE["args"] = (X, k, cfg, labels_true)
     try:

@@ -2,11 +2,15 @@
 
 BLAS threading is pinned to one thread per process before numpy loads:
 sweep worker processes then never oversubscribe the machine, and every
-floating-point reduction order is fixed for the whole session.
+floating-point reduction order is fixed for the whole session.  Every test
+must leave no child process of the session running.
 """
 
+import multiprocessing
 import os
 import sys
+
+import pytest
 
 if "numpy" not in sys.modules:
     for _var in (
@@ -16,3 +20,14 @@ if "numpy" not in sys.modules:
         "NUMEXPR_NUM_THREADS",
     ):
         os.environ.setdefault(_var, "1")
+
+
+@pytest.fixture(autouse=True)
+def no_stray_processes():
+    """Fail a test that leaves a worker process running, and stop the worker."""
+    yield
+    stray = multiprocessing.active_children()
+    for proc in stray:
+        proc.kill()
+        proc.join()
+    assert not stray, f"the test left processes running: {stray}"

@@ -113,6 +113,27 @@ class TestCluster:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_no_process_outlives_the_run(self, synth_files, tmp_path):
+        # the k-means worker is forked, so its command line is the run's own
+        proc_root = Path("/proc")
+        if not proc_root.is_dir():
+            pytest.skip("no /proc to list processes")
+        out = tmp_path / "worker-run.json"
+        proc = run_cli(
+            "cluster", "--input", f"{synth_files}_matrix.csv",
+            "--k", "2", "--eta", "0.5", *FAST_FLAGS, "--threads", "2", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        alive = []
+        for entry in proc_root.iterdir():
+            try:
+                cmdline = (entry / "cmdline").read_bytes() if entry.name.isdigit() else b""
+            except OSError:  # gone meanwhile
+                continue
+            if str(out).encode() in cmdline:
+                alive.append(entry.name)
+        assert alive == []
+
     def test_eta_zero_usage_error(self, synth_files, tmp_path):
         proc = run_cli(
             "cluster", "--input", f"{synth_files}_matrix.csv",
@@ -520,6 +541,28 @@ class TestHelp:
         assert (args.inner_iters, args.loops, args.replicates, args.seed, args.dbar) == (
             cfg.inner_iters, cfg.outer_loops, cfg.replicates, cfg.seed, cfg.dbar
         )
+
+    @pytest.mark.parametrize("affinity, cpu_count, threads", [
+        ({0}, 2, 1),  # pinned to one of two CPUs
+        ({0, 1}, 2, 2),
+        (None, 3, 3),  # no affinity call: the CPU count
+        (None, None, 1),  # nor a CPU count
+    ])
+    def test_threads_default_counts_usable_cpus(self, monkeypatch, affinity, cpu_count,
+                                                threads):
+        from ksparse import cli
+
+        if affinity is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpu_count)
+        parser = cli._build_parser()
+        for command, required in (("cluster", ["--eta", "1", "--out", "r.json"]),
+                                  ("sweep", [])):
+            args = parser.parse_args([command, "--input", "m.csv", "--k", "2", *required])
+            assert args.threads == threads
 
     def test_subcommand_help_lists_defaults(self):
         proc = run_cli("cluster", "--help")
