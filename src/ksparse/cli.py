@@ -4,8 +4,12 @@ Numerical libraries are imported lazily so that BLAS threading can be
 pinned before they load: all in-process linear algebra runs single-threaded,
 which makes outputs byte-identical for any ``--threads`` value.  The
 ``--threads`` flag instead sizes the worker processes: the sweep runs its
-budgets in parallel, and ``cluster`` with two or more runs each loop's
-fresh k-means in one worker while the next weight solve goes on.
+budgets in parallel, ``cluster`` with two or more runs each loop's fresh
+k-means in one worker while the next weight solve goes on, and ``cluster``,
+``sweep`` and ``synth`` split the load or write of a CSV above a size
+threshold (two blocks of 4 MiB) into that many blocks of whole rows.  The
+matrix, the files written and every error message are the same for any
+value.
 
 Summary lines are stable and tab-separated:
 
@@ -81,10 +85,15 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--replicates", type=int, default=40,
                    help="k-means++ replicates per clustering step (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="run seed (default: %(default)s)")
+    _add_threads_flag(p)
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=_usable_cpus(),
-                   help="worker processes: sweep budgets run in parallel, and with 2 or "
-                        "more cluster runs its fresh k-means in one worker; results do "
-                        "not depend on it (default: usable CPUs, %(default)s here)")
+                   help="worker processes: sweep budgets run in parallel, with 2 or more "
+                        "cluster runs its fresh k-means in one worker, and a large CSV "
+                        "is read or written in that many blocks; results do not depend "
+                        "on it (default: usable CPUs, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -124,6 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="noise standard deviation (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="generator seed (default: %(default)s)")
     p.add_argument("--out", required=True, help="output path prefix")
+    _add_threads_flag(p)
     _add_common_flags(p)
     p.set_defaults(func=_cmd_synth)
 
@@ -185,7 +195,8 @@ def _load_and_preprocess(args, stages, phases):
 
     delim = {"comma": ",", "tab": "\t"}.get(args.delimiter)
     dataset = dataio.load_matrix_csv(
-        args.input, has_header=args.header, has_rownames=args.rownames, delimiter=delim
+        args.input, has_header=args.header, has_rownames=args.rownames, delimiter=delim,
+        n_jobs=args.threads,
     )
     m = len(dataset.sample_ids)
     if args.k > m:
@@ -341,6 +352,8 @@ def _cmd_sweep(parser, args) -> int:
 
 def _cmd_synth(parser, args) -> int:
     phases = _Phases(args.time)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     from . import dataio
 
     try:
@@ -355,7 +368,8 @@ def _cmd_synth(parser, args) -> int:
 
     writes = (
         (f"{args.out}_matrix.csv",
-         lambda path: dataio.write_matrix_csv(path, dataset, header=False, rownames=False)),
+         lambda path: dataio.write_matrix_csv(path, dataset, header=False, rownames=False,
+                                              n_jobs=args.threads)),
         (f"{args.out}_labels.txt",
          lambda path: dataio.save_labels(path, dataset.labels_true)),
         (f"{args.out}_informative.txt",

@@ -10,6 +10,8 @@ row gathers (``mu[labels]``) and per-cluster reductions.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 
 __all__ = [
@@ -155,3 +157,18 @@ def spectral_norm(X: np.ndarray) -> float:
         raise ValueError("spectral norm of an all-zero matrix is undefined here")
     G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
     return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
+
+
+def _fork_context():
+    """The ``fork`` start method, or None where this process cannot fork workers.
+
+    ksparse forks rather than spawns: its workers need the caller's module
+    state and arrays without a re-import or a copy, and it forks only where
+    no thread of its own is running.
+    """
+    if multiprocessing.current_process().daemon:
+        return None  # a daemonic process may not have children
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None

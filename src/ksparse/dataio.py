@@ -11,6 +11,8 @@ File formats:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_data_matrix, check_labels, spectral_norm
+from .core import _fork_context, check_data_matrix, check_labels, spectral_norm
 
 __all__ = [
     "Dataset",
@@ -115,6 +117,7 @@ def load_matrix_csv(
     has_header: bool = False,
     has_rownames: bool = False,
     delimiter: str | None = None,
+    n_jobs: int = 1,
 ) -> Dataset:
     """Load a delimited numeric matrix (rows = samples, columns = features).
 
@@ -122,31 +125,22 @@ def load_matrix_csv(
     unless given.  ``np.loadtxt`` parses every value.  Ragged rows,
     non-numeric cells, NaN/Inf, rows without data and empty files raise
     with the offending 1-based row/column position; rows are numbered by
-    file line, blank lines and the header included.
+    file line, blank lines and the header included.  With ``n_jobs`` above
+    1, a large file is parsed in up to that many blocks of whole lines, all
+    but the first in forked processes; the matrix, the names and every
+    error are the same as with ``n_jobs=1``.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    sample_ids = [] if has_rownames else None
-    with open(path, "r", encoding="utf-8") as fh:
-        delimiter, feature_names, rows = _matrix_lines(
-            path, fh, has_header, has_rownames, delimiter
-        )
-
-        def values():
-            for _, line in rows:
-                if has_rownames:
-                    name, _, line = line.partition(delimiter)
-                    if not line or line.isspace():
-                        raise ValueError  # a rowname alone; the locator names the row
-                    sample_ids.append(name.strip())
-                yield line
-
-        try:
-            X = np.loadtxt(
-                values(), dtype=float, delimiter=delimiter, comments=None, ndmin=2
-            )
-        except ValueError:
-            X = None
+    with open(path, "rb", buffering=0) as raw:
+        size = os.fstat(raw.fileno()).st_size
+        ctx, n = _split(n_jobs, size)
+        cuts = _line_cuts(raw, size, n)
+        loaded = _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter)
+        if loaded is None:  # the first block holds no data row: read the file whole
+            loaded = _load_blocks(path, raw, None, [0, size], has_header, has_rownames,
+                                  delimiter)
+    X, feature_names, sample_ids, delimiter = loaded
     if X is None or not np.all(np.isfinite(X)):
         _locate_error(path, has_header, has_rownames, delimiter)
     m, d = X.shape
@@ -159,6 +153,84 @@ def load_matrix_csv(
     if sample_ids is None:
         sample_ids = [f"s{i}" for i in range(m)]
     return Dataset(X, feature_names, sample_ids)
+
+
+def _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter):
+    """Parse the file's blocks ``cuts[i]:cuts[i + 1]``, the first one here.
+
+    Returns ``(matrix, feature names, sample ids, delimiter)``, the matrix
+    None where a block was refused, or None where the first of several
+    blocks holds no data row.
+    """
+    with _text_block(raw, cuts[0], cuts[1]) as fh:
+        try:
+            delimiter, feature_names, rows = _matrix_lines(
+                path, fh, has_header, has_rownames, delimiter
+            )
+        except ValueError:
+            if len(cuts) > 2:
+                return None
+            raise
+        blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts[1:], cuts[2:])]
+        with _forked(ctx, _parse_block, blocks) as children:
+            try:
+                head, sample_ids = _parse_rows(
+                    (line for _, line in rows), has_rownames, delimiter
+                )
+                shapes = [head.shape]
+                for child in children:
+                    (shape, ids), _ = child.result()
+                    shapes.append(shape)
+                    if has_rownames:
+                        sample_ids += ids
+            except ValueError:
+                return None, feature_names, None, delimiter
+            if not children:
+                return head, feature_names, sample_ids, delimiter
+            if len({d for m, d in shapes if m}) != 1:
+                return None, feature_names, None, delimiter  # ragged across blocks
+            # one allocation; the children's rows land straight in its tail
+            X = np.empty((sum(m for m, _ in shapes), head.shape[1]))
+            start = head.shape[0]
+            X[:start] = head
+            del head
+            for child, (m, _) in zip(children, shapes[1:]):
+                child.read_into(X[start:start + m])
+                start += m
+    return X, feature_names, sample_ids, delimiter
+
+
+def _parse_rows(lines, has_rownames, delimiter):
+    """``np.loadtxt`` over data lines: ``(matrix, rownames or None)``.
+
+    Raises ValueError where ``np.loadtxt`` refuses a line, or where a line
+    holds a rowname alone.
+    """
+    sample_ids = [] if has_rownames else None
+
+    def values():
+        for line in lines:
+            if has_rownames:
+                name, _, line = line.partition(delimiter)
+                if not line or line.isspace():
+                    raise ValueError  # a rowname alone; the locator names the row
+                sample_ids.append(name.strip())
+            yield line
+
+    X = np.loadtxt(values(), dtype=float, delimiter=delimiter, comments=None, ndmin=2)
+    return X, sample_ids
+
+
+def _parse_block(path, start, stop, has_rownames, delimiter):
+    """Child side of a split load: the block's ``((shape, rownames), matrix)``."""
+    with open(path, "rb", buffering=0) as raw, _text_block(raw, start, stop) as fh:
+        lines = (line for line in fh if not line.isspace())
+        first = next(lines, None)
+        if first is None:  # np.loadtxt warns on no data; blank lines add no row
+            return ((0, 0), []), b""
+        X, sample_ids = _parse_rows(itertools.chain([first], lines), has_rownames,
+                                    delimiter)
+    return (X.shape, sample_ids), X
 
 
 def _matrix_lines(path, fh, has_header, has_rownames, delimiter):
@@ -247,21 +319,47 @@ def save_labels(path, labels: np.ndarray) -> None:
     _atomic_write(path, "".join(f"{int(v)}\n" for v in labels))
 
 
-def write_matrix_csv(path, dataset: Dataset, header: bool = True, rownames: bool = True) -> None:
-    """Write a dataset matrix as comma-separated text with full float precision."""
+def write_matrix_csv(
+    path, dataset: Dataset, header: bool = True, rownames: bool = True, n_jobs: int = 1
+) -> None:
+    """Write a dataset matrix as comma-separated text with full float precision.
+
+    Each value is written as its ``repr``.  With ``n_jobs`` above 1, a large
+    matrix is formatted in up to that many blocks of rows, all but the
+    first in forked processes; the bytes written are the same.
+    """
     X = np.asarray(dataset.matrix, dtype=float)
-    out = []
-    if header:
-        head = ",".join(dataset.feature_names)
-        if rownames:
-            head = "," + head  # empty corner cell above the rowname column
-        out.append(head)
-    for i in range(X.shape[0]):
+    ids = dataset.sample_ids if rownames else None
+    m = X.shape[0]
+    ctx, n = _split(min(n_jobs, m), X.nbytes)
+    cuts = [m * i // n for i in range(n + 1)]
+    blocks = [(X, ids, a, b) for a, b in zip(cuts[1:], cuts[2:])]
+    with _forked(ctx, _format_block, blocks) as children, _atomic_file(path) as fh:
+        if header:
+            head = ",".join(dataset.feature_names)
+            if rownames:
+                head = "," + head  # empty corner cell above the rowname column
+            fh.write((head + "\n").encode())
+        fh.write(_format_rows(X, ids, 0, cuts[1]))
+        for child in children:
+            _, nbytes = child.result()
+            child.copy_to(fh, nbytes)
+
+
+def _format_rows(X, ids, start, stop) -> bytes:
+    """Rows ``start:stop`` of the CSV text, each line ending in a newline."""
+    lines = []
+    for i in range(start, stop):
         cells = list(map(repr, X[i].tolist()))
-        if rownames:
-            cells.insert(0, dataset.sample_ids[i])
-        out.append(",".join(cells))
-    _atomic_write(path, "\n".join(out) + "\n")
+        if ids is not None:
+            cells.insert(0, ids[i])
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines).encode()
+
+
+def _format_block(X, ids, start, stop):
+    """Child side of a split write: no metadata, and the block's bytes."""
+    return None, _format_rows(X, ids, start, stop)
 
 
 def filter_low_expressed(X: np.ndarray, min_count: float, min_cells: int):
@@ -347,20 +445,178 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def _atomic_write(path, text: str) -> None:
-    # never leave a partial or stray file behind on failure; a unique name in
-    # the target's directory keeps the final rename on one file system
+    with _atomic_file(path) as fh:
+        fh.write(text.encode())
+
+
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A binary file that replaces ``path`` when the ``with`` block succeeds.
+
+    Never leaves a partial or stray file behind on failure; a unique name in
+    the target's directory keeps the final rename on one file system.
+    """
     umask = os.umask(0)
     os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with open(fd, "wb") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+# Splitting CSV work over forked processes.  It is split only from two
+# blocks of this size up: of the file for a load, of the matrix's doubles
+# for a write.  A 4 MiB block of text parses in about 0.1 s, which a fork and
+# its pipe would eat much of.  The 3.25 MB counts-tall CSV stays in one
+# process; the 59 MB paper-size CSV and its 24 MB matrix split.
+_SPLIT_BLOCK_BYTES = 4 << 20
+
+
+def _split(n_jobs: int, nbytes: int):
+    """The fork context and block count for ``nbytes`` of CSV work.
+
+    ``(None, 1)`` where the work stays in this process.
+    """
+    n = min(n_jobs, nbytes // _SPLIT_BLOCK_BYTES)
+    ctx = _fork_context() if n > 1 else None
+    return (ctx, n) if ctx is not None else (None, 1)
+
+
+def _line_cuts(raw, size: int, n: int) -> list[int]:
+    """Offsets ``[0, ..., size]`` cutting a binary file into about ``n`` blocks.
+
+    Each inner cut is the start of the first line at or after ``size * i // n``.
+    Cuts fall only after ``\\n``, so CRLF pairs stay whole, and a file that
+    ends its lines with ``\\r`` alone is one block.  Equal cuts are merged.
+    """
+    cuts = [0]
+    for i in range(1, n):
+        pos = max(size * i // n, cuts[-1])
+        raw.seek(pos - 1)  # from the byte before: a line starting at pos is cut at pos
+        while pos < size:
+            chunk = raw.read(1 << 16)
+            newline = chunk.find(b"\n")
+            if newline >= 0:
+                pos += newline
+                break
+            pos = pos + len(chunk) if chunk else size
+        if pos >= size:
+            break  # no line starts after this cut's target, nor after the next's
+        if pos > cuts[-1]:
+            cuts.append(pos)
+    cuts.append(size)
+    return cuts
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start:stop`` of an open binary file, read as a file of their own."""
+
+    def __init__(self, raw, start: int, stop: int):
+        raw.seek(start)
+        self._raw, self._left = raw, stop - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+
+def _text_block(raw, start: int, stop: int):
+    """Bytes ``start:stop`` of ``raw`` as text, decoded as ``open(path)`` decodes."""
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, start, stop)),
+                            encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _forked(ctx, work, blocks):
+    """Run ``work(*block)`` in one forked child per block; yield a :class:`_Child` each.
+
+    A child sends what ``work`` returns, or the exception it raises, through
+    a pipe.  Leaving the ``with`` block kills and reaps every child, on
+    every path; one that has sent everything has already exited.
+    """
+    procs, conns = [], []
+    try:
+        for block in blocks:
+            conn, child_end = ctx.Pipe(duplex=False)
+            conns.append(conn)
+            try:
+                proc = ctx.Process(target=_run_block, args=(child_end, work, block))
+                proc.start()
+            finally:
+                child_end.close()  # so that a dead child reads as EOF here
+            procs.append(proc)
+        yield [_Child(proc, conn) for proc, conn in zip(procs, conns)]
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _run_block(conn, work, block) -> None:
+    """Child side of :func:`_forked`: send ``work``'s metadata, then its payload raw."""
+    try:
+        meta, payload = work(*block)
+    except Exception as exc:
+        conn.send((False, exc))
+        return
+    view = memoryview(payload).cast("B")
+    conn.send((True, meta, view.nbytes))
+    while view:
+        view = view[os.write(conn.fileno(), view):]
+
+
+class _Child:
+    """The parent's end of one forked block: its result, then its payload."""
+
+    def __init__(self, proc, conn):
+        self._proc, self._conn = proc, conn
+
+    def result(self):
+        """``(metadata, payload size)``; raises the block's own exception."""
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            self._died()
+        if not reply[0]:
+            raise reply[1]
+        return reply[1], reply[2]
+
+    def read_into(self, array: np.ndarray) -> None:
+        """Receive the payload into a C-contiguous array of its exact size."""
+        view = memoryview(array.reshape(-1).view(np.uint8))
+        while view:
+            n = os.readv(self._conn.fileno(), [view])
+            if n == 0:
+                self._died()
+            view = view[n:]
+
+    def copy_to(self, fh, nbytes: int) -> None:
+        """Copy ``nbytes`` of payload to a binary file."""
+        buffer = np.empty(min(nbytes, 1 << 20), dtype=np.uint8)
+        while nbytes:
+            chunk = buffer[:nbytes]
+            self.read_into(chunk)
+            fh.write(chunk)
+            nbytes -= chunk.size
+
+    def _died(self):
+        self._proc.join()
+        raise ChildProcessError(
+            f"a CSV worker process exited with code {self._proc.exitcode}"
+        ) from None
 
 
 def write_result(result, dataset: Dataset, path) -> None:

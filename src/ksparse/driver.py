@@ -26,14 +26,13 @@ guess could be made, so that run is the plain serial loop.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kmeans as _kmeans
 from . import metrics as _metrics
-from .core import centroids, check_data_matrix, check_labels, spectral_norm
+from .core import _fork_context, centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import best_of_replicates, lloyd
 from .solver import _Design, default_weight_init, solve_weights_fista
 
@@ -141,16 +140,6 @@ def _top_variance_columns(X: np.ndarray, dbar: int) -> np.ndarray:
     var = _column_variances(X)
     order = np.argsort(-var, kind="stable")
     return order[: min(dbar, X.shape[1])]
-
-
-def _fork_context():
-    """The ``fork`` start method, or None where this process cannot fork workers."""
-    if multiprocessing.current_process().daemon:
-        return None  # a daemonic process may not have children
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
 
 
 def _fresh_worker(conn, parent_end, k: int, replicates: int) -> None:

@@ -31,3 +31,20 @@ def no_stray_processes():
         proc.kill()
         proc.join()
     assert not stray, f"the test left processes running: {stray}"
+
+
+@pytest.fixture
+def split_blocks(monkeypatch):
+    """Split every CSV load and write; returns the children each call forked."""
+    from ksparse import dataio
+
+    monkeypatch.setattr(dataio, "_SPLIT_BLOCK_BYTES", 1)
+    forked = []
+    original = dataio._forked
+
+    def spy(ctx, work, blocks):
+        forked.append(len(blocks))
+        return original(ctx, work, blocks)
+
+    monkeypatch.setattr(dataio, "_forked", spy)
+    return forked

@@ -55,13 +55,30 @@ class TestSynth:
         proc = run_cli("synth", "--m", "4", "--k", "9", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
 
-    def test_threads_flag_rejected(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
         proc = run_cli(
             "synth", "--m", "10", "--d", "8", "--k", "2", "--informative", "2",
-            "--threads", "2", "--out", str(tmp_path / "x"),
+            "--threads", threads, "--out", str(tmp_path / "x"),
         )
         assert proc.returncode == 2
+        assert "--threads must be >= 1" in proc.stderr
         assert not any(tmp_path.iterdir())
+
+    def test_threads_split_the_write_byte_identically(self, tmp_path, split_blocks,
+                                                      capsys):
+        from ksparse import cli
+
+        for threads in ("1", "3"):
+            assert cli.main([
+                "synth", "--m", "30", "--d", "20", "--k", "3", "--informative", "4",
+                "--seed", "2", "--threads", threads, "--out", str(tmp_path / threads),
+            ]) == 0
+        assert split_blocks == [0, 2]
+        for suffix in ("_matrix.csv", "_labels.txt", "_informative.txt"):
+            assert (tmp_path / f"3{suffix}").read_bytes() == (
+                tmp_path / f"1{suffix}").read_bytes()
+        assert capsys.readouterr().out.count("\t30\t20\t3\n") == 2
 
     def test_failed_write_leaves_no_partial_output(self, tmp_path):
         (tmp_path / "x_labels.txt").mkdir()
@@ -111,6 +128,21 @@ class TestCluster:
             )
             assert proc.returncode == 0
             outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_threads_split_the_load(self, synth_files, tmp_path, split_blocks, capsys):
+        from ksparse import cli
+
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.json"
+            assert cli.main([
+                "cluster", "--input", f"{synth_files}_matrix.csv",
+                "--labels", f"{synth_files}_labels.txt", "--k", "2", "--eta", "0.5",
+                *FAST_FLAGS, "--threads", threads, "--out", str(out),
+            ]) == 0
+            outs.append((out.read_bytes(), capsys.readouterr().out))
+        assert split_blocks == [0, 1]
         assert outs[0] == outs[1]
 
     def test_no_process_outlives_the_run(self, synth_files, tmp_path):

@@ -1,9 +1,13 @@
+import io
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
 
+from ksparse import dataio
 from ksparse.core import spectral_norm
 from ksparse.dataio import (
     Dataset,
@@ -205,6 +209,231 @@ class TestLoadPaths:
         p.write_text("s0\ns1\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: row 1 has no data columns")):
             load_matrix_csv(p, has_rownames=True)
+
+
+def _rows(n, width=2, start=0):
+    return "".join(",".join(str(start + i + j) for j in range(width)) + "\n" for i in range(n))
+
+
+def _load_error(path, **kwargs):
+    with pytest.raises(ValueError) as info:
+        load_matrix_csv(path, **kwargs)
+    return str(info.value)
+
+
+class TestSplitLoad:
+    @pytest.mark.parametrize(
+        "text, kwargs, children",
+        [
+            ("\tg0\tg1\n" + "".join(f"r{i}\t{i}\t{i + 1}\n" for i in range(20)),
+             {"has_header": True, "has_rownames": True}, 1),
+            ("a,b\r\n" + _rows(20).replace("\n", "\r\n"), {"has_header": True}, 1),
+            (_rows(6) + "\n  \n\t\n" * 10 + _rows(6, start=50), {}, 1),
+            (_rows(4) + "\n" * 60, {}, 1),  # the second block is blank lines only
+            ("1,2\n" * 4 + "1.000000000,2.0\n", {}, 1),  # the cut lands on the last line
+            ("1,2\n" * 3 + "1.000000000000000000000000,2.0\n", {}, 0),  # inside it
+            ("1,2\n" * 4 + "1.000000000,2.0", {}, 1),  # a last line without newline
+            (",\u00e9t\u00e9,\u4e2d\n"
+             + "".join(f"\u00e9\u4e2d{i},{i},1\n" for i in range(20)),
+             {"has_header": True, "has_rownames": True}, 1),
+        ],
+        ids=["tab-header-rownames", "crlf", "blank-lines-at-cut", "blank-second-block",
+             "cut-at-last-line", "cut-inside-last-line", "no-final-newline", "non-ascii"],
+    )
+    def test_same_as_one_block(self, tmp_path, split_blocks, text, kwargs, children):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode())
+        one = load_matrix_csv(p, **kwargs)
+        two = load_matrix_csv(p, n_jobs=2, **kwargs)
+        assert split_blocks == [0, children]
+        assert two.matrix.shape == one.matrix.shape
+        assert two.matrix.tobytes() == one.matrix.tobytes()
+        assert two.matrix.flags.c_contiguous
+        assert (two.feature_names, two.sample_ids) == (one.feature_names, one.sample_ids)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_cuts_are_first_line_starts(self, n):
+        # oracle: the first line start at or after each even share of the bytes
+        texts = (b"a,b\r\n" + b"1,2\r\n" * 20, b"1,2\n" * 3 + b"1.5," + b"7" * 40 + b"\n",
+                 b"\n" * 9 + b"1,2", b"1,2\r3,4\r" * 5, "\u00e9,1\n".encode() * 7)
+        for text in texts:
+            size = len(text)
+            starts = [0] + [k + 1 for k in range(size - 1) if text[k:k + 1] == b"\n"]
+            want = {0, size}
+            for i in range(1, n):
+                later = [s for s in starts if s >= size * i // n]
+                if later:
+                    want.add(later[0])
+            assert dataio._line_cuts(io.BytesIO(text), size, n) == sorted(want)
+
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    def test_carriage_returns_alone_stay_in_one_block(self, tmp_path, split_blocks, n_jobs):
+        p = tmp_path / "m.csv"
+        p.write_bytes(_rows(30).replace("\n", "\r").encode())
+        ds = load_matrix_csv(p, n_jobs=n_jobs)
+        assert split_blocks == [0]
+        assert ds.matrix.tobytes() == load_matrix_csv(p).matrix.tobytes()
+        assert ds.matrix.shape == (30, 2)
+
+    def test_header_past_the_cut_reads_the_file_whole(self, tmp_path, split_blocks):
+        p = tmp_path / "m.csv"
+        header = ",".join(f"long_gene_name_{j}" for j in range(40))
+        p.write_text(header + "\n" + _rows(3, width=40))
+        ds = load_matrix_csv(p, has_header=True, n_jobs=2)
+        assert split_blocks == [0]  # the first block held only the header
+        assert ds.matrix.shape == (3, 40)
+
+    def test_blocks_of_different_widths_are_ragged(self, tmp_path, split_blocks):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2,3\n" * 10 + "11,22\n" * 10)  # the cut: row 11's start
+        message = f"{p}: row 11 has 2 columns, expected 3"
+        assert _load_error(p) == message
+        assert _load_error(p, n_jobs=2) == message
+        assert split_blocks == [0, 1]
+
+    @pytest.mark.parametrize(
+        "fault, kwargs, message",
+        [
+            ("15,oops", {}, "non-numeric value 'oops' at row 16, column 2"),
+            ("15,16,17", {}, "row 16 has 3 columns, expected 2"),
+            ("15,nan", {}, "non-finite value at row 16, column 2"),
+            ("inf,16", {}, "non-finite value at row 16, column 1"),
+            ("1e999,16", {}, "non-finite value at row 16, column 1"),
+            ("r15", {"has_rownames": True}, "row 16 has 0 columns, expected 1"),
+            ("15,1_6", {}, "non-numeric value '1_6' at row 16, column 2"),
+        ],
+        ids=["non-numeric", "ragged", "nan", "inf", "overflow", "rowname-only",
+             "underscore-digits"],
+    )
+    def test_fault_in_second_block_same_message(self, tmp_path, split_blocks, fault,
+                                                kwargs, message):
+        lines = _rows(20).splitlines()
+        if kwargs:
+            lines = [f"r{i},{i}" for i in range(20)]
+        lines[15] = fault
+        p = tmp_path / "m.csv"
+        p.write_text("\n".join(lines) + "\n")
+        assert _load_error(p, **kwargs) == f"{p}: {message}"
+        assert _load_error(p, n_jobs=2, **kwargs) == f"{p}: {message}"
+        assert split_blocks == [0, 1]
+
+    def test_dead_child_is_an_error(self, tmp_path, split_blocks, monkeypatch):
+        parent = os.getpid()
+
+        def die(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+
+        monkeypatch.setattr(dataio, "_parse_block", die)
+        p = tmp_path / "m.csv"
+        p.write_text(_rows(20))
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            load_matrix_csv(p, n_jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_dead_mid_payload_is_an_error(self, tmp_path, split_blocks, monkeypatch):
+        parent, write = os.getpid(), os.write
+
+        def die_halfway(fd, data):
+            if os.getpid() != parent:
+                write(fd, data[: len(data) // 2])
+                os._exit(3)
+            return write(fd, data)
+
+        monkeypatch.setattr(dataio.os, "write", die_halfway)
+        p = tmp_path / "m.csv"
+        p.write_text(_rows(200))
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            load_matrix_csv(p, n_jobs=2)
+
+
+class TestSplitWrite:
+    @pytest.mark.parametrize("header", [True, False])
+    @pytest.mark.parametrize("rownames", [True, False])
+    def test_same_bytes(self, tmp_path, split_blocks, header, rownames):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-300, 300, (7, 4))
+        ds = Dataset(X, ["a", "b", "\u00e9", "d"], [f"\u4e2d{i}" for i in range(7)])
+        written = []
+        for n_jobs in (1, 2, 3):
+            p = tmp_path / f"out{n_jobs}.csv"
+            write_matrix_csv(p, ds, header=header, rownames=rownames, n_jobs=n_jobs)
+            written.append(p.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+        assert split_blocks == [0, 1, 2]
+        back = load_matrix_csv(tmp_path / "out3.csv", has_header=header,
+                               has_rownames=rownames, n_jobs=2)
+        assert back.matrix.tobytes() == X.tobytes()
+
+    def test_more_jobs_than_rows(self, tmp_path, split_blocks):
+        ds = Dataset(np.arange(6.0).reshape(2, 3), ["a", "b", "c"], ["s0", "s1"])
+        write_matrix_csv(tmp_path / "one.csv", ds, n_jobs=1)
+        write_matrix_csv(tmp_path / "many.csv", ds, n_jobs=5)
+        assert (tmp_path / "many.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert split_blocks == [0, 1]  # one row a block
+
+    def test_error_in_second_block_same_message(self, tmp_path, split_blocks):
+        ds = Dataset(np.zeros((4, 2)), ["a", "b"], ["s0", "s1", "s2", "s3"])
+        ds.sample_ids[3] = 3  # not a string
+        raised = []
+        for n_jobs in (1, 2):
+            with pytest.raises(TypeError) as info:
+                write_matrix_csv(tmp_path / "out.csv", ds, n_jobs=n_jobs)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("halfway", [False, True])
+    def test_dead_child_leaves_no_file(self, tmp_path, split_blocks, monkeypatch, halfway):
+        parent, write = os.getpid(), os.write
+
+        def die(*args):
+            if os.getpid() != parent:
+                if halfway:
+                    write(args[0], args[1][: len(args[1]) // 2])
+                os._exit(3)
+            return write(*args)
+
+        if halfway:
+            monkeypatch.setattr(dataio.os, "write", die)
+        else:
+            monkeypatch.setattr(dataio, "_format_block", die)
+        ds = generate_synthetic(SyntheticSpec(m=40, d=30, k=2, n_informative=3))
+        with pytest.raises(ChildProcessError, match="exited with code 3"):
+            write_matrix_csv(tmp_path / "out.csv", ds, n_jobs=2)
+        assert not any(tmp_path.iterdir())
+        assert multiprocessing.active_children() == []
+
+
+def _split_in_this_process(path):
+    """Load and write with ``n_jobs=2``; the block counts forked, and the outputs."""
+    forked = []
+    original = dataio._forked
+
+    def spy(ctx, work, blocks):
+        forked.append(len(blocks))
+        return original(ctx, work, blocks)
+
+    dataio._forked = spy
+    try:
+        ds = load_matrix_csv(path, n_jobs=2)
+        write_matrix_csv(f"{path}.out", ds, n_jobs=2)
+    finally:
+        dataio._forked = original
+    with open(f"{path}.out", "rb") as fh:
+        return forked, ds.matrix.tobytes(), fh.read()
+
+
+def test_split_runs_in_one_block_in_a_daemonic_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataio, "_SPLIT_BLOCK_BYTES", 1)
+    p = tmp_path / "m.csv"
+    p.write_text(_rows(20))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        inside = pool.apply(_split_in_this_process, (str(p),))
+    here = _split_in_this_process(str(p))
+    assert inside[0] == [0, 0]  # no child forked
+    assert here[0] == [1, 1]
+    assert inside[1:] == here[1:]
 
 
 class TestLabelsFiles:
