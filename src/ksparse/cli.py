@@ -4,12 +4,10 @@ Numerical libraries are imported lazily so that BLAS threading can be
 pinned before they load: all in-process linear algebra runs single-threaded,
 which makes outputs byte-identical for any ``--threads`` value.  The
 ``--threads`` flag instead sizes the worker processes: the sweep runs its
-budgets in parallel, ``cluster`` with two or more runs each loop's fresh
-k-means in one worker while the next weight solve goes on, and ``cluster``,
-``sweep`` and ``synth`` split the load or write of a CSV above a size
-threshold (two blocks of 4 MiB) into that many blocks of whole rows.  The
-matrix, the files written and every error message are the same for any
-value.
+budgets in parallel, and ``cluster``, ``sweep`` and ``synth`` split the
+load or write of a CSV above a size threshold (two blocks of 4 MiB) into
+that many blocks of whole rows.  The matrix, the files written and every
+error message are the same for any value.
 
 Summary lines are stable and tab-separated:
 
@@ -88,12 +86,21 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     _add_threads_flag(p)
 
 
+def _threads(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"--threads must be >= 1, got {value}")
+    return value
+
+
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=_usable_cpus(),
-                   help="worker processes: sweep budgets run in parallel, with 2 or more "
-                        "cluster runs its fresh k-means in one worker, and a large CSV "
-                        "is read or written in that many blocks; results do not depend "
-                        "on it (default: usable CPUs, %(default)s here)")
+    p.add_argument("--threads", type=_threads, default=_usable_cpus(),
+                   help="worker processes: sweep budgets run in parallel, and a large "
+                        "CSV is read or written in that many blocks; results do not "
+                        "depend on it (default: usable CPUs, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,8 +187,6 @@ def _validate_cluster_args(parser, args) -> None:
         parser.error("--replicates must be >= 1")
     if args.dbar is not None and args.dbar < 1:
         parser.error("--dbar must be >= 1")
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     if (args.filter_min_count is None) != (args.filter_min_cells is None):
         parser.error("--filter-min-count and --filter-min-cells go together")
     if args.filter_min_count is not None and not math.isfinite(args.filter_min_count):
@@ -269,8 +274,7 @@ def _cmd_cluster(parser, args) -> int:
     from . import dataio
     from .driver import k_sparse
 
-    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true,
-                      n_jobs=args.threads)
+    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true)
     phases.mark("cluster")
 
     dataio.write_result(result, dataset, args.out)
@@ -352,8 +356,6 @@ def _cmd_sweep(parser, args) -> int:
 
 def _cmd_synth(parser, args) -> int:
     phases = _Phases(args.time)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     from . import dataio
 
     try:

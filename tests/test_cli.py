@@ -146,7 +146,7 @@ class TestCluster:
         assert outs[0] == outs[1]
 
     def test_no_process_outlives_the_run(self, synth_files, tmp_path):
-        # the k-means worker is forked, so its command line is the run's own
+        # a forked CSV block worker's command line is the run's own
         proc_root = Path("/proc")
         if not proc_root.is_dir():
             pytest.skip("no /proc to list processes")

@@ -1,6 +1,5 @@
 import dataclasses
 import multiprocessing
-import os
 import tracemalloc
 
 import numpy as np
@@ -143,6 +142,47 @@ class TestKSparse:
         assert res.weights.shape == (4, 6)
         assert res.metrics["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("loops", [0, 1, 5])
+    def test_fresh_k_means_in_the_first_loop_only(self, two_cluster_ds, monkeypatch, loops):
+        real = driver.best_of_replicates
+        seeds = []
+
+        def spy(Z, k, replicates, seed):
+            seeds.append(seed)
+            return real(Z, k, replicates, seed)
+
+        monkeypatch.setattr(driver, "best_of_replicates", spy)
+        cfg = dataclasses.replace(FAST, outer_loops=loops, seed=7)
+        res = k_sparse(two_cluster_ds.matrix, 2, 0.3, cfg)
+        assert res.objective_trace.shape == (loops + 1,)
+        # the start, then the first loop's fresh run in a block of its own
+        assert seeds == [7, 7 + driver._LOOP_SEED_STRIDE][: 1 + min(loops, 1)]
+
+    def test_loop_won_by_previous_labels(self, two_cluster_ds, monkeypatch):
+        cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=6)
+        real_lloyd = driver.lloyd
+        warm_runs = []
+
+        def lloyd(S, init):
+            # the warm start, once per loop; it loses loop 3
+            out = real_lloyd(S, init)
+            warm_runs.append(out)
+            return dataclasses.replace(out, wcss=np.inf) if len(warm_runs) == 4 else out
+
+        solves = []
+        real_solve = driver.solve_weights_fista
+
+        def solve(X, labels, *args, **kwargs):
+            solves.append(np.array(labels))
+            return real_solve(X, labels, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "lloyd", lloyd)
+        monkeypatch.setattr(driver, "solve_weights_fista", solve)
+        res = k_sparse(two_cluster_ds.matrix, 2, 0.3, cfg)
+        assert len(warm_runs) == len(solves) == cfg.outer_loops
+        np.testing.assert_array_equal(solves[4], solves[3])  # loop 3 kept its labels
+        assert np.all(np.diff(res.objective_trace) <= 0)
+
 
 class TestStep:
     """k_sparse passes the accelerated solver sigma_max of the data it solves on."""
@@ -254,7 +294,8 @@ class TestSharedDesign:
 class TestSharedSamples:
     def test_one_sample_set_per_clustering_step(self, two_cluster_ds, monkeypatch):
         # the start and each outer loop prepare their k-means samples once,
-        # shared by the fresh replicates, the warm start and the previous labels
+        # shared by the warm start, the previous labels and, in the first loop,
+        # the fresh replicates
         real = kmeans._samples
         built = []
 
@@ -267,158 +308,6 @@ class TestSharedSamples:
         cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=10)
         k_sparse(two_cluster_ds.matrix, 2, 1.0, cfg)
         assert len(built) == cfg.outer_loops + 1
-
-
-class TestFreshWorker:
-    """With ``n_jobs=2`` each loop's fresh k-means runs in a forked worker, same results."""
-
-    CFG = SolverConfig(replicates=4, inner_iters=60, outer_loops=6)
-
-    @staticmethod
-    def _assert_same(a, b):
-        for field in dataclasses.fields(a):
-            x, y = getattr(a, field.name), getattr(b, field.name)
-            if isinstance(x, np.ndarray):
-                assert x.dtype == y.dtype
-                np.testing.assert_array_equal(x, y)
-            else:
-                assert x == y
-
-    @staticmethod
-    def _rig_fresh(monkeypatch, cfg, rig):
-        """Pass each loop's fresh outcome through ``rig(loop, outcome)``; the start is loop -1.
-
-        Installed before the fork, as the worker looks the function up by its global name.
-        """
-        real = driver.best_of_replicates
-
-        def rigged(Z, k, replicates, seed):
-            loop = (seed - cfg.seed) // driver._LOOP_SEED_STRIDE - 1
-            return rig(loop, real(Z, k, replicates, seed))
-
-        monkeypatch.setattr(driver, "best_of_replicates", rigged)
-
-    @staticmethod
-    def _spy_solves(monkeypatch):
-        real = driver.solve_weights_fista
-        seen = []
-
-        def spy(X, labels, *args, **kwargs):
-            seen.append(np.array(labels))
-            return real(X, labels, *args, **kwargs)
-
-        monkeypatch.setattr(driver, "solve_weights_fista", spy)
-        return seen
-
-    def _both(self, X, k, eta, seen=None, **kwargs):
-        """Results (and labels of each solve) of ``n_jobs`` 1 and 2."""
-        runs, solves = [], []
-        for n_jobs in (1, 2):
-            if seen is not None:
-                seen.clear()
-            runs.append(k_sparse(X, k, eta, self.CFG, n_jobs=n_jobs, **kwargs))
-            assert multiprocessing.active_children() == []
-            solves.append(list(seen or []))
-        return runs, solves
-
-    # 40 x 60 is wide (d + dbar > m); 150 x 20 is tall
-    @pytest.mark.parametrize("m, d", [(40, 60), (150, 20)])
-    def test_bitwise_equal_results(self, m, d):
-        ds = generate_synthetic(
-            SyntheticSpec(m=m, d=d, k=3, n_informative=4, shift=2.5, noise_sd=1.0, seed=0)
-        )
-        (serial, worker), _ = self._both(ds.matrix, 3, 0.5, labels_true=ds.labels_true)
-        self._assert_same(serial, worker)
-
-    def test_mispredicted_loop_solves_again(self, two_cluster_ds, monkeypatch):
-        # after loop 0 the fresh run wins only loop 3, where nothing can beat it; the
-        # warm start won loop 2, so the worker run has solved ahead on its guess
-        def rig(loop, outcome):
-            if loop < 1:
-                return outcome
-            return dataclasses.replace(outcome, wcss=0.0 if loop == 3 else np.inf)
-
-        self._rig_fresh(monkeypatch, self.CFG, rig)
-        seen = self._spy_solves(monkeypatch)
-        (serial, worker), (solves1, solves2) = self._both(two_cluster_ds.matrix, 2, 0.3, seen)
-        self._assert_same(serial, worker)
-        assert len(solves1) == self.CFG.outer_loops
-        assert len(solves2) == len(solves1) + 1
-        # the discarded solve is loop 4's, started on the guess
-        kept = solves2[:4] + solves2[5:]
-        for a, b in zip(solves1, kept):
-            np.testing.assert_array_equal(a, b)
-
-    def test_loop_won_by_previous_labels(self, two_cluster_ds, monkeypatch):
-        self._rig_fresh(
-            monkeypatch, self.CFG,
-            lambda loop, out: out if loop < 1 else dataclasses.replace(out, wcss=np.inf),
-        )
-        real_lloyd = driver.lloyd
-        warm_runs = []
-
-        def lloyd(S, init):
-            # the parent's warm start, once per loop; it loses loop 3
-            out = real_lloyd(S, init)
-            warm_runs.append(None)
-            loop = (len(warm_runs) - 1) % self.CFG.outer_loops
-            return dataclasses.replace(out, wcss=np.inf) if loop == 3 else out
-
-        monkeypatch.setattr(driver, "lloyd", lloyd)
-        seen = self._spy_solves(monkeypatch)
-        (serial, worker), (solves1, solves2) = self._both(two_cluster_ds.matrix, 2, 0.3, seen)
-        self._assert_same(serial, worker)
-        assert len(warm_runs) == 2 * self.CFG.outer_loops
-        for solves in (solves1, solves2):
-            assert len(solves) == self.CFG.outer_loops
-            np.testing.assert_array_equal(solves[3], solves[4])  # loop 3 kept its labels
-        for a, b in zip(solves1, solves2):
-            np.testing.assert_array_equal(a, b)
-
-    def test_fresh_error_raised_as_in_a_serial_run(self, two_cluster_ds, monkeypatch):
-        def rig(loop, outcome):
-            if loop == 2:
-                raise ValueError(f"rigged failure of the fresh run in loop {loop}")
-            return outcome
-
-        self._rig_fresh(monkeypatch, self.CFG, rig)
-        raised = []
-        for n_jobs in (1, 2):
-            with pytest.raises(ValueError) as info:
-                k_sparse(two_cluster_ds.matrix, 2, 0.3, self.CFG, n_jobs=n_jobs)
-            assert multiprocessing.active_children() == []
-            raised.append((type(info.value), str(info.value)))
-        assert raised[0] == raised[1]
-        assert raised[0][1] == "rigged failure of the fresh run in loop 2"
-
-    def test_dead_worker_is_an_error(self, two_cluster_ds, monkeypatch):
-        parent = os.getpid()
-
-        def rig(loop, outcome):
-            if loop == 2 and os.getpid() != parent:
-                os._exit(3)
-            return outcome
-
-        self._rig_fresh(monkeypatch, self.CFG, rig)
-        with pytest.raises(ChildProcessError, match="exited with code 3"):
-            k_sparse(two_cluster_ds.matrix, 2, 0.3, self.CFG, n_jobs=2)
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("loops", [0, 1])
-    def test_no_worker_without_a_later_solve(self, two_cluster_ds, monkeypatch, loops):
-        def no_fork():
-            raise AssertionError("a worker was started")
-
-        monkeypatch.setattr(driver, "_fork_context", no_fork)
-        cfg = dataclasses.replace(self.CFG, outer_loops=loops)
-        res = k_sparse(two_cluster_ds.matrix, 2, 0.3, cfg, n_jobs=2)
-        assert res.objective_trace.shape == (loops + 1,)
-
-    def test_runs_inline_in_a_daemonic_process(self, two_cluster_ds):
-        X = two_cluster_ds.matrix
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            inside = pool.apply(k_sparse, (X, 2, 0.3, self.CFG), {"n_jobs": 2})
-        self._assert_same(inside, k_sparse(X, 2, 0.3, self.CFG))
 
 
 class TestSweep:
