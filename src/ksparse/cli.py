@@ -3,11 +3,12 @@
 Numerical libraries are imported lazily so that BLAS threading can be
 pinned before they load: all in-process linear algebra runs single-threaded,
 which makes outputs byte-identical for any ``--threads`` value.  The
-``--threads`` flag instead sizes the worker processes: the sweep runs its
-budgets in parallel, and ``cluster``, ``sweep`` and ``synth`` split the
-load or write of a CSV above a size threshold (two blocks of 4 MiB) into
-that many blocks of whole rows.  The matrix, the files written and every
-error message are the same for any value.
+``--threads`` flag instead sizes the processes: the sweep shares its
+budgets out over that many, this one and forked workers, and ``cluster``,
+``sweep`` and ``synth`` split the load or write of a CSV above a size
+threshold (two blocks of 4 MiB) into that many blocks of whole rows.  The
+records, the matrix, the files written and every error message are the
+same for any value.
 
 Summary lines are stable and tab-separated:
 
@@ -98,9 +99,9 @@ def _threads(text: str) -> int:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_threads, default=_usable_cpus(),
-                   help="worker processes: sweep budgets run in parallel, and a large "
-                        "CSV is read or written in that many blocks; results do not "
-                        "depend on it (default: usable CPUs, %(default)s here)")
+                   help="processes: sweep budgets are shared out over that many, and "
+                        "a large CSV is read or written in that many blocks; results "
+                        "do not depend on it (default: usable CPUs, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

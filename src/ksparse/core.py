@@ -6,10 +6,14 @@ rows of ``X`` are samples, ``W`` is the ``d x dbar`` projection matrix,
 sample) and ``mu`` holds one centroid of the projected samples per row.
 Labels are kept as an index vector; products with ``Y`` are realized as
 row gathers (``mu[labels]``) and per-cluster reductions.
+
+The module also holds the one way ksparse runs work in other processes:
+:func:`_forked`, used by the budget sweep and the split CSV load and write.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 
 import numpy as np
@@ -162,9 +166,9 @@ def spectral_norm(X: np.ndarray) -> float:
 def _fork_context():
     """The ``fork`` start method, or None where this process cannot fork workers.
 
-    ksparse forks rather than spawns: its workers need the caller's module
-    state and arrays without a re-import or a copy, and it forks only where
-    no thread of its own is running.
+    ksparse forks rather than spawns: its workers need the caller's arrays
+    without a re-import or a copy, and it forks only where no thread of its
+    own is running.
     """
     if multiprocessing.current_process().daemon:
         return None  # a daemonic process may not have children
@@ -172,3 +176,72 @@ def _fork_context():
         return multiprocessing.get_context("fork")
     except ValueError:
         return None
+
+
+def _split(n_jobs: int, limit: int):
+    """The fork context and process count for work in at most ``limit`` parts.
+
+    ``(None, 1)`` where the work stays in this process: fewer than two jobs
+    or parts, a daemonic process, or no ``fork`` start method.
+    """
+    n = min(n_jobs, limit)
+    ctx = _fork_context() if n > 1 else None
+    return (ctx, n) if ctx is not None else (None, 1)
+
+
+@contextlib.contextmanager
+def _forked(ctx, work, blocks):
+    """Run ``work(*block)`` in one forked child per block; yield a :class:`_Child` each.
+
+    A child sends what ``work`` returns, or the exception it raises, as one
+    pickled message through a pipe.  Leaving the ``with`` block kills and
+    reaps every child, on every path.
+    """
+    procs, conns = [], []
+    try:
+        for block in blocks:
+            conn, child_end = ctx.Pipe(duplex=False)
+            conns.append(conn)
+            try:
+                proc = ctx.Process(target=_run_block, args=(child_end, work, block))
+                proc.start()
+            finally:
+                child_end.close()  # so that a dead child reads as EOF here
+            procs.append(proc)
+        yield [_Child(proc, conn) for proc, conn in zip(procs, conns)]
+    finally:
+        for proc in procs:
+            proc.kill()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _run_block(conn, work, block) -> None:
+    """Child side of :func:`_forked`: send ``(True, result)`` or ``(False, exception)``."""
+    try:
+        reply = True, work(*block)
+    except Exception as exc:
+        reply = False, exc
+    conn.send(reply)
+
+
+class _Child:
+    """The parent's end of one forked block."""
+
+    def __init__(self, proc, conn):
+        self._proc, self._conn = proc, conn
+
+    def result(self):
+        """What the block's ``work`` returned; raises the exception it raised."""
+        try:
+            ok, value = self._conn.recv()
+        except (EOFError, OSError):  # no message, or one cut short by the child's death
+            self._proc.join()
+            raise ChildProcessError(
+                f"a worker process exited with code {self._proc.exitcode}"
+            ) from None
+        if not ok:
+            raise value
+        return value

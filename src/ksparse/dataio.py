@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _fork_context, check_data_matrix, check_labels, spectral_norm
+from .core import _forked, _split, check_data_matrix, check_labels, spectral_norm
 
 __all__ = [
     "Dataset",
@@ -134,7 +134,7 @@ def load_matrix_csv(
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
-        ctx, n = _split(n_jobs, size)
+        ctx, n = _split(n_jobs, size // _SPLIT_BLOCK_BYTES)
         cuts = _line_cuts(raw, size, n)
         loaded = _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter)
         if loaded is None:  # the first block holds no data row: read the file whole
@@ -177,26 +177,18 @@ def _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter):
                 head, sample_ids = _parse_rows(
                     (line for _, line in rows), has_rownames, delimiter
                 )
-                shapes = [head.shape]
+                parts = [head]
                 for child in children:
-                    (shape, ids), _ = child.result()
-                    shapes.append(shape)
+                    part, ids = child.result()
+                    if len(part):
+                        parts.append(part)
                     if has_rownames:
                         sample_ids += ids
             except ValueError:
                 return None, feature_names, None, delimiter
-            if not children:
-                return head, feature_names, sample_ids, delimiter
-            if len({d for m, d in shapes if m}) != 1:
-                return None, feature_names, None, delimiter  # ragged across blocks
-            # one allocation; the children's rows land straight in its tail
-            X = np.empty((sum(m for m, _ in shapes), head.shape[1]))
-            start = head.shape[0]
-            X[:start] = head
-            del head
-            for child, (m, _) in zip(children, shapes[1:]):
-                child.read_into(X[start:start + m])
-                start += m
+    if len({part.shape[1] for part in parts}) != 1:
+        return None, feature_names, None, delimiter  # ragged across blocks
+    X = np.concatenate(parts) if len(parts) > 1 else head
     return X, feature_names, sample_ids, delimiter
 
 
@@ -222,15 +214,13 @@ def _parse_rows(lines, has_rownames, delimiter):
 
 
 def _parse_block(path, start, stop, has_rownames, delimiter):
-    """Child side of a split load: the block's ``((shape, rownames), matrix)``."""
+    """Child side of a split load: the block's ``(matrix, rownames)``."""
     with open(path, "rb", buffering=0) as raw, _text_block(raw, start, stop) as fh:
         lines = (line for line in fh if not line.isspace())
         first = next(lines, None)
         if first is None:  # np.loadtxt warns on no data; blank lines add no row
-            return ((0, 0), []), b""
-        X, sample_ids = _parse_rows(itertools.chain([first], lines), has_rownames,
-                                    delimiter)
-    return (X.shape, sample_ids), X
+            return np.empty((0, 0)), []
+        return _parse_rows(itertools.chain([first], lines), has_rownames, delimiter)
 
 
 def _matrix_lines(path, fh, has_header, has_rownames, delimiter):
@@ -331,10 +321,10 @@ def write_matrix_csv(
     X = np.asarray(dataset.matrix, dtype=float)
     ids = dataset.sample_ids if rownames else None
     m = X.shape[0]
-    ctx, n = _split(min(n_jobs, m), X.nbytes)
+    ctx, n = _split(n_jobs, min(m, X.nbytes // _SPLIT_BLOCK_BYTES))
     cuts = [m * i // n for i in range(n + 1)]
     blocks = [(X, ids, a, b) for a, b in zip(cuts[1:], cuts[2:])]
-    with _forked(ctx, _format_block, blocks) as children, _atomic_file(path) as fh:
+    with _forked(ctx, _format_rows, blocks) as children, _atomic_file(path) as fh:
         if header:
             head = ",".join(dataset.feature_names)
             if rownames:
@@ -342,8 +332,7 @@ def write_matrix_csv(
             fh.write((head + "\n").encode())
         fh.write(_format_rows(X, ids, 0, cuts[1]))
         for child in children:
-            _, nbytes = child.result()
-            child.copy_to(fh, nbytes)
+            fh.write(child.result())
 
 
 def _format_rows(X, ids, start, stop) -> bytes:
@@ -355,11 +344,6 @@ def _format_rows(X, ids, start, stop) -> bytes:
             cells.insert(0, ids[i])
         lines.append(",".join(cells) + "\n")
     return "".join(lines).encode()
-
-
-def _format_block(X, ids, start, stop):
-    """Child side of a split write: no metadata, and the block's bytes."""
-    return None, _format_rows(X, ids, start, stop)
 
 
 def filter_low_expressed(X: np.ndarray, min_count: float, min_cells: int):
@@ -470,22 +454,12 @@ def _atomic_file(path):
         raise
 
 
-# Splitting CSV work over forked processes.  It is split only from two
+# CSV work is split over forked processes (core._forked) only from two
 # blocks of this size up: of the file for a load, of the matrix's doubles
 # for a write.  A 4 MiB block of text parses in about 0.1 s, which a fork and
 # its pipe would eat much of.  The 3.25 MB counts-tall CSV stays in one
 # process; the 59 MB paper-size CSV and its 24 MB matrix split.
 _SPLIT_BLOCK_BYTES = 4 << 20
-
-
-def _split(n_jobs: int, nbytes: int):
-    """The fork context and block count for ``nbytes`` of CSV work.
-
-    ``(None, 1)`` where the work stays in this process.
-    """
-    n = min(n_jobs, nbytes // _SPLIT_BLOCK_BYTES)
-    ctx = _fork_context() if n > 1 else None
-    return (ctx, n) if ctx is not None else (None, 1)
 
 
 def _line_cuts(raw, size: int, n: int) -> list[int]:
@@ -534,89 +508,6 @@ def _text_block(raw, start: int, stop: int):
     """Bytes ``start:stop`` of ``raw`` as text, decoded as ``open(path)`` decodes."""
     return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, start, stop)),
                             encoding="utf-8")
-
-
-@contextlib.contextmanager
-def _forked(ctx, work, blocks):
-    """Run ``work(*block)`` in one forked child per block; yield a :class:`_Child` each.
-
-    A child sends what ``work`` returns, or the exception it raises, through
-    a pipe.  Leaving the ``with`` block kills and reaps every child, on
-    every path; one that has sent everything has already exited.
-    """
-    procs, conns = [], []
-    try:
-        for block in blocks:
-            conn, child_end = ctx.Pipe(duplex=False)
-            conns.append(conn)
-            try:
-                proc = ctx.Process(target=_run_block, args=(child_end, work, block))
-                proc.start()
-            finally:
-                child_end.close()  # so that a dead child reads as EOF here
-            procs.append(proc)
-        yield [_Child(proc, conn) for proc, conn in zip(procs, conns)]
-    finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
-
-
-def _run_block(conn, work, block) -> None:
-    """Child side of :func:`_forked`: send ``work``'s metadata, then its payload raw."""
-    try:
-        meta, payload = work(*block)
-    except Exception as exc:
-        conn.send((False, exc))
-        return
-    view = memoryview(payload).cast("B")
-    conn.send((True, meta, view.nbytes))
-    while view:
-        view = view[os.write(conn.fileno(), view):]
-
-
-class _Child:
-    """The parent's end of one forked block: its result, then its payload."""
-
-    def __init__(self, proc, conn):
-        self._proc, self._conn = proc, conn
-
-    def result(self):
-        """``(metadata, payload size)``; raises the block's own exception."""
-        try:
-            reply = self._conn.recv()
-        except EOFError:
-            self._died()
-        if not reply[0]:
-            raise reply[1]
-        return reply[1], reply[2]
-
-    def read_into(self, array: np.ndarray) -> None:
-        """Receive the payload into a C-contiguous array of its exact size."""
-        view = memoryview(array.reshape(-1).view(np.uint8))
-        while view:
-            n = os.readv(self._conn.fileno(), [view])
-            if n == 0:
-                self._died()
-            view = view[n:]
-
-    def copy_to(self, fh, nbytes: int) -> None:
-        """Copy ``nbytes`` of payload to a binary file."""
-        buffer = np.empty(min(nbytes, 1 << 20), dtype=np.uint8)
-        while nbytes:
-            chunk = buffer[:nbytes]
-            self.read_into(chunk)
-            fh.write(chunk)
-            nbytes -= chunk.size
-
-    def _died(self):
-        self._proc.join()
-        raise ChildProcessError(
-            f"a CSV worker process exited with code {self._proc.exitcode}"
-        ) from None
 
 
 def write_result(result, dataset: Dataset, path) -> None:

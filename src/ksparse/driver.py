@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kmeans as _kmeans
 from . import metrics as _metrics
-from .core import _fork_context, centroids, check_data_matrix, check_labels, spectral_norm
+from .core import _forked, _split, centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import best_of_replicates, lloyd
 from .solver import _Design, default_weight_init, solve_weights_fista
 
@@ -225,22 +225,18 @@ def k_sparse(
     )
 
 
-_SWEEP_STATE: dict = {}
-
-
-def _sweep_one(eta: float) -> SweepRecord:
-    X, k, cfg, labels_true = _SWEEP_STATE["args"]
-    res = k_sparse(X, k, eta, cfg, labels_true=labels_true)
-    rec = SweepRecord(
-        eta=float(eta),
-        selected_count=int(res.selected_features.size),
-        frobenius_objective=float(res.objective_trace[-1]),
-    )
-    if res.metrics is not None:
-        rec.accuracy = res.metrics["accuracy"]
-        rec.ari = res.metrics["ari"]
-        rec.nmi = res.metrics["nmi"]
-    return rec
+def _sweep_records(X, k, etas, labels_true, cfg) -> list[SweepRecord]:
+    """The sweep's records for ``etas``, run one after another in this process."""
+    records = []
+    for eta in etas:
+        res = k_sparse(X, k, eta, cfg, labels_true=labels_true)
+        records.append(SweepRecord(
+            eta=float(eta),
+            selected_count=int(res.selected_features.size),
+            frobenius_objective=float(res.objective_trace[-1]),
+            **(res.metrics or {}),  # accuracy, ari and nmi against labels_true
+        ))
+    return records
 
 
 def sweep_eta(
@@ -254,8 +250,10 @@ def sweep_eta(
     """One independent :func:`k_sparse` run per l1 budget, same seed each time.
 
     Records are returned in the order of ``etas``; each is exactly what
-    :func:`k_sparse` returns for its budget.  ``n_jobs > 1`` runs budgets in
-    parallel worker processes; results do not depend on the worker count.
+    :func:`k_sparse` returns for its budget.  ``n_jobs > 1`` shares the
+    budgets out over up to that many processes: this one and forked
+    children, process ``i`` running ``etas[i::n]``.  Results do not depend
+    on the process count.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -266,14 +264,8 @@ def sweep_eta(
         raise ValueError("all eta values must be positive and finite")
     X = check_data_matrix(X)
 
-    ctx = _fork_context() if n_jobs > 1 and len(etas) > 1 else None
-    # forked workers start after this and inherit the state
-    _SWEEP_STATE["args"] = (X, k, cfg, labels_true)
-    try:
-        if ctx is None:
-            return [_sweep_one(eta) for eta in etas]
-        with ctx.Pool(min(n_jobs, len(etas))) as pool:
-            return pool.map(_sweep_one, etas)
-    finally:
-        # the module-level state must not keep the caller's matrix alive
-        _SWEEP_STATE.clear()
+    ctx, n = _split(n_jobs, len(etas))
+    shares = [(X, k, etas[i::n], labels_true, cfg) for i in range(n)]
+    with _forked(ctx, _sweep_records, shares[1:]) as children:
+        parts = [_sweep_records(*shares[0])] + [child.result() for child in children]
+    return [parts[i % n][i // n] for i in range(len(etas))]

@@ -1,9 +1,10 @@
 """Test-session setup.
 
 BLAS threading is pinned to one thread per process before numpy loads:
-sweep worker processes then never oversubscribe the machine, and every
-floating-point reduction order is fixed for the whole session.  Every test
-must leave no child process of the session running.
+the forked workers of the sweep and of a split CSV load or write then never
+oversubscribe the machine, and every floating-point reduction order is
+fixed for the whole session.  Every test must leave no child process of the
+session running.
 """
 
 import multiprocessing

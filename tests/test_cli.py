@@ -30,6 +30,31 @@ def synth_files(tmp_path_factory):
     return prefix
 
 
+@pytest.fixture(scope="module")
+def large_synth_files(tmp_path_factory):
+    # a CSV of about 10 MB, above the two-block size from which a load is split
+    prefix = str(tmp_path_factory.mktemp("large") / "wide")
+    proc = run_cli("synth", "--m", "100", "--d", "5000", "--seed", "1", "--out", prefix)
+    assert proc.returncode == 0, proc.stderr
+    return prefix
+
+
+def processes_naming(text: str) -> list[str]:
+    """Ids of the running processes whose command line holds ``text``."""
+    proc_root = Path("/proc")
+    if not proc_root.is_dir():
+        pytest.skip("no /proc to list processes")
+    alive = []
+    for entry in proc_root.iterdir():
+        try:
+            cmdline = (entry / "cmdline").read_bytes() if entry.name.isdigit() else b""
+        except OSError:  # gone meanwhile
+            continue
+        if text.encode() in cmdline:
+            alive.append(entry.name)
+    return alive
+
+
 class TestSynth:
     def test_files_and_shapes(self, synth_files):
         matrix = Path(f"{synth_files}_matrix.csv").read_text().strip().split("\n")
@@ -145,26 +170,19 @@ class TestCluster:
         assert split_blocks == [0, 1]
         assert outs[0] == outs[1]
 
-    def test_no_process_outlives_the_run(self, synth_files, tmp_path):
-        # a forked CSV block worker's command line is the run's own
-        proc_root = Path("/proc")
-        if not proc_root.is_dir():
-            pytest.skip("no /proc to list processes")
+    def test_no_process_outlives_the_run(self, large_synth_files, tmp_path):
+        # the load forks a CSV block worker, whose command line is the run's own
+        from ksparse import dataio
+
+        matrix = Path(f"{large_synth_files}_matrix.csv")
+        assert matrix.stat().st_size >= 2 * dataio._SPLIT_BLOCK_BYTES
         out = tmp_path / "worker-run.json"
         proc = run_cli(
-            "cluster", "--input", f"{synth_files}_matrix.csv",
-            "--k", "2", "--eta", "0.5", *FAST_FLAGS, "--threads", "2", "--out", str(out),
+            "cluster", "--input", str(matrix),
+            "--k", "4", "--eta", "3", *FAST_FLAGS, "--threads", "2", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
-        alive = []
-        for entry in proc_root.iterdir():
-            try:
-                cmdline = (entry / "cmdline").read_bytes() if entry.name.isdigit() else b""
-            except OSError:  # gone meanwhile
-                continue
-            if str(out).encode() in cmdline:
-                alive.append(entry.name)
-        assert alive == []
+        assert processes_naming(str(out)) == []
 
     def test_eta_zero_usage_error(self, synth_files, tmp_path):
         proc = run_cli(
@@ -374,6 +392,16 @@ class TestCluster:
 
 
 class TestSweep:
+    def test_no_process_outlives_the_run(self, synth_files, tmp_path):
+        # two budgets over two processes fork one worker at any input size
+        out = tmp_path / "worker-run.tsv"
+        proc = run_cli(
+            "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",
+            "--eta-list", "0.3,0.5", *FAST_FLAGS, "--threads", "2", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert processes_naming(str(out)) == []
+
     def test_single_eta_one_row(self, synth_files):
         proc = run_cli(
             "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",

@@ -3,11 +3,12 @@ import json
 import multiprocessing
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
 
-from ksparse import dataio
+from ksparse import core, dataio
 from ksparse.core import spectral_norm
 from ksparse.dataio import (
     Dataset,
@@ -24,6 +25,12 @@ from ksparse.dataio import (
     write_result,
 )
 from ksparse.driver import ClusteringResult
+
+
+def _die_mid_message(conn, work, block):
+    """A forked child that sends the length header of a 1 MiB message, 100 bytes, and dies."""
+    os.write(conn.fileno(), struct.pack("!i", 1 << 20) + bytes(100))
+    os._exit(3)
 
 
 class TestLoadMatrix:
@@ -332,19 +339,13 @@ class TestSplitLoad:
         assert multiprocessing.active_children() == []
 
     def test_child_dead_mid_payload_is_an_error(self, tmp_path, split_blocks, monkeypatch):
-        parent, write = os.getpid(), os.write
-
-        def die_halfway(fd, data):
-            if os.getpid() != parent:
-                write(fd, data[: len(data) // 2])
-                os._exit(3)
-            return write(fd, data)
-
-        monkeypatch.setattr(dataio.os, "write", die_halfway)
+        monkeypatch.setattr(core, "_run_block", _die_mid_message)
         p = tmp_path / "m.csv"
         p.write_text(_rows(200))
         with pytest.raises(ChildProcessError, match="exited with code 3"):
             load_matrix_csv(p, n_jobs=2)
+        assert split_blocks == [1]
+        assert multiprocessing.active_children() == []
 
 
 class TestSplitWrite:
@@ -385,19 +386,17 @@ class TestSplitWrite:
 
     @pytest.mark.parametrize("halfway", [False, True])
     def test_dead_child_leaves_no_file(self, tmp_path, split_blocks, monkeypatch, halfway):
-        parent, write = os.getpid(), os.write
+        parent, format_rows = os.getpid(), dataio._format_rows
 
         def die(*args):
             if os.getpid() != parent:
-                if halfway:
-                    write(args[0], args[1][: len(args[1]) // 2])
                 os._exit(3)
-            return write(*args)
+            return format_rows(*args)
 
         if halfway:
-            monkeypatch.setattr(dataio.os, "write", die)
+            monkeypatch.setattr(core, "_run_block", _die_mid_message)
         else:
-            monkeypatch.setattr(dataio, "_format_block", die)
+            monkeypatch.setattr(dataio, "_format_rows", die)
         ds = generate_synthetic(SyntheticSpec(m=40, d=30, k=2, n_informative=3))
         with pytest.raises(ChildProcessError, match="exited with code 3"):
             write_matrix_csv(tmp_path / "out.csv", ds, n_jobs=2)

@@ -1,5 +1,7 @@
 import dataclasses
 import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -352,13 +354,50 @@ class TestSweep:
             inside = pool.apply(sweep_eta, (X, 2, etas), {"cfg": FAST, "n_jobs": 2})
         assert inside == sweep_eta(X, 2, etas, cfg=FAST)
 
-    def test_state_released_after_sweep(self, two_cluster_ds):
-        for n_jobs in (1, 2):
-            sweep_eta(two_cluster_ds.matrix, 2, [0.2, 0.3], cfg=FAST, n_jobs=n_jobs)
-            assert driver._SWEEP_STATE == {}
-        with pytest.raises(ValueError, match="k must be"):
-            sweep_eta(two_cluster_ds.matrix, 1, [0.2], cfg=FAST)  # raises inside the run
-        assert driver._SWEEP_STATE == {}
+    def test_uneven_shares_keep_eta_order(self, two_cluster_ds):
+        # three budgets over two processes: 0.1 and 0.4 here, 0.2 in the child
+        X, etas = two_cluster_ds.matrix, [0.1, 0.2, 0.4]
+        par = sweep_eta(X, 2, etas, labels_true=two_cluster_ds.labels_true, cfg=FAST,
+                        n_jobs=2)
+        assert par == sweep_eta(X, 2, etas, labels_true=two_cluster_ds.labels_true, cfg=FAST)
+        assert [r.eta for r in par] == etas
+
+    def test_dead_child_is_an_error(self, two_cluster_ds, monkeypatch):
+        parent, run = os.getpid(), driver.k_sparse
+
+        def die_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args, **kwargs)
+
+        def hung(signum, frame):
+            raise TimeoutError("the sweep still waits for a dead worker")
+
+        monkeypatch.setattr(driver, "k_sparse", die_in_child)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ChildProcessError, match="exited with code 3"):
+                sweep_eta(two_cluster_ds.matrix, 2, [0.1, 0.3], cfg=FAST, n_jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_child_reaches_the_caller(self, two_cluster_ds, monkeypatch):
+        parent, run = os.getpid(), driver.k_sparse
+
+        def fail_in_child(X, k, eta, *args, **kwargs):
+            if os.getpid() != parent:
+                raise ValueError(f"no run at eta={eta}")
+            return run(X, k, eta, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "k_sparse", fail_in_child)
+        with pytest.raises(ValueError) as info:
+            sweep_eta(two_cluster_ds.matrix, 2, [0.1, 0.3], cfg=FAST, n_jobs=2)
+        assert type(info.value) is ValueError
+        assert info.value.args == ("no run at eta=0.3",)
+        assert multiprocessing.active_children() == []
 
     def test_validation(self, two_cluster_ds):
         with pytest.raises(ValueError):
