@@ -184,11 +184,10 @@ def _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter):
                         parts.append(part)
                     if has_rownames:
                         sample_ids += ids
+                # blocks of different widths are ragged, and np.concatenate refuses them
+                X = np.concatenate(parts) if len(parts) > 1 else head
             except ValueError:
                 return None, feature_names, None, delimiter
-    if len({part.shape[1] for part in parts}) != 1:
-        return None, feature_names, None, delimiter  # ragged across blocks
-    X = np.concatenate(parts) if len(parts) > 1 else head
     return X, feature_names, sample_ids, delimiter
 
 

@@ -3,7 +3,8 @@
 The threshold search is an active-set filtering scan in the style of
 Michelot (1986), which runs in expected linear time on typical inputs.  It
 computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
-sums to ``eta``.
+sums to ``eta``.  ``_shrink``, the l1-ball projection without the public
+checks, also returns ``tau``, which the weight solver's certificate reads.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ __all__ = ["project_simplex", "project_l1_ball"]
 
 def _tau_scan(v: np.ndarray, eta: float) -> float:
     active = v
-    tau = (active.sum() - eta) / active.size
     while True:
+        tau = (active.sum() - eta) / active.size
         keep = active > tau
         if keep.all():
             return tau
         active = active[keep]
-        tau = (active.sum() - eta) / active.size
 
 
 def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
@@ -57,12 +57,20 @@ def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if not np.all(np.isfinite(W)):
         raise ValueError("input contains NaN or Inf entries")
+    return _shrink(W, eta)[0]
+
+
+def _shrink(W: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
+    """``(project_l1_ball(W, eta), tau)``, ``tau`` 0.0 inside the ball; checks ``sum|W|`` only."""
     flat = W.ravel(order="F")
     a = np.abs(flat)
+    total = np.sum(a)
+    if not np.isfinite(total):
+        raise ValueError("input contains NaN or Inf entries")
     # relative slack makes re-projecting an already-projected point an exact
     # no-op despite rounding in the norm sum
-    if np.sum(a) <= eta * (1.0 + 1e-12):
-        return W.copy()
-    # project_simplex(a, eta) without repeating the input checks made above
-    out = np.sign(flat) * np.maximum(a - _tau_scan(a, eta), 0.0)
-    return out.reshape(W.shape, order="F") if W.ndim > 1 else out
+    if total <= eta * (1.0 + 1e-12):
+        return W.copy(), 0.0
+    tau = _tau_scan(a, eta)
+    out = np.sign(flat) * np.maximum(a - tau, 0.0)
+    return (out.reshape(W.shape, order="F") if W.ndim > 1 else out), tau

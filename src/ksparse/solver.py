@@ -13,7 +13,7 @@ and rejected when provably too small (below the largest column norm of ``X``).
 
 Working set.  When the projected weights keep few rows, most of the
 full-width gradient ``G = X.T @ R`` only confirms that a row stays zero.
-So after a full step with threshold ``tau`` (the projection is
+So after a full step with threshold ``tau`` (the projection returns it with
 ``sign(v) max(|v| - tau, 0)`` on ``V = W - gamma G``), the loop keeps the
 candidate rows ``C`` whose largest ``|V_ij|`` exceeds ``0.8 tau``.  While
 they are at most a fifth of the rows, the next steps compute the
@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import check_labels, spectral_norm
-from .projection import project_l1_ball
+from .projection import _shrink
 
 __all__ = [
     "InnerSolveReport",
@@ -144,6 +144,9 @@ class _Design:
         # the loop's products are laid out for C-ordered X; copy only other layouts
         self.X = np.ascontiguousarray(X, float)
         self.norms = np.sqrt(np.einsum("ij,ij->j", self.X, self.X))
+        # finite norms imply a finite X, so X itself is scanned only when one is not
+        if not np.isfinite(self.norms).all() and not np.isfinite(self.X).all():
+            raise ValueError("X contains NaN or Inf entries")
         self._labels = None
         self._factor = None  # (X_r, Rxy, Ryy) of self._labels
 
@@ -175,6 +178,9 @@ def _prepare(X, labels, mu, W0, n_iters, eta, sigma_max):
         raise ValueError("iteration count must be nonnegative")
     if not 0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    for name, A in (("mu", mu), ("W0", W0)):
+        if not np.isfinite(A).all():
+            raise ValueError(f"{name} contains NaN or Inf entries")
     if sigma_max is None:
         sigma_max = spectral_norm(X)
     if not 0 < sigma_max < np.inf:
@@ -195,19 +201,6 @@ def momentum_schedule(n: int, t: float) -> tuple[float, float]:
 def _relax(old, new, lam):
     """The extrapolated point ``(1 - lambda) old + lambda new``; lambda = 1 gives ``new``."""
     return new if lam == 1.0 else (1.0 - lam) * old + lam * new
-
-
-def _threshold(V, P):
-    """The threshold of ``P = project_l1_ball(V, eta)``, read off its input and output.
-
-    Kept entries satisfy ``|P| = |V| - tau``; the smallest such difference
-    errs low, which keeps the certificate conservative.  0 when nothing was
-    thresholded, i.e. when ``V`` was inside the ball.
-    """
-    kept = P != 0.0
-    if not kept.any():
-        return 0.0
-    return float(np.min(np.abs(V[kept]) - np.abs(P[kept])))
 
 
 class _WorkingSet:
@@ -243,8 +236,7 @@ class _WorkingSet:
         """Project on the rows alone; True when the result is certified, kept in ``P``."""
         # same product as X_C.T @ R, in the layout of the full gradient
         V = self.W - gamma * (R.T @ self.X).T
-        self.P = project_l1_ball(V, eta)
-        tau = _threshold(V, self.P)
+        self.P, tau = _shrink(V, eta)
         return tau > 0.0 and self.certifies(R, tau)
 
     def certifies(self, R, tau):
@@ -298,7 +290,7 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
             "of X, so it cannot be the spectral norm of X"
         )
     gamma = 1.0 / sigma_max**2
-    W_proj = project_l1_ball(W0, eta)
+    W_proj = _shrink(W0, eta)[0]
     # same product as X @ W_proj; for C-ordered X, OpenBLAS runs this layout faster
     R_proj = (W_proj.T @ X.T).T - Ymu
     trace = [offset + 0.5 * float(np.vdot(R_proj, R_proj))]
@@ -323,9 +315,8 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
             # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
             G = (R.T @ X).T
             V = W - gamma * G
-            W_proj = project_l1_ball(V, eta)
+            W_proj, tau = _shrink(V, eta)
             W = _relax(W, W_proj, lam)
-            tau = _threshold(V, W_proj)
             rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
             if tau > 0.0 and rows.size <= _WORKING_SET_FRACTION * W.shape[0]:
                 ws = _WorkingSet(X, norms, rows, W, R, G, gamma)

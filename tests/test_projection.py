@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
 
-from ksparse.projection import project_l1_ball, project_simplex
+from ksparse.projection import _shrink, project_l1_ball, project_simplex
 
 from oracles import l1_projection_oracle
+
+
+def _assert_shrink(w, eta):
+    """``_shrink`` gives the public projection's bits and the threshold it applied."""
+    P, tau = _shrink(w, eta)
+    np.testing.assert_array_equal(P, project_l1_ball(w, eta))
+    a = np.abs(w)
+    if a.sum() <= eta:
+        assert tau == 0.0
+    kept = P != 0.0
+    # kept entries are shrunk by tau, and every other entry is at most tau
+    np.testing.assert_allclose(np.abs(P[kept]), a[kept] - tau, rtol=0, atol=1e-15 * a.max())
+    assert np.all(a[~kept] <= tau)
+    for bad in (np.nan, np.inf, -np.inf):
+        v = w.copy()
+        v.flat[v.size // 2] = bad
+        with pytest.raises(ValueError, match="^input contains NaN or Inf entries$"):
+            _shrink(v, eta)
 
 
 class TestSimplex:
@@ -49,6 +67,7 @@ class TestL1Ball:
     def test_interior_unchanged(self):
         w = np.array([0.2, -0.3])
         np.testing.assert_array_equal(project_l1_ball(w, 1.0), w)
+        _assert_shrink(w, 1.0)
 
     def test_sign_restoration(self):
         np.testing.assert_allclose(project_l1_ball(np.array([-3.0, 1.0]), 2.0), [-2.0, 0.0])
@@ -83,10 +102,13 @@ class TestL1Ball:
         cases.append((0.25 * rng.integers(-3, 4, (5000, 8)), 3.0))
         sparse = rng.uniform(-5, 5, (5000, 8)) * (rng.random((5000, 8)) < 0.05)
         cases.append((sparse, 0.5 * np.abs(sparse).sum()))
+        # the same vectors and matrices inside the ball: eta above their l1 norm
+        cases += [(w, 1.5 * np.abs(w).sum()) for w, _ in cases[:20] + cases[-3:]]
         for w, eta in cases:
             got = project_l1_ball(w, eta).ravel(order="F")
             want = l1_projection_oracle(w.ravel(order="F"), eta)
             assert np.linalg.norm(got - want) <= 1e-9
+            _assert_shrink(w, eta)
 
     def test_no_better_feasible_point(self):
         # sampled competitors never come closer than the projection

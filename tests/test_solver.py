@@ -159,6 +159,18 @@ class TestFista:
         with pytest.raises(ValueError, match="W0 shape"):
             solve_weights_fista(X, labels, mu, np.zeros((4, 3)), 5, 1.0, sigma_max=1.0)
 
+    @pytest.mark.parametrize("bad", ["X", "mu", "W0"])
+    @pytest.mark.parametrize("n_iters", [0, 5])
+    def test_non_finite_input_rejected_at_entry(self, bad, n_iters):
+        X, labels, mu = _instance(17)
+        inputs = {"X": X, "mu": mu, "W0": default_weight_init(10, 3, 1.0)}
+        inputs[bad][1, 2] = np.nan
+        # sigma_max is given, so no spectral norm of X checks it first
+        with pytest.raises(ValueError, match=f"^{bad} contains NaN or Inf entries$"):
+            solve_weights_fista(
+                inputs["X"], labels, inputs["mu"], inputs["W0"], n_iters, 1.0, sigma_max=1.0
+            )
+
 
 class TestStep:
     """Both solvers step at 1/sigma_max^2, from a given or measured sigma_max."""
