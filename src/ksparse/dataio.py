@@ -174,21 +174,36 @@ def _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter):
         blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts[1:], cuts[2:])]
         with _forked(ctx, _parse_block, blocks) as children:
             try:
-                head, sample_ids = _parse_rows(
+                X, sample_ids = _parse_rows(
                     (line for _, line in rows), has_rownames, delimiter
                 )
-                parts = [head]
                 for child in children:
                     part, ids = child.result()
                     if len(part):
-                        parts.append(part)
+                        X = _append_rows(X, part)
+                    del part  # each part is freed as it lands
                     if has_rownames:
                         sample_ids += ids
-                # blocks of different widths are ragged, and np.concatenate refuses them
-                X = np.concatenate(parts) if len(parts) > 1 else head
             except ValueError:
                 return None, feature_names, None, delimiter
     return X, feature_names, sample_ids, delimiter
+
+
+def _append_rows(X, part):
+    """``X`` with the rows of ``part`` below, grown in place; ``X`` must not be shared.
+
+    Growing reallocates ``X``'s own buffer, which the allocator can extend
+    without a copy, so the join holds ``X``, ``part`` and no third matrix.
+    Raises ValueError when the widths differ: the blocks are ragged.
+    """
+    if part.shape[1] != X.shape[1]:
+        raise ValueError("blocks of different widths")
+    if not X.flags.owndata:  # resize grows only a buffer of its own
+        X = X.copy()
+    m = len(X)
+    X.resize((m + len(part), X.shape[1]), refcheck=False)
+    X[m:] = part
+    return X
 
 
 def _parse_rows(lines, has_rownames, delimiter):

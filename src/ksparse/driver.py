@@ -46,11 +46,11 @@ class SolverConfig:
     """Tuning knobs for :func:`k_sparse`.
 
     ``dbar`` is the projected-space dimensionality and defaults to ``k + 4``.
-    ``normalize`` divides the data by its spectral norm before the run.  The
-    gradient step is not a setting: the weight solves step at
-    ``1/sigma_max^2`` of the data they solve on, which is 1 after
-    normalization.  A feature counts as selected when its weight row norm
-    exceeds ``1e-10 * eta``.
+    ``normalize`` runs on the data divided by its spectral norm
+    ``sigma_max``: the weights and ``eta`` are on that scale.  The gradient
+    step is not a setting: the weight solves step at ``1/sigma_max^2`` of
+    the data they solve on.  A feature counts as selected when its weight
+    row norm exceeds ``1e-10 * eta``.
     """
 
     inner_iters: int = 300
@@ -144,9 +144,12 @@ def k_sparse(
 
     Measures the spectral norm ``sigma_max`` of X and passes it to the
     weight solves, which step at ``1/sigma_max^2``.  With ``cfg.normalize``
-    (the default) X is first divided by ``sigma_max``, so the step is 1;
-    otherwise the run works on the data's own scale.  When ``labels_true`` is given the
-    result carries accuracy/ARI/NMI against it.  Each call runs
+    (the default) the run is that on ``X / sigma_max``, and the weights are
+    on its scale; no copy of X is made for it: each solve runs on X itself
+    with the weights and ``eta`` divided by ``sigma_max``, which is the same
+    problem up to rounding.  Otherwise the run works on the data's own
+    scale.  When ``labels_true`` is given the result carries accuracy/ARI/NMI
+    against it.  Each call runs
     best-of-replicates k-means twice, for the start and in the first loop
     (module docstring), and once when ``cfg.outer_loops`` is 0.
     """
@@ -165,9 +168,9 @@ def k_sparse(
         labels_true = check_labels(labels_true, m=m)
 
     sigma_max = spectral_norm(X)
-    if cfg.normalize:
-        X = X / sigma_max
-        sigma_max = 1.0
+    # W lives on the scale of X / scale; the solves run on X itself with W /
+    # scale and eta / scale, so the run holds no normalized copy of X
+    scale = sigma_max if cfg.normalize else 1.0
 
     dbar = cfg.dbar if cfg.dbar is not None else k + 4
 
@@ -177,7 +180,7 @@ def k_sparse(
     # run positively homogeneous in eta, and the budget could never steer
     # the selected-feature count.
     init_cols = _top_variance_columns(X, dbar)
-    Z0 = X[:, init_cols]
+    Z0 = X[:, init_cols] / scale  # the columns of X / scale, bit for bit
     if Z0.shape[1] < dbar:
         Z0 = np.hstack([Z0, np.zeros((m, dbar - Z0.shape[1]))])
     best = best_of_replicates(Z0, k, cfg.replicates, cfg.seed)
@@ -186,18 +189,19 @@ def k_sparse(
     # [X, Y] while the labels stay the same
     design = _Design(X)
     W = default_weight_init(d, dbar, eta)
-    Z = X @ W
+    Z = X @ (W / scale)
     res0 = best.centers[best.labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
     for loop in range(cfg.outer_loops):
         report = solve_weights_fista(
-            design, best.labels, best.centers, W, cfg.inner_iters, eta, sigma_max=sigma_max
+            design, best.labels, best.centers, W / scale, cfg.inner_iters, eta / scale,
+            sigma_max=sigma_max,
         )
         # the accelerated solver is not monotone; never accept a worse endpoint
         if report.objective_trace[-1] <= report.objective_trace[0]:
-            W = report.final_weights
-        Z = X @ W
+            W = report.final_weights * scale
+        Z = X @ (W / scale)
 
         # candidates in tie order: the warm start, the fresh run, the previous labels
         S = _kmeans._samples(Z)

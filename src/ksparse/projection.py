@@ -5,6 +5,8 @@ Michelot (1986), which runs in expected linear time on typical inputs.  It
 computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
 sums to ``eta``.  ``_shrink``, the l1-ball projection without the public
 checks, also returns ``tau``, which the weight solver's certificate reads.
+The public projections take finite input whose magnitudes sum past the
+largest float through a scan on the gaps below its largest entry.
 """
 
 from __future__ import annotations
@@ -14,8 +16,23 @@ import numpy as np
 __all__ = ["project_simplex", "project_l1_ball"]
 
 
-def _tau_scan(v: np.ndarray, eta: float) -> float:
+def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float:
+    """The threshold ``tau`` with ``sum(max(v - tau, 0)) = eta``.
+
+    A positive ``lo`` is a guess below ``tau``.  When ``sum(max(v - lo, 0))``
+    exceeds ``eta`` by a margin, ``lo`` is below ``tau`` for certain, and the
+    filter starts from the entries above ``lo`` rather than from all of
+    ``v``; otherwise it starts cold.  Both starts hold the final active set,
+    and each pass's threshold is at most ``tau``, so the filter never drops
+    an entry of that set and both end on it; a set keeps its entries'
+    order, so its sum and ``tau`` have the same bits either way.
+    """
     active = v
+    if lo > 0.0:
+        above = v[v > lo]
+        # a sum of nonnegative terms, so its rounding is far inside the margin
+        if (above - lo).sum() >= eta * (1.0 + 1e-9):
+            active = above
     while True:
         tau = (active.sum() - eta) / active.size
         keep = active > tau
@@ -39,6 +56,8 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains NaN or Inf entries")
+    if _overflows(v):
+        return _gap_projection(v, eta)
     return np.maximum(v - _tau_scan(v, eta), 0.0)
 
 
@@ -57,11 +76,50 @@ def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
     W = np.asarray(W, dtype=float)
     if not np.all(np.isfinite(W)):
         raise ValueError("input contains NaN or Inf entries")
+    if _overflows(W):  # so outside the ball
+        shrunk = _gap_projection(np.abs(W).ravel(order="F"), eta)
+        return np.sign(W) * shrunk.reshape(W.shape, order="F")
     return _shrink(W, eta)[0]
 
 
-def _shrink(W: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
-    """``(project_l1_ball(W, eta), tau)``, ``tau`` 0.0 inside the ball; checks ``sum|W|`` only."""
+def _overflows(v: np.ndarray) -> bool:
+    """True when ``sum|v|`` of a finite ``v`` overflows."""
+    with np.errstate(over="ignore"):
+        return not np.isfinite(np.abs(v).sum())
+
+
+def _gap_projection(v: np.ndarray, eta: float) -> np.ndarray:
+    """``max(v - tau, 0)`` summing to eta, for a finite ``v`` whose sums overflow.
+
+    With ``M = max(v)`` the threshold is ``tau = M - c`` and the output is
+    ``c - g`` on the gaps ``g = M - v`` below ``c``, so the scan filters the
+    gaps: ``c = (eta + sum g) / n`` over the ``n`` active gaps.  The gaps
+    are taken on ``v`` scaled by a power of two near ``max|v|``, where no sum
+    overflows.  Entries tied at ``M`` get ``eta / n``, which ``v - tau``
+    would lose to rounding at the scale of ``v``.
+    """
+    s = np.ldexp(1.0, int(np.frexp(np.abs(v).max())[1]) - 1)  # max|v| / s in [1, 2)
+    g = v.max() / s - v / s
+    active = g
+    while True:
+        c = (eta / s + active.sum()) / active.size
+        keep = active < c
+        # no gap below c: the active gaps are equal, and eta / s rounds away beside them
+        if keep.all() or not keep.any():
+            break
+        active = active[keep]
+    n = active.size
+    out = np.zeros_like(g)
+    kept = g <= active.max()
+    out[kept] = eta / n + (active.sum() / n - g[kept]) * s
+    return out
+
+
+def _shrink(W: np.ndarray, eta: float, lo: float = 0.0) -> tuple[np.ndarray, float]:
+    """``(project_l1_ball(W, eta), tau)``, ``tau`` 0.0 inside the ball; checks ``sum|W|`` only.
+
+    ``lo`` is passed to the threshold scan (:func:`_tau_scan`).
+    """
     flat = W.ravel(order="F")
     a = np.abs(flat)
     total = np.sum(a)
@@ -71,6 +129,6 @@ def _shrink(W: np.ndarray, eta: float) -> tuple[np.ndarray, float]:
     # no-op despite rounding in the norm sum
     if total <= eta * (1.0 + 1e-12):
         return W.copy(), 0.0
-    tau = _tau_scan(a, eta)
+    tau = _tau_scan(a, eta, lo)
     out = np.sign(flat) * np.maximum(a - tau, 0.0)
     return (out.reshape(W.shape, order="F") if W.ndim > 1 else out), tau

@@ -11,6 +11,10 @@ Both step at ``gamma = 1/sigma_max^2``, one over the gradient's Lipschitz
 constant, with ``sigma_max`` the spectral norm of ``X``: given or measured,
 and rejected when provably too small (below the largest column norm of ``X``).
 
+Each projection's threshold scan starts from 0.9 times the last step's
+threshold where that provably lies below the new one, and gives the bits
+of a cold scan (:func:`ksparse.projection._tau_scan`).
+
 Working set.  When the projected weights keep few rows, most of the
 full-width gradient ``G = X.T @ R`` only confirms that a row stays zero.
 So after a full step with threshold ``tau`` (the projection returns it with
@@ -63,7 +67,11 @@ residual differences ``||R_j - R_ref_j||``, so the working-set certificate
 holds on ``X_r`` unchanged.  ``F`` depends on the labels and not on
 ``mu``, so a run that passes the same :class:`_Design` to every solve
 factors once per label set: the labels stop moving after a few outer
-loops, while ``mu`` changes in each.
+loops, while ``mu`` changes in each.  Above a few MiB, ``[X, Y]`` is never
+formed: its factor is built over blocks of rows, each stacked under the
+factor of the rows above it (sequential TSQR; Demmel, Grigori, Hoemmen and
+Langou, 2012).  Only ``F.T F = [X, Y].T [X, Y]`` and the triangular shape
+enter the reduction, so any such ``F`` serves.
 """
 
 from __future__ import annotations
@@ -92,6 +100,11 @@ _CANDIDATE_FRACTION = 0.8
 _WORKING_SET_FRACTION = 0.2
 # relative margin of the certificate against rounding in its bound
 _CERTIFICATE_SLACK = 1e-9
+# each threshold scan starts from this fraction of the last step's threshold
+_TAU_HINT = 0.9
+# [X, Y] above this size is factored in row blocks of about a quarter of its
+# rows, so that no m x (d + k) matrix is formed (the scale of dataio's split)
+_FACTOR_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -154,14 +167,37 @@ class _Design:
         """``(F[:d, :d], F[:d, d:], F[d:, d:])`` of ``[X, Y] = Q F``, ``Y`` one-hot in k columns."""
         # checked labels occupy all k clusters, so equal labels mean equal k
         if self._factor is None or not np.array_equal(labels, self._labels):
-            m, d = self.X.shape
-            A = np.zeros((m, d + k))
-            A[:, :d] = self.X
-            A[np.arange(m), d + labels] = 1.0
-            F = np.linalg.qr(A, mode="r")
+            d = self.X.shape[1]
+            F = _stacked_r(self.X, labels, k)
             self._labels = labels.copy()
             self._factor = (np.ascontiguousarray(F[:d, :d]), F[:d, d:].copy(), F[d:, d:].copy())
         return self._factor
+
+
+def _stacked_r(X, labels, k):
+    """The R factor of ``[X, Y]``, ``Y`` one-hot in k columns, without forming ``[X, Y]``.
+
+    Up to :data:`_FACTOR_BLOCK_BYTES` it is one QR of the whole matrix.
+    Above, it is sequential TSQR: each block of rows is stacked under the R
+    factor of the rows before it, and the stack's R factor carries on.  The
+    result is upper triangular with the same Gram matrix ``F.T F = [X, Y].T
+    [X, Y]``, which is all the solves use of it.
+    """
+    m, d = X.shape
+    n = d + k
+    rows = m if m * n * 8 <= _FACTOR_BLOCK_BYTES else max(-(-m // 4), 4 * n)
+    top = n if rows < m else 0  # the carried R factor sits above each later block
+    S = np.empty((top + min(rows, m), n))
+    F = S[:0]
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        S[: len(F)] = F
+        B = S[len(F) : len(F) + hi - lo]
+        B[:, :d] = X[lo:hi]
+        B[:, d:] = 0.0
+        B[np.arange(hi - lo), d + labels[lo:hi]] = 1.0
+        F = np.linalg.qr(S[: len(F) + hi - lo], mode="r")
+    return F
 
 
 def _prepare(X, labels, mu, W0, n_iters, eta, sigma_max):
@@ -232,12 +268,16 @@ class _WorkingSet:
         # columnwise maxima give a cheap first check, which usually settles the zero rows
         self.zero_caps = (self.gG_zero.max(axis=0), self.gx_zero.max()) if zero.size else None
 
-    def step(self, R, gamma, eta):
-        """Project on the rows alone; True when the result is certified, kept in ``P``."""
+    def step(self, R, gamma, eta, lo):
+        """Project on the rows alone; True when the result is certified, kept in ``P``.
+
+        ``lo`` is the threshold scan's guess (:func:`_tau_scan`), and the
+        threshold is kept in ``tau``.
+        """
         # same product as X_C.T @ R, in the layout of the full gradient
         V = self.W - gamma * (R.T @ self.X).T
-        self.P, tau = _shrink(V, eta)
-        return tau > 0.0 and self.certifies(R, tau)
+        self.P, self.tau = _shrink(V, eta, lo)
+        return self.tau > 0.0 and self.certifies(R, self.tau)
 
     def certifies(self, R, tau):
         """True when every excluded entry of the full ``V`` is provably at most ``tau``."""
@@ -290,7 +330,7 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
             "of X, so it cannot be the spectral norm of X"
         )
     gamma = 1.0 / sigma_max**2
-    W_proj = _shrink(W0, eta)[0]
+    W_proj, tau = _shrink(W0, eta)
     # same product as X @ W_proj; for C-ordered X, OpenBLAS runs this layout faster
     R_proj = (W_proj.T @ X.T).T - Ymu
     trace = [offset + 0.5 * float(np.vdot(R_proj, R_proj))]
@@ -304,7 +344,10 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
     for n in range(n_iters):
         if accelerated:
             t, lam = momentum_schedule(n, t)
-        if ws is not None and ws.step(R, gamma, eta):
+        # the threshold moves little from step to step, so the last one starts its scan
+        lo = _TAU_HINT * tau
+        if ws is not None and ws.step(R, gamma, eta, lo):
+            tau = ws.tau
             W_proj = None  # held by ws until needed
             R_proj = ws.X @ ws.P - Ymu
             ws.relax(lam)
@@ -315,7 +358,7 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
             # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
             G = (R.T @ X).T
             V = W - gamma * G
-            W_proj, tau = _shrink(V, eta)
+            W_proj, tau = _shrink(V, eta, lo)
             W = _relax(W, W_proj, lam)
             rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
             if tau > 0.0 and rows.size <= _WORKING_SET_FRACTION * W.shape[0]:

@@ -191,20 +191,25 @@ class TestStep:
 
     @staticmethod
     def _spy(monkeypatch):
+        """Record each solve's ``(X, eta, sigma_max)``."""
         real = driver.solve_weights_fista
         calls = []
 
         def spy(X, labels, mu, W0, n_iters, eta, *, sigma_max=None):
-            calls.append(sigma_max)
+            calls.append((X.X, eta, sigma_max))
             return real(X, labels, mu, W0, n_iters, eta, sigma_max=sigma_max)
 
         monkeypatch.setattr(driver, "solve_weights_fista", spy)
         return calls
 
     def test_unit_step_after_normalization(self, two_cluster_ds, monkeypatch):
+        # the run on X / sigma solves on X itself, with eta / sigma and X's own sigma
+        X = two_cluster_ds.matrix
+        sigma = spectral_norm(X)
         calls = self._spy(monkeypatch)
-        k_sparse(two_cluster_ds.matrix, 2, 0.3, FAST)
-        assert calls == [1.0] * FAST.outer_loops
+        k_sparse(X, 2, 0.3, FAST)
+        assert [(e, s) for _, e, s in calls] == [(0.3 / sigma, sigma)] * FAST.outer_loops
+        assert all(np.shares_memory(Xs, X) for Xs, _, _ in calls)
 
     def test_raw_scale_step(self, two_cluster_ds, monkeypatch):
         X = two_cluster_ds.matrix
@@ -213,7 +218,7 @@ class TestStep:
         calls = self._spy(monkeypatch)
         cfg = SolverConfig(replicates=8, inner_iters=120, outer_loops=5, normalize=False)
         res = k_sparse(X, 2, 0.3, cfg, labels_true=two_cluster_ds.labels_true)
-        assert calls == [sigma] * cfg.outer_loops
+        assert [(e, s) for _, e, s in calls] == [(0.3, sigma)] * cfg.outer_loops
         assert np.all(np.diff(res.objective_trace) <= 0)
         assert res.metrics["accuracy"] == 1.0
 
@@ -232,6 +237,38 @@ class TestStep:
             # the old (..., n_iters, gamma, eta) call must not read gamma as eta
             with pytest.raises(TypeError):
                 solve(X, labels, mu, W0, 5, 1.0, 1.0)
+
+
+class TestOneCopy:
+    """With normalize, the run is that on X / sigma_max, and it holds X once."""
+
+    # a wide and a tall make-up
+    @pytest.mark.parametrize("m, d", [(60, 300), (400, 20)])
+    def test_same_run_as_on_normalized_data(self, m, d):
+        ds = generate_synthetic(
+            SyntheticSpec(m=m, d=d, k=3, n_informative=6, shift=2.0, noise_sd=1.0, seed=5)
+        )
+        X = ds.matrix
+        here = k_sparse(X, 3, 0.5, FAST)
+        there = k_sparse(X / spectral_norm(X), 3, 0.5, dataclasses.replace(FAST, normalize=False))
+        np.testing.assert_array_equal(here.labels, there.labels)
+        np.testing.assert_array_equal(here.selected_features, there.selected_features)
+        assert here.selected_features.size > 0
+        W_err = np.abs(here.weights - there.weights).max()
+        assert W_err <= 1e-10 * np.abs(there.weights).max()
+        np.testing.assert_allclose(here.objective_trace, there.objective_trace, rtol=1e-10)
+
+    def test_no_matrix_sized_temporary(self):
+        X = generate_synthetic(
+            SyntheticSpec(m=200, d=4000, k=3, n_informative=20, seed=2)
+        ).matrix
+        tracemalloc.start()
+        try:
+            k_sparse(X, 3, 1.0, FAST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 class TestSharedDesign:

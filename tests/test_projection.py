@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ksparse.projection import _shrink, project_l1_ball, project_simplex
+from ksparse.projection import _shrink, _tau_scan, project_l1_ball, project_simplex
 
 from oracles import l1_projection_oracle
 
@@ -61,6 +61,24 @@ class TestSimplex:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             project_simplex(np.array([np.nan, 1.0]), 1.0)
+
+    def test_sum_overflow(self):
+        # finite entries whose sum overflows; a warning would fail the test
+        w = project_simplex(np.array([1e308, 1e308, 1.0]), 1.0)
+        np.testing.assert_array_equal(w, [0.5, 0.5, 0.0])
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            v = rng.uniform(-1.9, 1.9, rng.integers(20, 40))
+            eta = rng.uniform(0.01, 1.5)
+            # |v| sums above 4, which overflows at 2**1022; scaling by a power
+            # of two is exact, so the projection scales with it
+            assert np.abs(v).sum() > 4
+            got = project_simplex(np.ldexp(v, 1022), np.ldexp(eta, 1022))
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(
+                np.ldexp(got, -1022), project_simplex(v, eta), rtol=0, atol=1e-14 * eta
+            )
+            assert np.ldexp(got.sum(), -1022) == pytest.approx(eta, rel=1e-12)
 
 
 class TestL1Ball:
@@ -162,9 +180,64 @@ class TestL1Ball:
             out = project_l1_ball(w, eta)
             assert abs(np.abs(out).sum() - eta) <= 1e-12 * max(1.0, eta)
 
+    def test_magnitude_sum_overflow(self):
+        # finite entries whose l1 norm overflows; a warning would fail the test
+        out = project_l1_ball(np.array([1e308, -1e308, 1.0]), 1.0)
+        np.testing.assert_array_equal(out, [0.5, -0.5, 0.0])
+        rng = np.random.default_rng(10)
+        for shape in [(17,), (40,), (40, 3)]:
+            w = rng.uniform(-1.9, 1.9, shape)
+            eta = rng.uniform(0.05, 1.5)
+            # as in TestSimplex::test_sum_overflow
+            assert np.abs(w).sum() > 4
+            got = project_l1_ball(np.ldexp(w, 1022), np.ldexp(eta, 1022))
+            assert got.shape == w.shape and np.all(np.isfinite(got))
+            np.testing.assert_allclose(
+                np.ldexp(got, -1022), project_l1_ball(w, eta), rtol=0, atol=1e-14 * eta
+            )
+            assert np.ldexp(np.abs(got).sum(), -1022) == pytest.approx(eta, rel=1e-12)
+
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             project_l1_ball(np.ones(3), 0.0)
         for eta, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
             with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {shown}$"):
                 project_l1_ball(np.ones((3, 2)), eta)
+
+
+class TestThresholdGuess:
+    """A scan started from a guess below tau gives the cold scan's bits."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(11)
+        cases = [(rng.uniform(0, 5, rng.integers(2, 60)), rng.uniform(0.01, 3.0))
+                 for _ in range(300)]
+        for a in (np.abs(rng.standard_normal(40000)), 0.25 * rng.integers(0, 4, 40000),
+                  np.abs(rng.uniform(-5, 5, 40000)) * (rng.random(40000) < 0.05)):
+            cases += [(a, eta) for eta in (0.5, 3.0, 0.5 * a.sum())]
+        return [(a, eta) for a, eta in cases if a.sum() > eta]
+
+    def test_guess_below_tau(self):
+        for a, eta in self._cases():
+            tau = _tau_scan(a, eta)
+            for f in (1e-6, 0.5, 0.9, 0.999, 1.0 - 1e-12):
+                assert _tau_scan(a, eta, f * tau) == tau
+
+    def test_guess_at_or_above_tau_falls_back(self):
+        for a, eta in self._cases():
+            tau = _tau_scan(a, eta)
+            # at tau the excess is eta itself, inside the margin: the scan starts cold
+            for lo in (tau, np.nextafter(tau, 0.0), 1.1 * tau, 2.0 * a.max()):
+                assert _tau_scan(a, eta, lo) == tau
+
+    def test_shrink_with_guess(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            W = rng.uniform(-5, 5, (rng.integers(1, 300), 8))
+            eta = rng.uniform(0.05, 0.5) * np.abs(W).sum()
+            P, tau = _shrink(W, eta)
+            for lo in (0.9 * tau, 2.0 * tau):
+                P_lo, tau_lo = _shrink(W, eta, lo)
+                assert tau_lo == tau
+                np.testing.assert_array_equal(P_lo, P)

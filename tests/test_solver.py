@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,6 +353,53 @@ class TestWorkingSet:
         assert rep.full_gradients == 0
 
 
+class TestThresholdGuess:
+    """Each projection's scan starts from the last threshold, with the cold scan's bits."""
+
+    @staticmethod
+    def _solves():
+        """Paper-like wide solves and a tall one, from the default start."""
+        for seed in range(6):
+            X, labels, mu = _screening_instance(seed)
+            yield X, labels, mu, 1.0
+        X, labels, mu = _instance(30, m=300, d=40, dbar=4, k=3)
+        yield X, labels, mu, 0.4
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_every_iterate_bitwise_cold(self, monkeypatch, accelerated):
+        real = ksparse.solver._shrink
+        guessed = []
+
+        def spy(V, eta, lo=0.0):
+            P, tau = real(V, eta, lo)
+            cold_P, cold_tau = real(V, eta)
+            assert tau == cold_tau
+            np.testing.assert_array_equal(P, cold_P)
+            guessed.append(0.0 < lo < tau)
+            return P, tau
+
+        monkeypatch.setattr(ksparse.solver, "_shrink", spy)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        for X, labels, mu, eta in self._solves():
+            W0 = default_weight_init(X.shape[1], mu.shape[1], eta)
+            solve(X, labels, mu, W0, 80, eta, sigma_max=1.0)
+        # most scans start from the guess
+        assert sum(guessed) > 0.8 * len(guessed)
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_solve_bitwise_cold(self, monkeypatch, accelerated):
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        for X, labels, mu, eta in self._solves():
+            W0 = default_weight_init(X.shape[1], mu.shape[1], eta)
+            guessed = solve(X, labels, mu, W0, 80, eta, sigma_max=1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(ksparse.solver, "_TAU_HINT", 0.0)  # every scan cold
+                cold = solve(X, labels, mu, W0, 80, eta, sigma_max=1.0)
+            np.testing.assert_array_equal(guessed.final_weights, cold.final_weights)
+            np.testing.assert_array_equal(guessed.objective_trace, cold.objective_trace)
+            assert guessed.full_gradients == cold.full_gradients
+
+
 def _qr_spy(patch):
     """Record the shape of every matrix the solver factors; returns the list."""
     shapes = []
@@ -394,6 +442,36 @@ class TestTallReduction:
         labels = np.arange(m) % k
         mu = rng.standard_normal((k, dbar))
         assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d + k)]
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_row_blocks_rank_deficient_match_reference(self, monkeypatch, accelerated):
+        # [X, Y] above the block threshold, in four blocks, the last one short
+        rng = np.random.default_rng(22)
+        m, d, dbar, k = 20003, 30, 4, 3
+        n = d + k
+        assert m * n * 8 > ksparse.solver._FACTOR_BLOCK_BYTES
+        X = rng.standard_normal((m, d))
+        X[:, 5] = X[:, 2]  # duplicated column
+        X[:, 7] = 0.0  # all-zero column
+        X /= spectral_norm(X)
+        labels = np.arange(m) % k
+        mu = rng.standard_normal((k, dbar))
+        rows = -(-m // 4)
+        shapes = _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80)
+        assert shapes == [(rows, n)] + [(n + rows, n)] * 2 + [(n + m - 3 * rows, n)]
+
+    def test_row_blocks_form_no_design_sized_matrix(self):
+        rng = np.random.default_rng(23)
+        m, d, k = 20003, 30, 3
+        X = rng.standard_normal((m, d))
+        labels = np.arange(m) % k
+        tracemalloc.start()
+        try:
+            ksparse.solver._Design(X).factor(labels, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (d + k) * 8
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
