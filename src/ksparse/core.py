@@ -159,7 +159,16 @@ def spectral_norm(X: np.ndarray) -> float:
         raise ValueError("matrix contains NaN or Inf entries")
     if not np.any(X):
         raise ValueError("spectral norm of an all-zero matrix is undefined here")
-    G = X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+    return _gram_norm(_gram(X))
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of X: ``X @ X.T`` when ``m <= d``, else ``X.T @ X``."""
+    return X @ X.T if X.shape[0] <= X.shape[1] else X.T @ X
+
+
+def _gram_norm(G: np.ndarray) -> float:
+    """The spectral norm of X from a Gram matrix ``G`` of it."""
     return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
 
 

@@ -5,8 +5,9 @@ Michelot (1986), which runs in expected linear time on typical inputs.  It
 computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
 sums to ``eta``.  ``_shrink``, the l1-ball projection without the public
 checks, also returns ``tau``, which the weight solver's certificate reads.
-The public projections take finite input whose magnitudes sum past the
-largest float through a scan on the gaps below its largest entry.
+Finite input whose magnitudes sum past the largest float, and an ``eta``
+below the rounding of the entries it is shared among, go through a scan on
+the gaps below the largest entry instead.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 __all__ = ["project_simplex", "project_l1_ball"]
 
 
-def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float:
-    """The threshold ``tau`` with ``sum(max(v - tau, 0)) = eta``.
+def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float | None:
+    """The threshold ``tau`` with ``sum(max(v - tau, 0)) = eta``, or None.
 
     A positive ``lo`` is a guess below ``tau``.  When ``sum(max(v - lo, 0))``
     exceeds ``eta`` by a margin, ``lo`` is below ``tau`` for certain, and the
@@ -26,6 +27,10 @@ def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float:
     and each pass's threshold is at most ``tau``, so the filter never drops
     an entry of that set and both end on it; a set keeps its entries'
     order, so its sum and ``tau`` have the same bits either way.
+
+    None means a pass kept no entry: ``eta`` is below the rounding of the
+    entries it is shared among, so ``v - tau`` cannot give the output, and
+    :func:`_gap_projection` does.
     """
     active = v
     if lo > 0.0:
@@ -33,12 +38,13 @@ def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float:
         # a sum of nonnegative terms, so its rounding is far inside the margin
         if (above - lo).sum() >= eta * (1.0 + 1e-9):
             active = above
-    while True:
+    while active.size:
         tau = (active.sum() - eta) / active.size
         keep = active > tau
         if keep.all():
             return tau
         active = active[keep]
+    return None
 
 
 def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
@@ -56,9 +62,8 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains NaN or Inf entries")
-    if _overflows(v):
-        return _gap_projection(v, eta)
-    return np.maximum(v - _tau_scan(v, eta), 0.0)
+    tau = None if _overflows(v) else _tau_scan(v, eta)
+    return _gap_projection(v, eta) if tau is None else np.maximum(v - tau, 0.0)
 
 
 def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
@@ -89,7 +94,10 @@ def _overflows(v: np.ndarray) -> bool:
 
 
 def _gap_projection(v: np.ndarray, eta: float) -> np.ndarray:
-    """``max(v - tau, 0)`` summing to eta, for a finite ``v`` whose sums overflow.
+    """``max(v - tau, 0)`` summing to eta, where ``v - tau`` cannot give it.
+
+    That is a finite ``v`` whose sums overflow, or an ``eta`` below the
+    rounding of the entries it is shared among.
 
     With ``M = max(v)`` the threshold is ``tau = M - c`` and the output is
     ``c - g`` on the gaps ``g = M - v`` below ``c``, so the scan filters the
@@ -130,5 +138,10 @@ def _shrink(W: np.ndarray, eta: float, lo: float = 0.0) -> tuple[np.ndarray, flo
     if total <= eta * (1.0 + 1e-12):
         return W.copy(), 0.0
     tau = _tau_scan(a, eta, lo)
-    out = np.sign(flat) * np.maximum(a - tau, 0.0)
+    if tau is None:
+        shrunk = _gap_projection(a, eta)
+        tau = float(a.max() - shrunk.max())  # a kept entry's a - out, to rounding
+    else:
+        shrunk = np.maximum(a - tau, 0.0)
+    out = np.sign(flat) * shrunk
     return (out.reshape(W.shape, order="F") if W.ndim > 1 else out), tau

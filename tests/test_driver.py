@@ -272,41 +272,62 @@ class TestOneCopy:
 
 
 class TestSharedDesign:
-    """k_sparse passes one design to every solve; on tall data it factors [X, Y] once per label set."""
+    """k_sparse passes one design to every solve; on tall data it forms X.T @ X once per run."""
 
     @staticmethod
     def _spy(monkeypatch, fresh):
-        """Record each solve's labels and count the solver's QR calls.
+        """Record each solve's labels and the shape of every matrix whose Gram is formed.
 
         With ``fresh`` every solve gets the bare matrix, so it prepares a design of its own.
         """
         real = driver.solve_weights_fista
-        qr = np.linalg.qr
-        seen, factored = [], []
+        gram = ksparse.core._gram
+        seen, grams = [], []
 
         def solve(X, labels, *args, **kwargs):
             seen.append(np.array(labels))
             return real(X.X if fresh else X, labels, *args, **kwargs)
 
-        def spy_qr(A, *args, **kwargs):
-            factored.append(A.shape)
-            return qr(A, *args, **kwargs)
+        def spy_gram(A):
+            grams.append(A.shape)
+            return gram(A)
 
         monkeypatch.setattr(driver, "solve_weights_fista", solve)
-        monkeypatch.setattr(ksparse.solver.np.linalg, "qr", spy_qr)
-        return seen, factored
+        monkeypatch.setattr(ksparse.core, "_gram", spy_gram)
+        return seen, grams
 
-    def test_tall_factors_once_per_label_set(self, monkeypatch):
+    def test_tall_forms_one_gram_per_run(self, monkeypatch):
         ds = generate_synthetic(
             SyntheticSpec(m=150, d=20, k=3, n_informative=4, shift=2.5, noise_sd=1.0, seed=0)
         )
         cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=8)
-        seen, factored = self._spy(monkeypatch, fresh=False)
+        seen, grams = self._spy(monkeypatch, fresh=False)
         k_sparse(ds.matrix, 3, 1.0, cfg)
         assert len(seen) == cfg.outer_loops
         changed = sum(not np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
         assert 0 < changed < cfg.outer_loops - 1  # loops of both kinds ran
-        assert factored == [(150, 20 + 3)] * (1 + changed)
+        # the spectral norm and every solve share one X.T @ X, whatever the labels
+        assert grams == [(150, 20)]
+
+    # 400 x 20 is tall, 20 x 60 wide, and 16 x 14 has m > d but d + dbar > m
+    @pytest.mark.parametrize("m, d", [(400, 20), (20, 60), (16, 14)])
+    def test_spectral_norm_from_the_design(self, monkeypatch, m, d):
+        X = np.random.default_rng(3).standard_normal((m, d))
+        sigma = spectral_norm(X)
+        assert ksparse.solver._Design(X).spectral_norm() == sigma
+        # k_sparse passes that very value to every solve, from one Gram
+        _, grams = self._spy(monkeypatch, fresh=False)
+        sigmas = []
+        real = driver.solve_weights_fista
+
+        def spy(*args, sigma_max=None):
+            sigmas.append(sigma_max)
+            return real(*args, sigma_max=sigma_max)
+
+        monkeypatch.setattr(driver, "solve_weights_fista", spy)
+        k_sparse(X, 2, 0.5, FAST)
+        assert sigmas == [sigma] * FAST.outer_loops
+        assert grams == [(m, d)]
 
     # 40 x 60 is wide (d + dbar > m); 150 x 20 is tall
     @pytest.mark.parametrize("m, d", [(40, 60), (150, 20)])
@@ -318,16 +339,15 @@ class TestSharedDesign:
         runs = []
         for fresh in (False, True):
             with monkeypatch.context() as patch:
-                _, factored = self._spy(patch, fresh)
-                runs.append((k_sparse(ds.matrix, 3, 0.5, cfg), len(factored)))
-        (shared, shared_qr), (each, each_qr) = runs
+                _, grams = self._spy(patch, fresh)
+                runs.append((k_sparse(ds.matrix, 3, 0.5, cfg), grams))
+        (shared, shared_grams), (each, each_grams) = runs
         np.testing.assert_array_equal(shared.labels, each.labels)
         np.testing.assert_array_equal(shared.weights, each.weights)
         np.testing.assert_array_equal(shared.objective_trace, each.objective_trace)
-        if m < d:
-            assert shared_qr == each_qr == 0
-        else:
-            assert shared_qr < each_qr == cfg.outer_loops
+        # the spectral norm's Gram, and on tall data one more per fresh design
+        assert shared_grams == [(m, d)]
+        assert each_grams == [(m, d)] * (1 if m < d else 1 + cfg.outer_loops)
 
 
 class TestSharedSamples:

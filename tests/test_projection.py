@@ -80,6 +80,13 @@ class TestSimplex:
             )
             assert np.ldexp(got.sum(), -1022) == pytest.approx(eta, rel=1e-12)
 
+    def test_budget_below_rounding(self):
+        # as in TestL1Ball::test_budget_below_rounding; a warning would fail the test
+        out = project_simplex(np.array([1.0, 1.0]), 1e-20)
+        assert np.all(np.isfinite(out))
+        assert out.sum() == pytest.approx(1e-20, rel=1e-15)
+        np.testing.assert_allclose(out, [5e-21, 5e-21], rtol=1e-15)
+
 
 class TestL1Ball:
     def test_interior_unchanged(self):
@@ -196,6 +203,24 @@ class TestL1Ball:
                 np.ldexp(got, -1022), project_l1_ball(w, eta), rtol=0, atol=1e-14 * eta
             )
             assert np.ldexp(np.abs(got).sum(), -1022) == pytest.approx(eta, rel=1e-12)
+
+    # eta below the rounding of the entries it is shared among: a pass of the
+    # scan keeps no entry, and the gap scan gives the output; a warning would
+    # fail the test
+    @pytest.mark.parametrize("w, eta, want", [
+        ([1e17, 0.0], 1.0, [1.0, 0.0]),
+        ([1e16, 3.0], 1.0, [1.0, 0.0]),
+        ([1e6, 1e6], 1e-11, [5e-12, 5e-12]),
+        ([1e300, 1e300], 1.0, [0.5, 0.5]),
+    ])
+    def test_budget_below_rounding(self, w, eta, want):
+        out = project_l1_ball(np.array(w), eta)
+        shrunk, tau = _shrink(np.array(w), eta)
+        assert np.all(np.isfinite(out))
+        assert out.sum() == pytest.approx(eta, rel=1e-15)
+        np.testing.assert_allclose(out, want, rtol=1e-15)
+        np.testing.assert_array_equal(shrunk, out)
+        assert 0.0 < tau < np.inf
 
     def test_bad_eta(self):
         with pytest.raises(ValueError):

@@ -260,12 +260,12 @@ class TestTextbookForm:
 
 
 def _screening_instance(seed, m=30, d=400, dbar=3, k=3):
-    """Planted clusters in d >> m, with exact duplicate columns and four columns scaled 20x."""
+    """Planted clusters, by default in d >> m, with exact duplicate columns and four columns scaled 20x."""
     rng = np.random.default_rng(seed)
     labels = np.arange(m) % k
     X = rng.standard_normal((m, d))
-    X[:, :20] += 2.0 * labels[:, None]
-    X[:, 200:260] = X[:, :60]
+    X[:, : d // 20] += 2.0 * labels[:, None]
+    X[:, d // 2 : d // 2 + 3 * d // 20] = X[:, : 3 * d // 20]
     X[:, rng.choice(d, 4, replace=False)] *= 20.0
     X /= spectral_norm(X)
     mu = centroids(labels, 30.0 * X[:, rng.choice(d, dbar, replace=False)], k)
@@ -303,6 +303,51 @@ class TestWorkingSet:
         assert sum(full) < 60 * 60
         assert max(full) > 1
 
+    @pytest.mark.parametrize("accelerated", [False, True])
+    @pytest.mark.parametrize("eta", [0.2, 1.0])
+    def test_certificate_stress_tall(self, monkeypatch, accelerated, eta):
+        # m = 2d runs the loop on X.T X, whose certificate bounds by ||H[i, S]||
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        opened = []
+        init = ksparse.solver._WorkingSet.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            opened.append(self.H.shape)
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
+        full = []
+        for seed in range(60):
+            X, labels, mu = _screening_instance(seed, m=120, d=60)
+            W0 = default_weight_init(60, 3, eta)
+            rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
+            _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
+            full.append(rep.full_gradients)
+        assert opened
+        assert sum(full) < 60 * 60
+        assert max(full) > 1
+
+    def test_tall_bound_reads_rows_and_ghosts(self, monkeypatch):
+        # on X.T X, G_ij - G_ref_ij = H[i, S] (W_S - W_ref_S) with S the rows
+        # and the ghosts, so each excluded row's scale is ||H[i, S]||
+        opened = []
+        init = ksparse.solver._WorkingSet.__init__
+
+        def spy(self, design, rows, W, G_ref, gamma):
+            init(self, design, rows, W, G_ref, gamma)
+            opened.append((self, design.gram, gamma))
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
+        X, labels, mu = self._decaying_instance()
+        W0 = default_weight_init(60, 6, 20.0)
+        solve_weights_fista(X, labels, mu, W0, 100, 20.0, sigma_max=1.0)
+        assert any(ws.ghosts.size for ws, _, _ in opened)
+        for ws, H, gamma in opened:
+            zero = np.setdiff1d(np.arange(60), ws.S)
+            for rows, scale in ((ws.ghosts, ws.ga_ghost), (zero, ws.ga_zero)):
+                want = gamma * np.linalg.norm(H[np.ix_(rows, ws.S)], axis=1)
+                np.testing.assert_allclose(scale[:, 0], want, rtol=1e-14)
+
     def test_engages_when_d_much_larger_than_m(self):
         X, labels, mu = _screening_instance(3)
         rep = solve_weights_fista(
@@ -320,9 +365,10 @@ class TestWorkingSet:
         assert rep.full_gradients == 60
         _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
 
-    def test_every_excluded_row_carries_weight(self, monkeypatch):
-        # decaying column scales: FISTA's extrapolation leaves weight on every
-        # row outside the candidates when the set reopens
+    @staticmethod
+    def _decaying_instance():
+        """Decaying column scales: FISTA's extrapolation leaves weight on every
+        row outside the candidates when the set reopens."""
         rng = np.random.default_rng(1)
         m, d, dbar, k = 120, 60, 6, 3
         X = rng.standard_normal((m, d)) / np.arange(1, d + 1)
@@ -330,6 +376,11 @@ class TestWorkingSet:
         labels = rng.integers(0, k, m)
         labels[:k] = np.arange(k)
         mu = centroids(labels, rng.standard_normal((m, dbar)), k)
+        return X, labels, mu
+
+    def test_every_excluded_row_carries_weight(self, monkeypatch):
+        X, labels, mu = self._decaying_instance()
+        d, dbar = X.shape[1], mu.shape[1]
         opened = []
         init = ksparse.solver._WorkingSet.__init__
 
@@ -400,25 +451,25 @@ class TestThresholdGuess:
             assert guessed.full_gradients == cold.full_gradients
 
 
-def _qr_spy(patch):
-    """Record the shape of every matrix the solver factors; returns the list."""
+def _gram_spy(patch):
+    """Record the shape of every matrix whose Gram is formed; returns the list."""
     shapes = []
-    qr = ksparse.solver.np.linalg.qr
+    gram = ksparse.core._gram
 
-    def spy(A, *args, **kwargs):
+    def spy(A):
         shapes.append(A.shape)
-        return qr(A, *args, **kwargs)
+        return gram(A)
 
-    patch.setattr(ksparse.solver.np.linalg, "qr", spy)
+    patch.setattr(ksparse.core, "_gram", spy)
     return shapes
 
 
 def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
-    """Solve from the default start against the reference loop; returns the QR input shapes."""
+    """Solve from the default start against the reference loop; returns the Gram input shapes."""
     W0 = default_weight_init(X.shape[1], mu.shape[1], eta)
     solve = solve_weights_fista if accelerated else solve_weights_ista
     with monkeypatch.context() as patch:
-        shapes = _qr_spy(patch)
+        shapes = _gram_spy(patch)
         rep = solve(X, labels, mu, W0, n_iters, eta, sigma_max=1.0)
     ref_W, ref_trace = projected_gradient_reference(
         X, labels, mu, W0, n_iters, 1.0, eta, accelerated
@@ -429,7 +480,12 @@ def _tall_run(monkeypatch, X, labels, mu, eta, accelerated, n_iters):
 
 
 class TestTallReduction:
-    """On tall X the loop runs on the R factor of [X, Y] and gives the same iterates."""
+    """On tall X the loop runs on H = X.T X and gives the same iterates.
+
+    The solve forms ``H`` once and no m x d temporary; ``b = X.T Y mu``
+    comes from a k x m one-hot.  The trace's first and last entries are
+    computed on ``X`` itself.
+    """
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_rank_deficient_matches_reference(self, monkeypatch, accelerated):
@@ -441,37 +497,35 @@ class TestTallReduction:
         X /= spectral_norm(X)
         labels = np.arange(m) % k
         mu = rng.standard_normal((k, dbar))
-        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d + k)]
+        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d)]
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    def test_row_blocks_rank_deficient_match_reference(self, monkeypatch, accelerated):
-        # [X, Y] above the block threshold, in four blocks, the last one short
+    def test_large_rank_deficient_matches_reference(self, monkeypatch, accelerated):
         rng = np.random.default_rng(22)
         m, d, dbar, k = 20003, 30, 4, 3
-        n = d + k
-        assert m * n * 8 > ksparse.solver._FACTOR_BLOCK_BYTES
         X = rng.standard_normal((m, d))
         X[:, 5] = X[:, 2]  # duplicated column
         X[:, 7] = 0.0  # all-zero column
         X /= spectral_norm(X)
         labels = np.arange(m) % k
         mu = rng.standard_normal((k, dbar))
-        rows = -(-m // 4)
-        shapes = _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80)
-        assert shapes == [(rows, n)] + [(n + rows, n)] * 2 + [(n + m - 3 * rows, n)]
+        assert _tall_run(monkeypatch, X, labels, mu, 1.5, accelerated, 80) == [(m, d)]
 
-    def test_row_blocks_form_no_design_sized_matrix(self):
+    def test_gram_form_makes_no_design_sized_matrix(self):
         rng = np.random.default_rng(23)
-        m, d, k = 20003, 30, 3
+        m, d, dbar, k = 20003, 30, 4, 3
         X = rng.standard_normal((m, d))
         labels = np.arange(m) % k
+        mu = rng.standard_normal((k, dbar))
+        design = ksparse.solver._Design(X)
         tracemalloc.start()
         try:
-            ksparse.solver._Design(X).factor(labels, k)
+            design.gram
+            ksparse.solver._gram_target(X, labels, mu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < m * (d + k) * 8
+        assert peak < m * d * 8
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
@@ -479,11 +533,12 @@ class TestTallReduction:
         d, dbar = 10, 3
         X, labels, mu = _instance(21, m=d + dbar + extra_rows, d=d, dbar=dbar)
         shapes = _tall_run(monkeypatch, X, labels, mu, 0.8, accelerated, 60)
-        assert shapes == ([(X.shape[0], d + mu.shape[0])] if reduced else [])
+        assert shapes == ([(X.shape[0], d)] if reduced else [])
 
     def test_objective_on_original_x_near_interpolation(self):
         # Y mu lies within 1e-2 of X's range, so f is about 5e-7 of ||Y mu||^2;
-        # a Gram-form objective misses the direct one by about 3e-9 relative here
+        # a Gram-form objective misses the direct one by about 3e-9 relative
+        # here, so the first and last entries are computed on X itself
         rng = np.random.default_rng(0)
         m, d, dbar, k = 300, 20, 3, 5
         labels = np.arange(m) % k
@@ -495,16 +550,16 @@ class TestTallReduction:
         s = spectral_norm(X)
         X /= s
         eta = 4.0 * dbar * s  # inactive budget
-        rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(d, dbar, eta), 2000, eta, sigma_max=1.0
-        )
+        W0 = default_weight_init(d, dbar, eta)  # on the ball, so the start projects to itself
+        rep = solve_weights_fista(X, labels, mu, W0, 2000, eta, sigma_max=1.0)
         f = objective(X, rep.final_weights, labels, mu)
         assert f < 1e-6 * np.vdot(Ymu, Ymu)
         assert rep.objective_trace[-1] == pytest.approx(f, rel=1e-12)
+        assert rep.objective_trace[0] == pytest.approx(objective(X, W0, labels, mu), rel=1e-12)
 
 
 class TestDesignReuse:
-    """A design shared across solves factors [X, Y] once per label set."""
+    """A design shared across solves forms X.T X once, whatever the labels."""
 
     @staticmethod
     def _instance(case):
@@ -515,7 +570,7 @@ class TestDesignReuse:
             X[:, 5] = X[:, 2]  # duplicated column
             X[:, 7] = 0.0  # all-zero column
         elif case == "dbar_below_k":
-            # d + dbar <= m < d + k: reduced, and F[d:, d:] has fewer rows than k
+            # d + dbar <= m < d + k: tall, with fewer projected dimensions than clusters
             m, d, dbar, k = 13, 10, 2, 5
             X = rng.standard_normal((m, d))
         else:
@@ -543,7 +598,7 @@ class TestDesignReuse:
         counts = []
         for labels, mu in solves:
             with monkeypatch.context() as patch:
-                shapes = _qr_spy(patch)
+                shapes = _gram_spy(patch)
                 shared = solve(design, labels, mu, W0, n_iters, eta, sigma_max=1.0)
                 counts.append(len(shapes))
             fresh = solve(X, labels, mu, W0, n_iters, eta, sigma_max=1.0)
@@ -555,5 +610,5 @@ class TestDesignReuse:
             np.testing.assert_allclose(shared.final_weights, ref_W, rtol=1e-12)
             np.testing.assert_allclose(shared.objective_trace, ref_trace, rtol=1e-12)
             W0 = shared.final_weights
-        # factored for the first labels, reused for a new mu, factored for new labels
-        assert counts == [1, 0, 1]
+        # formed for the first solve, reused for a new mu and for new labels
+        assert counts == [1, 0, 0]
