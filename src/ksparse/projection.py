@@ -5,9 +5,10 @@ Michelot (1986), which runs in expected linear time on typical inputs.  It
 computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
 sums to ``eta``.  ``_shrink``, the l1-ball projection without the public
 checks, also returns ``tau``, which the weight solver's certificate reads.
-Finite input whose magnitudes sum past the largest float, and an ``eta``
-below the rounding of the entries it is shared among, go through a scan on
-the gaps below the largest entry instead.
+Where the scan finds no usable threshold, a scan on the gaps below the
+largest entry gives the output instead.  That is finite input whose sums
+overflow, and an ``eta`` below the rounding of the entries it is shared
+among.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float | None:
     an entry of that set and both end on it; a set keeps its entries'
     order, so its sum and ``tau`` have the same bits either way.
 
-    None means a pass kept no entry: ``eta`` is below the rounding of the
-    entries it is shared among, so ``v - tau`` cannot give the output, and
-    :func:`_gap_projection` does.
+    None means there is no usable threshold, and :func:`_gap_projection`
+    gives the output.  That happens when a pass keeps no entry, because
+    ``eta`` is below the rounding of the entries it is shared among or a sum
+    overflowed to ``inf`` or ``nan``, and when a sum overflowed to ``-inf``,
+    which keeps every entry.
     """
     active = v
     if lo > 0.0:
@@ -42,7 +45,7 @@ def _tau_scan(v: np.ndarray, eta: float, lo: float = 0.0) -> float | None:
         tau = (active.sum() - eta) / active.size
         keep = active > tau
         if keep.all():
-            return tau
+            return tau if tau > -np.inf else None
         active = active[keep]
     return None
 
@@ -62,8 +65,11 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError(f"expected a nonempty 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains NaN or Inf entries")
-    tau = None if _overflows(v) else _tau_scan(v, eta)
-    return _gap_projection(v, eta) if tau is None else np.maximum(v - tau, 0.0)
+    # a scan whose sums overflow, to inf, -inf or nan, gives no threshold; an
+    # excluded entry's v - tau may overflow to -inf, which clips to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        tau = _tau_scan(v, eta)
+        return _gap_projection(v, eta) if tau is None else np.maximum(v - tau, 0.0)
 
 
 def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
@@ -79,18 +85,9 @@ def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
     if not (np.isscalar(eta) and 0 < eta < np.inf):
         raise ValueError(f"eta must be positive and finite, got {eta}")
     W = np.asarray(W, dtype=float)
-    if not np.all(np.isfinite(W)):
-        raise ValueError("input contains NaN or Inf entries")
-    if _overflows(W):  # so outside the ball
-        shrunk = _gap_projection(np.abs(W).ravel(order="F"), eta)
-        return np.sign(W) * shrunk.reshape(W.shape, order="F")
-    return _shrink(W, eta)[0]
-
-
-def _overflows(v: np.ndarray) -> bool:
-    """True when ``sum|v|`` of a finite ``v`` overflows."""
+    # finite magnitudes may sum past the largest float (see _shrink)
     with np.errstate(over="ignore"):
-        return not np.isfinite(np.abs(v).sum())
+        return _shrink(W, eta)[0]
 
 
 def _gap_projection(v: np.ndarray, eta: float) -> np.ndarray:
@@ -124,14 +121,18 @@ def _gap_projection(v: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _shrink(W: np.ndarray, eta: float, lo: float = 0.0) -> tuple[np.ndarray, float]:
-    """``(project_l1_ball(W, eta), tau)``, ``tau`` 0.0 inside the ball; checks ``sum|W|`` only.
+    """``(project_l1_ball(W, eta), tau)``, ``tau`` 0.0 inside the ball.
 
-    ``lo`` is passed to the threshold scan (:func:`_tau_scan`).
+    ``lo`` is passed to the threshold scan (:func:`_tau_scan`).  ``W`` is
+    scanned for NaN and Inf entries only when ``sum|W|`` is not finite.  On
+    a finite ``W`` whose magnitudes sum past the largest float the scan finds
+    no threshold, and numpy warns of the overflow unless the caller ignores
+    it.
     """
     flat = W.ravel(order="F")
     a = np.abs(flat)
     total = np.sum(a)
-    if not np.isfinite(total):
+    if not np.isfinite(total) and not np.isfinite(a).all():
         raise ValueError("input contains NaN or Inf entries")
     # relative slack makes re-projecting an already-projected point an exact
     # no-op despite rounding in the norm sum

@@ -21,20 +21,17 @@ full step with threshold ``tau`` (the projection returns it with
 ``sign(v) max(|v| - tau, 0)`` on ``V = W - gamma G``), the loop keeps the
 candidate rows ``C`` whose largest ``|V_ij|`` exceeds ``0.8 tau``.  While
 they are at most a fifth of the rows, the next steps compute the
-gradient, the projection and the product that updates the loop's state on
+gradient, the projection and the product that updates the residual on
 ``C`` alone.  Such a step is accepted only under a certificate that the
 projection of the full ``V`` would have zeroed every row outside ``C``, in
 the style of safe feature elimination (El Ghaoui et al., 2012).  With
-``G_ref`` the full gradient at a reference point, every excluded entry's
-gradient has moved from it by at most ``a_i delta_j``, where ``delta_j``
-measures how far column ``j`` of the loop's state has moved, so
+``G_ref`` and ``R_ref`` the full gradient and the residual at the
+extrapolated point of the full step that opened the set, ``G_ij - G_ref_ij
+= x_i . (R_j - R_ref_j)`` with ``x_i`` the i-th column of ``X``, so by
+Cauchy-Schwarz every excluded entry obeys
 
-    |V_ij| <= |W_ij - gamma G_ref_ij| + gamma a_i delta_j.
+    |V_ij| <= |W_ij - gamma G_ref_ij| + gamma ||x_i|| ||R_j - R_ref_j||.
 
-On ``X`` itself the state is the residual ``R``, and ``G_ij - G_ref_ij =
-x_i . (R_j - R_ref_j)`` with ``x_i`` the i-th column of ``X``; by
-Cauchy-Schwarz, ``a_i = ||x_i||`` and ``delta_j = ||R_j - R_ref_j||``.  The
-reference is the extrapolated point of the full step that opened the set.
 If every such bound is at most the threshold ``tau_C`` of the projection on
 ``C`` (less a relative 1e-9 for rounding), the full projection has the same
 threshold and is zero outside ``C``, so the step is the full-width step up
@@ -59,17 +56,14 @@ extrapolated point, by the points' own recombination: ``G = (1 - lambda)
 G + lambda (H P - b)`` after each projected point ``P``.  That is one d x
 d x dbar product per step, where the loop on ``X`` takes two m x d x dbar
 ones.  A :class:`_Design` shared by the solves of a run forms ``H`` once;
-each solve forms ``b`` from a k x m one-hot.  On the working set the state
-is the extrapolated point itself: a step updates ``G_C`` by the same
-recombination with ``H[C, C] P_C - b_C``, and with ``S`` the rows and the
-ghosts, ``G_ij - G_ref_ij = H[i, S] (W_Sj - W_ref_Sj)`` gives ``a_i =
-||H[i, S]||`` and ``delta_j = ||W_Sj - W_ref_Sj||``, exactly, whatever the
-step size.  The reference is the extrapolated point after the full step
-that opened the set, where the full ``G`` is known, and closing the set
-re-forms the full ``G`` there.  The objective trace's first and last
-entries are computed on ``X``, as ``0.5 ||X P - Y mu||^2``; the entries
-between are ``0.5 ||Y mu||^2 + 0.5 <P, H P - 2 b>`` (see
-:class:`InnerSolveReport`).
+each solve forms ``b`` from a k x m one-hot.  Every step on ``H`` is
+full-width.  A working set opens only while the candidate rows are at most
+a fifth of ``d``, and the tall solves of a clustering run keep a large
+share of their few hundred features, so a set would carry few of their
+steps and save only part of one d x d x dbar product on each.  The
+objective trace's first and last entries are computed on ``X``, as ``0.5
+||X P - Y mu||^2``; the entries between are ``0.5 ||Y mu||^2 + 0.5 <P, H P
+- 2 b>`` (see :class:`InnerSolveReport`).
 """
 
 from __future__ import annotations
@@ -120,6 +114,7 @@ class InnerSolveReport:
     of ``X``, which leaves ``f`` near 5e-7 of ``||Y mu||^2``.
     ``full_gradients`` counts the iterations that computed the gradient
     over all ``d`` rows; the others stepped on a certified working set.
+    On tall data every step is full-width, so it equals ``n_iters``.
     """
 
     final_weights: np.ndarray
@@ -224,14 +219,12 @@ class _WorkingSet:
 
     While open it holds the extrapolated point on ``S``, ``WS``: ``W`` on
     ``rows``, then ``W_ghost`` on ``ghosts`` (excluded rows that still
-    carry weight); it is zero on every other row.  ``G_ref`` is the full
-    gradient at the reference point.  Given ``R_ref``, the residual there,
-    the set serves the loop on ``X`` (``self.X`` holds ``X[:, rows]``);
-    otherwise the loop on ``H`` (``self.H`` holds ``H[rows, rows]``), with
-    ``W_S`` at the reference as its own reference (module docstring).
+    carry weight); it is zero on every other row.  ``G_ref`` and ``R_ref``
+    are the full gradient and the residual at the reference point, and
+    ``self.X`` holds ``X[:, rows]`` (module docstring).
     """
 
-    def __init__(self, design, rows, W, G_ref, gamma, R_ref=None):
+    def __init__(self, design, rows, W, G_ref, gamma, R_ref):
         self.rows = rows
         excluded = np.ones(W.shape[0], dtype=bool)
         excluded[rows] = False
@@ -241,16 +234,9 @@ class _WorkingSet:
         self.S = np.concatenate([rows, self.ghosts])
         self.WS = W[self.S]
         self.P = None
-        if R_ref is None:
-            H = design.gram
-            self.H = H[np.ix_(rows, rows)]
-            self.ref = self.WS.copy()
-            HS = H[np.ix_(excluded, self.S)]
-            a = np.sqrt(np.einsum("ij,ij->i", HS, HS))
-        else:
-            self.X = design.X[:, rows]
-            self.ref = R_ref
-            a = design.norms[excluded]
+        self.X = design.X[:, rows]
+        self.ref = R_ref
+        a = design.norms[excluded]
         self.gG_ghost = gamma * G_ref[self.ghosts]
         self.ga_ghost = gamma * a[weighted, None]
         zero = excluded[~weighted]
@@ -267,20 +253,20 @@ class _WorkingSet:
     def W_ghost(self):
         return self.WS[self.rows.size :]
 
-    def step(self, V, eta, lo, state):
+    def step(self, V, eta, lo, R):
         """Project ``V`` on the rows; True when the result is certified, kept in ``P``.
 
         ``lo`` is the threshold scan's guess (:func:`_tau_scan`), and the
-        threshold is kept in ``tau``.  ``state`` is the residual on the loop
-        on ``X`` and ``WS`` on the loop on ``H``.
+        threshold is kept in ``tau``.  ``R`` is the residual at the
+        extrapolated point.
         """
         self.P, self.tau = _shrink(V, eta, lo)
-        return self.tau > 0.0 and self.certifies(state, self.tau)
+        return self.tau > 0.0 and self.certifies(R, self.tau)
 
-    def certifies(self, state, tau):
+    def certifies(self, R, tau):
         """True when every excluded entry of the full ``V`` is provably at most ``tau``."""
         limit = tau * (1.0 - _CERTIFICATE_SLACK)
-        D = state - self.ref
+        D = R - self.ref
         delta = np.sqrt(np.einsum("ij,ij->j", D, D))
         if self.ghosts.size:
             bound = np.abs(self.W_ghost - self.gG_ghost) + self.ga_ghost * delta
@@ -413,7 +399,7 @@ def _sym_product(H, P):
 def _gram_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
     """The loop on ``H = X.T X``, carrying the gradient at the extrapolated point.
 
-    Returns what :func:`_residual_loop` returns.
+    Every step is full-width.  Returns what :func:`_residual_loop` returns.
     """
     X, H = design.X, design.gram
     b, half_ymu = _gram_target(X, labels, mu)
@@ -424,40 +410,18 @@ def _gram_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
     G = _sym_product(H, W) - b
     t = 1.0
     lam = 1.0
-    ws = None  # the open working set, which then holds W, with G_C and b_C on its rows
-    full_gradients = 0
     for n in range(n_iters):
         if accelerated:
             t, lam = momentum_schedule(n, t)
-        lo = _TAU_HINT * tau
-        if ws is not None and ws.step(ws.W - gamma * G_C, eta, lo, ws.WS):
-            tau = ws.tau
-            W_proj = None  # held by ws until needed
-            G_proj = _sym_product(ws.H, ws.P) - b_C
-            trace.append(half_ymu + 0.5 * float(np.vdot(ws.P, G_proj - b_C)))
-            G_C = _relax(G_C, G_proj, lam)
-            ws.relax(lam)
-        else:
-            if ws is not None:
-                W, ws = ws.extrapolated_point(W0.shape), None
-                G = _sym_product(H, W) - b
-            full_gradients += 1
-            V = W - gamma * G
-            W_proj, tau = _shrink(V, eta, lo)
-            W = _relax(W, W_proj, lam)
-            G_proj = _sym_product(H, W_proj) - b
-            trace.append(half_ymu + 0.5 * float(np.vdot(W_proj, G_proj - b)))
-            # the gradient is affine in W, so recombine instead of re-multiplying
-            G = _relax(G, G_proj, lam)
-            rows = _candidates(V, tau)
-            if rows is not None:
-                ws = _WorkingSet(design, rows, W, G, gamma)
-                G_C, b_C = G[rows], b[rows]
-    if W_proj is None:
-        W_proj = ws.projected_point(W0.shape)
+        W_proj, tau = _shrink(W - gamma * G, eta, _TAU_HINT * tau)
+        W = _relax(W, W_proj, lam)
+        G_proj = _sym_product(H, W_proj) - b
+        trace.append(half_ymu + 0.5 * float(np.vdot(W_proj, G_proj - b)))
+        # the gradient is affine in W, so recombine instead of re-multiplying
+        G = _relax(G, G_proj, lam)
     if n_iters:
         trace[-1] = _half_squared_residual(X, W_proj, labels, mu)
-    return W_proj, trace, full_gradients
+    return W_proj, trace, n_iters
 
 
 def solve_weights_ista(

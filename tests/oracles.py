@@ -26,10 +26,15 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
     (r+1)-th largest magnitudes (otherwise the candidate's l1 norm exceeds
     eta by at least the gap), so sizes far outside that bracket are skipped
     before the full candidate is built; this keeps inputs of tens of
-    thousands of entries affordable.
+    thousands of entries affordable.  The search runs on ``w`` and ``eta``
+    scaled by a power of two to ``max|w|`` in [0.5, 1), which is exact for
+    all but entries more than 2^1021 below the largest, so the tolerances
+    are relative to ``max|w|`` and no sum or norm overflows.
     """
     w = np.asarray(w, dtype=float)
-    a = np.abs(w)
+    e = int(np.frexp(np.abs(w).max(initial=0.0))[1])
+    a = np.abs(np.ldexp(w, -e))
+    eta = np.ldexp(eta, -e)
     if a.sum() <= eta:
         return w.copy()
     s = np.sort(a)[::-1]
@@ -43,12 +48,12 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
         x = np.sign(w) * np.maximum(a - tau, 0.0)
         if abs(np.abs(x).sum() - eta) > 1e-9 * max(1.0, eta):
             continue
-        dist = np.linalg.norm(x - w)
+        dist = np.linalg.norm(x - np.sign(w) * a)
         if dist < best_dist:
             best = x
             best_dist = dist
     assert best is not None
-    return best
+    return np.ldexp(best, e)
 
 
 def accuracy_oracle(truth, pred) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ class TestSimplex:
                 np.ldexp(got, -1022), project_simplex(v, eta), rtol=0, atol=1e-14 * eta
             )
             assert np.ldexp(got.sum(), -1022) == pytest.approx(eta, rel=1e-12)
+
+    def test_sum_overflow_to_minus_inf(self):
+        # the first pass's sum is -inf, which keeps every entry: no usable threshold
+        v = np.array([-1e308, -1e308, 1.0])
+        with np.errstate(over="ignore"):
+            assert _tau_scan(v, 1.0) is None
+        np.testing.assert_array_equal(project_simplex(v, 1.0), [0.0, 0.0, 1.0])
 
     def test_budget_below_rounding(self):
         # as in TestL1Ball::test_budget_below_rounding; a warning would fail the test
@@ -228,6 +237,73 @@ class TestL1Ball:
         for eta, shown in ((np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")):
             with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {shown}$"):
                 project_l1_ball(np.ones((3, 2)), eta)
+
+
+def _scale_sweep():
+    """Seeded vectors with max|v| from 2^-1000 to 2^1000 and eta / max|v| from 2^-60 to 2^10.
+
+    Every other vector spreads its magnitudes over 30 binades below the largest.
+    """
+    rng = np.random.default_rng(14)
+    for e in range(-1000, 1001, 50):
+        for r in range(-60, 11, 5):
+            for spread in (0, 30):
+                n = rng.integers(2, 60)
+                v = rng.uniform(-1, 1, n) * np.exp2(-rng.integers(0, spread + 1, n))
+                v = np.ldexp(v, e)
+                yield v, float(np.abs(v).max() * 2.0**r)
+
+
+def _rounding(v):
+    """The rounding of one entry at the scale of max|v|, or of the smallest subnormal."""
+    return np.finfo(float).eps * np.abs(v).max() + np.finfo(float).smallest_subnormal
+
+
+class TestScaleSweep:
+    """The l1 projection at every float scale, to rounding at the scale of max|v|.
+
+    Outside the ball a kept entry is ``|v| - tau``, whose rounding is that of
+    ``|v|`` however small ``eta`` is.
+    """
+
+    def test_oracle_holds(self):
+        # the optimality conditions, with the oracle's threshold read off its support
+        for v, eta in _scale_sweep():
+            x = l1_projection_oracle(v, eta)
+            a = np.abs(v)
+            if a.sum() <= eta:
+                np.testing.assert_array_equal(x, v)
+                continue
+            unit = _rounding(v)
+            kept = x != 0.0
+            np.testing.assert_array_equal(np.sign(x[kept]), np.sign(v[kept]))
+            # an eta below the rounding of max|v| may leave no entry kept
+            tau = np.mean(a[kept] - np.abs(x[kept])) if kept.any() else a.max()
+            np.testing.assert_allclose(np.abs(x[kept]), a[kept] - tau, rtol=0, atol=unit)
+            assert np.all(a[~kept] <= tau + unit)
+            assert abs(np.abs(x).sum() - eta) <= v.size * unit
+
+    def test_matches_oracle(self):
+        gap_scans = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v, eta in _scale_sweep():
+                P, tau = _shrink(v, eta)
+                np.testing.assert_array_equal(project_l1_ball(v, eta), P)
+                assert np.all(np.isfinite(P))
+                a = np.abs(v)
+                if a.sum() <= eta:
+                    np.testing.assert_array_equal(P, v)
+                    continue
+                unit = _rounding(v)
+                np.testing.assert_allclose(P, l1_projection_oracle(v, eta), rtol=0, atol=2 * unit)
+                assert abs(np.abs(P).sum() - eta) <= v.size * unit
+                kept = P != 0.0
+                np.testing.assert_allclose(np.abs(P[kept]), a[kept] - tau, rtol=0, atol=unit)
+                assert np.all(a[~kept] <= tau)
+                gap_scans += _tau_scan(a, eta) is None
+        # both the threshold scan and the gap scan give outputs
+        assert 0 < gap_scans < 1000
 
 
 class TestThresholdGuess:

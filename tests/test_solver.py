@@ -183,14 +183,14 @@ class TestStep:
         assert str(bare) == "(X, labels, mu, W0, n_iters, eta, *, sigma_max=None)"
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # eta=0.1 opens a working set on this instance, eta=3 keeps every step full-width
+    # eta=0.1 opens a working set on this wide instance, eta=3 keeps every step full-width
     @pytest.mark.parametrize("eta", [0.1, 3.0])
     def test_raw_scale_matches_reference(self, accelerated, eta):
-        X, labels, mu = _instance(30, m=40, d=30, dbar=4, k=3, normalize=False)
+        X, labels, mu = _instance(30, m=30, d=40, dbar=4, k=3, normalize=False)
         X *= 10.0 / spectral_norm(X)
         X[:, 0] *= 1.5  # off a round number
         sigma = spectral_norm(X)
-        W0 = default_weight_init(30, 4, eta)
+        W0 = default_weight_init(40, 4, eta)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 80, 1.0 / sigma**2, eta, accelerated
@@ -209,7 +209,7 @@ class TestStep:
             solve(X, labels, mu, default_weight_init(10, 3, 1.0), 5, 1.0, sigma_max=sigma_max)
 
     @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
-    # m=20 steps on X itself, m=60 on the R factor of [X, Y]
+    # m=20 steps on X itself, m=60 on X.T X
     @pytest.mark.parametrize("m", [20, 60])
     def test_sigma_below_a_column_norm_rejected(self, solve, m):
         X, labels, mu = _instance(32, m=m)
@@ -228,12 +228,13 @@ class TestTextbookForm:
     """The solver's product layouts and residual recombination change rounding only."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # eta=0.3 opens a working set; at eta=10 the candidate rows are over a fifth
-    # of the rows at every full step, so every step is full-width
+    # on this wide instance eta=0.3 opens a working set; at eta=10 the candidate
+    # rows are over a fifth of the rows at every full step, so every step is
+    # full-width
     @pytest.mark.parametrize("eta", [0.3, 10.0])
     def test_matches_reference_loop(self, monkeypatch, accelerated, eta):
-        X, labels, mu = _instance(16, m=40, d=30, dbar=4, k=3)
-        W0 = default_weight_init(30, 4, eta)
+        X, labels, mu = _instance(16, m=30, d=40, dbar=4, k=3)
+        W0 = default_weight_init(40, 4, eta)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 60, 1.0, eta, accelerated
@@ -305,48 +306,15 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
-    def test_certificate_stress_tall(self, monkeypatch, accelerated, eta):
-        # m = 2d runs the loop on X.T X, whose certificate bounds by ||H[i, S]||
+    def test_certificate_stress_tall(self, accelerated, eta):
+        # m = 2d runs the loop on X.T X, where every step is full-width
         solve = solve_weights_fista if accelerated else solve_weights_ista
-        opened = []
-        init = ksparse.solver._WorkingSet.__init__
-
-        def spy(self, *args):
-            init(self, *args)
-            opened.append(self.H.shape)
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
-        full = []
         for seed in range(60):
             X, labels, mu = _screening_instance(seed, m=120, d=60)
             W0 = default_weight_init(60, 3, eta)
             rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
             _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
-            full.append(rep.full_gradients)
-        assert opened
-        assert sum(full) < 60 * 60
-        assert max(full) > 1
-
-    def test_tall_bound_reads_rows_and_ghosts(self, monkeypatch):
-        # on X.T X, G_ij - G_ref_ij = H[i, S] (W_S - W_ref_S) with S the rows
-        # and the ghosts, so each excluded row's scale is ||H[i, S]||
-        opened = []
-        init = ksparse.solver._WorkingSet.__init__
-
-        def spy(self, design, rows, W, G_ref, gamma):
-            init(self, design, rows, W, G_ref, gamma)
-            opened.append((self, design.gram, gamma))
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
-        X, labels, mu = self._decaying_instance()
-        W0 = default_weight_init(60, 6, 20.0)
-        solve_weights_fista(X, labels, mu, W0, 100, 20.0, sigma_max=1.0)
-        assert any(ws.ghosts.size for ws, _, _ in opened)
-        for ws, H, gamma in opened:
-            zero = np.setdiff1d(np.arange(60), ws.S)
-            for rows, scale in ((ws.ghosts, ws.ga_ghost), (zero, ws.ga_zero)):
-                want = gamma * np.linalg.norm(H[np.ix_(rows, ws.S)], axis=1)
-                np.testing.assert_allclose(scale[:, 0], want, rtol=1e-14)
+            assert rep.full_gradients == 60
 
     def test_engages_when_d_much_larger_than_m(self):
         X, labels, mu = _screening_instance(3)
@@ -370,7 +338,7 @@ class TestWorkingSet:
         """Decaying column scales: FISTA's extrapolation leaves weight on every
         row outside the candidates when the set reopens."""
         rng = np.random.default_rng(1)
-        m, d, dbar, k = 120, 60, 6, 3
+        m, d, dbar, k = 70, 80, 6, 3  # wide, so the loop runs on X
         X = rng.standard_normal((m, d)) / np.arange(1, d + 1)
         X /= spectral_norm(X)
         labels = rng.integers(0, k, m)
@@ -391,7 +359,7 @@ class TestWorkingSet:
         monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
         W0 = default_weight_init(d, dbar, 20.0)
         rep = solve_weights_fista(X, labels, mu, W0, 100, 20.0, sigma_max=1.0)
-        assert (11, d - 11) in opened
+        assert (16, d - 16) in opened
         assert rep.full_gradients < 100
         _assert_matches_reference(rep, X, labels, mu, W0, 100, 20.0, True)
 
@@ -483,8 +451,8 @@ class TestTallReduction:
     """On tall X the loop runs on H = X.T X and gives the same iterates.
 
     The solve forms ``H`` once and no m x d temporary; ``b = X.T Y mu``
-    comes from a k x m one-hot.  The trace's first and last entries are
-    computed on ``X`` itself.
+    comes from a k x m one-hot.  Every step is full-width.  The trace's
+    first and last entries are computed on ``X`` itself.
     """
 
     @pytest.mark.parametrize("accelerated", [False, True])
@@ -534,6 +502,26 @@ class TestTallReduction:
         X, labels, mu = _instance(21, m=d + dbar + extra_rows, d=d, dbar=dbar)
         shapes = _tall_run(monkeypatch, X, labels, mu, 0.8, accelerated, 60)
         assert shapes == ([(X.shape[0], d)] if reduced else [])
+
+    @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
+    @pytest.mark.parametrize("case", ["sparse", "full_rank", "rank_deficient", "dbar_below_k"])
+    def test_every_step_full_width(self, monkeypatch, solve, case):
+        def fail(*args):
+            raise AssertionError("a working set opened on tall data")
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", fail)
+        if case == "sparse":
+            # keeps few rows, so the candidate rows fall under a fifth of d
+            X, labels, mu = _screening_instance(0, m=120, d=60)
+            solves = [(labels, mu)]
+        else:
+            X, solves = TestDesignReuse._instance(case)
+        d, dbar = X.shape[1], solves[0][1].shape[1]
+        assert d + dbar <= X.shape[0]
+        for labels, mu in solves:
+            W0 = default_weight_init(d, dbar, 0.2)
+            rep = solve(X, labels, mu, W0, 60, 0.2, sigma_max=1.0)
+            assert rep.full_gradients == rep.iterations_run == 60
 
     def test_objective_on_original_x_near_interpolation(self):
         # Y mu lies within 1e-2 of X's range, so f is about 5e-7 of ||Y mu||^2;
