@@ -33,7 +33,8 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     e = int(np.frexp(np.abs(w).max(initial=0.0))[1])
-    a = np.abs(np.ldexp(w, -e))
+    v = np.ldexp(w, -e)
+    a = np.abs(v)
     eta = np.ldexp(eta, -e)
     if a.sum() <= eta:
         return w.copy()
@@ -48,7 +49,7 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
         x = np.sign(w) * np.maximum(a - tau, 0.0)
         if abs(np.abs(x).sum() - eta) > 1e-9 * max(1.0, eta):
             continue
-        dist = np.linalg.norm(x - np.sign(w) * a)
+        dist = np.linalg.norm(x - v)
         if dist < best_dist:
             best = x
             best_dist = dist
