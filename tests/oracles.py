@@ -28,8 +28,8 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
     before the full candidate is built; this keeps inputs of tens of
     thousands of entries affordable.  The search runs on ``w`` and ``eta``
     scaled by a power of two to ``max|w|`` in [0.5, 1), which is exact for
-    all but entries more than 2^1021 below the largest, so the tolerances
-    are relative to ``max|w|`` and no sum or norm overflows.
+    all but entries more than 2^1021 below the largest, so no sum or norm
+    overflows.
     """
     w = np.asarray(w, dtype=float)
     e = int(np.frexp(np.abs(w).max(initial=0.0))[1])
@@ -41,13 +41,16 @@ def l1_projection_oracle(w: np.ndarray, eta: float) -> np.ndarray:
     s = np.sort(a)[::-1]
     taus = (np.cumsum(s) - eta) / np.arange(1, s.size + 1)
     below = np.append(s[1:], -np.inf)
+    # 1e-9 * max(1, eta) in w's units, capped at 1e-9 * max(2^e, eta) for tiny
+    # w, and raised to the rounding of the candidate's sum where it is below it
+    tol = max(1e-9 * max(min(1.0, np.ldexp(1.0, -e)), eta), 4 * s.size * np.finfo(float).eps)
     bracketed = (s >= taus - 1e-6) & (below <= taus + 1e-6)
     best = None
     best_dist = np.inf
     for r in np.flatnonzero(bracketed) + 1:
         tau = (s[:r].sum() - eta) / r
         x = np.sign(w) * np.maximum(a - tau, 0.0)
-        if abs(np.abs(x).sum() - eta) > 1e-9 * max(1.0, eta):
+        if abs(np.abs(x).sum() - eta) > tol:
             continue
         dist = np.linalg.norm(x - v)
         if dist < best_dist:

@@ -183,14 +183,16 @@ class TestStep:
         assert str(bare) == "(X, labels, mu, W0, n_iters, eta, *, sigma_max=None)"
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # eta=0.1 opens a working set on this wide instance, eta=3 keeps every step full-width
+    # eta=0.1 opens a working set on the wide 30 x 40 instance; eta=3 runs the
+    # tall 40 x 30 one on X.T X, where every step is full-width
     @pytest.mark.parametrize("eta", [0.1, 3.0])
     def test_raw_scale_matches_reference(self, accelerated, eta):
-        X, labels, mu = _instance(30, m=30, d=40, dbar=4, k=3, normalize=False)
+        m, d = (30, 40) if eta < 1.0 else (40, 30)
+        X, labels, mu = _instance(30, m=m, d=d, dbar=4, k=3, normalize=False)
         X *= 10.0 / spectral_norm(X)
         X[:, 0] *= 1.5  # off a round number
         sigma = spectral_norm(X)
-        W0 = default_weight_init(40, 4, eta)
+        W0 = default_weight_init(d, 4, eta)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 80, 1.0 / sigma**2, eta, accelerated
@@ -228,13 +230,13 @@ class TestTextbookForm:
     """The solver's product layouts and residual recombination change rounding only."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # on this wide instance eta=0.3 opens a working set; at eta=10 the candidate
-    # rows are over a fifth of the rows at every full step, so every step is
-    # full-width
+    # eta=0.3 opens a working set on the wide 30 x 40 instance; eta=10 runs the
+    # tall 40 x 30 one on X.T X, where every step is full-width
     @pytest.mark.parametrize("eta", [0.3, 10.0])
     def test_matches_reference_loop(self, monkeypatch, accelerated, eta):
-        X, labels, mu = _instance(16, m=30, d=40, dbar=4, k=3)
-        W0 = default_weight_init(40, 4, eta)
+        m, d = (30, 40) if eta < 1.0 else (40, 30)
+        X, labels, mu = _instance(16, m=m, d=d, dbar=4, k=3)
+        W0 = default_weight_init(d, 4, eta)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 60, 1.0, eta, accelerated
@@ -306,8 +308,13 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
-    def test_certificate_stress_tall(self, accelerated, eta):
-        # m = 2d runs the loop on X.T X, where every step is full-width
+    def test_certificate_stress_tall(self, monkeypatch, accelerated, eta):
+        # m = 2d runs the loop on X.T X, where every step is full-width: no
+        # set opens, though these solves keep few rows
+        def fail(*args):
+            raise AssertionError("a working set opened on tall data")
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", fail)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         for seed in range(60):
             X, labels, mu = _screening_instance(seed, m=120, d=60)
@@ -504,18 +511,13 @@ class TestTallReduction:
         assert shapes == ([(X.shape[0], d)] if reduced else [])
 
     @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
-    @pytest.mark.parametrize("case", ["sparse", "full_rank", "rank_deficient", "dbar_below_k"])
+    @pytest.mark.parametrize("case", ["full_rank", "rank_deficient", "dbar_below_k"])
     def test_every_step_full_width(self, monkeypatch, solve, case):
         def fail(*args):
             raise AssertionError("a working set opened on tall data")
 
         monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", fail)
-        if case == "sparse":
-            # keeps few rows, so the candidate rows fall under a fifth of d
-            X, labels, mu = _screening_instance(0, m=120, d=60)
-            solves = [(labels, mu)]
-        else:
-            X, solves = TestDesignReuse._instance(case)
+        X, solves = TestDesignReuse._instance(case)
         d, dbar = X.shape[1], solves[0][1].shape[1]
         assert d + dbar <= X.shape[0]
         for labels, mu in solves:
