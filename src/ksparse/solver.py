@@ -20,26 +20,60 @@ full-width gradient ``G`` only confirms that a row stays zero.  So after a
 full step with threshold ``tau`` (the projection returns it with
 ``sign(v) max(|v| - tau, 0)`` on ``V = W - gamma G``), the loop keeps the
 candidate rows ``C`` whose largest ``|V_ij|`` exceeds ``0.8 tau``.  While
-they are at most a fifth of the rows, the next steps compute the
-gradient, the projection and the product that updates the residual on
-``C`` alone.  Such a step is accepted only under a certificate that the
-projection of the full ``V`` would have zeroed every row outside ``C``, in
-the style of safe feature elimination (El Ghaoui et al., 2012).  With
-``G_ref`` and ``R_ref`` the full gradient and the residual at the
-extrapolated point of the full step that opened the set, ``G_ij - G_ref_ij
-= x_i . (R_j - R_ref_j)`` with ``x_i`` the i-th column of ``X``, so by
-Cauchy-Schwarz every excluded entry obeys
+they are at most a fifth of the rows, the next steps compute the gradient,
+the projection and the gradient's update on ``C`` alone.  Such a step is
+accepted only under a certificate that the projection of the full ``V``
+would have zeroed every row outside ``C``, in the style of safe feature
+elimination (El Ghaoui et al., 2012).  Otherwise that iteration takes a
+full-width step, which also picks a new ``C``.  A block inside the ball
+(``tau_C = 0``) certifies nothing and also takes a full step.  A full step
+that opens a set computes its product on ``C`` too: every entry the
+projection keeps has ``|V_ij| > tau``, so the projected weights are zero
+outside ``C``.
 
-    |V_ij| <= |W_ij - gamma G_ref_ij| + gamma ||x_i|| ||R_j - R_ref_j||.
+A set steps on its own Gram.  With ``X_C = X[:, C]`` and at most ``2 m``
+rows, it forms ``H_C = X_C.T X_C`` and ``b_C = X_C.T Y mu`` when it opens,
+and carries the gradient at the extrapolated point as the tall loop below
+carries ``G``: ``G_C = (1 - lambda) G_C + lambda (H_C P - b_C)`` after each
+projected point ``P``.  Below ``2 m`` rows one |C| x |C| x dbar product
+costs fewer flops than two m x |C| x dbar ones, and ``H_C`` is at most
+twice the size of ``X_C``.  ``P`` is zero outside its support, so when
+that is under half of ``C`` the product reads only those rows of ``H_C``;
+large sets, whose ``H_C`` outgrows the cache, mostly step that way.  A set
+of more than ``2 m`` rows takes the same product through ``X_C`` twice.
+The set updates no m x dbar residual: ``R`` is rebuilt once, when the set
+closes, with one product on ``X_C``.
+
+The certificate.  Let ``G_ref`` and ``R_ref`` be the full gradient and the
+residual at the reference, the extrapolated point of the full step that
+opened the set, and ``D = R - R_ref`` the residual's drift since.  Then
+``G_ij - G_ref_ij = x_i . D_j``, with ``x_i`` the i-th column of ``X``.  The
+part of ``D_j`` along ``R_ref_j``, ``beta_j R_ref_j`` with ``beta_j = D_j .
+R_ref_j / ||R_ref_j||^2`` (0 where ``R_ref_j`` is zero), moves every entry
+by ``beta_j G_ref_ij``, which is known.  Cauchy-Schwarz on the rest bounds
+every excluded entry:
+
+    |V_ij| <= |W_ij - gamma (1 + beta_j) G_ref_ij| + gamma ||x_i|| ||D_j - beta_j R_ref_j||.
 
 If every such bound is at most the threshold ``tau_C`` of the projection on
 ``C`` (less a relative 1e-9 for rounding), the full projection has the same
 threshold and is zero outside ``C``, so the step is the full-width step up
-to rounding.  Otherwise that iteration takes a full-width step, which also
-picks a new ``C``.  A block inside the ball (``tau_C = 0``) certifies
-nothing and also takes a full step.  A full step that opens a set forms
-its own product on ``C`` too: every entry the projection keeps has
-``|V_ij| > tau``, so the projected weights are zero outside ``C``.
+to rounding.
+
+The drift is not formed either.  Excluded rows hold ``c W_ref``, with ``c``
+the product of ``1 - lambda`` since the reference.  With ``dW = W_C -
+W_ref_C`` and ``Q0 = X_excl W_ref_excl = R_ref + Y mu - X_C W_ref_C``,
+formed at opening with ``M0 = X_C.T Q0``, the drift is ``D = X_C dW + (c -
+1) Q0`` and ``X_C.T D = G_C - G_ref_C``, so
+
+    ||D_j||^2 = dW_j . (G_C - G_ref_C + (c - 1) M0)_j + (c - 1)^2 ||Q0_j||^2,
+    D_j . R_ref_j = dW_j . G_ref_C_j + (c - 1) Q0_j . R_ref_j,
+
+and ``||D_j - beta_j R_ref_j||^2 = ||D_j||^2 - beta_j D_j . R_ref_j``.  These
+terms cancel, so under the square root the bound adds a rounding margin of
+``4 (m + |C|) eps`` times their magnitudes, from Frobenius norms, and
+outside it the same multiple of ``||R_ref|| + ||Y mu||`` for the rounding
+that ``R_ref`` itself carries.
 
 Ghost rows are excluded rows that still carry weight: the extrapolation
 ``(1 - lambda) W + lambda P`` keeps every row that was ever in the support,
@@ -94,6 +128,8 @@ _CANDIDATE_FRACTION = 0.8
 _WORKING_SET_FRACTION = 0.2
 # relative margin of the certificate against rounding in its bound
 _CERTIFICATE_SLACK = 1e-9
+# the Gram-form drift's rounding margin, in units of (m + |C|) eps times its terms
+_DRIFT_ROUNDING = 4.0
 # each threshold scan starts from this fraction of the last step's threshold
 _TAU_HINT = 0.9
 
@@ -104,17 +140,19 @@ class InnerSolveReport:
 
     Every solve runs its full budget, so ``iterations_run == n_iters``.
     ``objective_trace`` holds half the squared residual norm at each
-    projected point.  On tall data (``d + dbar <= m``) the first and last
-    entries are computed on ``X`` as ``0.5 ||X P - Y mu||^2``, and the
-    entries between in Gram form, as ``0.5 ||Y mu||^2 + 0.5 <P, H P - 2
-    b>`` with ``H = X.T X`` and ``b = X.T Y mu`` (see the module
-    docstring).  Their error relative to the objective ``f`` is about
-    ``eps ||Y mu||^2 / f``: about 1e-15 on the benchmark's counts-tall
-    solves, and up to 1.6e-9 where ``Y mu`` lies within 1e-2 of the range
-    of ``X``, which leaves ``f`` near 5e-7 of ``||Y mu||^2``.
-    ``full_gradients`` counts the iterations that computed the gradient
-    over all ``d`` rows; the others stepped on a certified working set.
-    On tall data every step is full-width, so it equals ``n_iters``.
+    projected point.  The first and last entries are computed on ``X``, as
+    ``0.5 ||X P - Y mu||^2``.  The entries between are in Gram form, as
+    ``0.5 ||Y mu||^2 + 0.5 <P, H P - 2 b>`` with ``H = X.T X`` and ``b = X.T
+    Y mu``, on tall data (``d + dbar <= m``) and, on wide data, at the steps
+    that open or step on a working set of at most ``2 m`` rows, there with
+    ``H_C`` and ``b_C`` on the set's rows (see the module docstring).  The
+    other entries are computed on ``X``.  A Gram-form entry's error relative
+    to the objective ``f`` is about ``eps ||Y mu||^2 / f``: about 1e-15 on
+    the benchmark's counts-tall solves, and up to 1.6e-9 where ``Y mu`` lies
+    within 1e-2 of the range of ``X``, which leaves ``f`` near 5e-7 of ``||Y
+    mu||^2``.  ``full_gradients`` counts the iterations that computed the
+    gradient over all ``d`` rows; the others stepped on a certified working
+    set.  On tall data every step is full-width, so it equals ``n_iters``.
     """
 
     final_weights: np.ndarray
@@ -208,6 +246,11 @@ def _relax(old, new, lam):
     return new if lam == 1.0 else (1.0 - lam) * old + lam * new
 
 
+def _fdot(A, B):
+    """``vdot(A, B)`` over Fortran order, which reads the projection's outputs without a copy."""
+    return float(np.vdot(A.ravel(order="F"), B.ravel(order="F")))
+
+
 def _candidates(V, tau):
     """The rows of a working set after a full step on ``V``, or None when none opens."""
     rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
@@ -215,81 +258,158 @@ def _candidates(V, tau):
 
 
 class _WorkingSet:
-    """Candidate rows of the last full step, and the certificate for steps on them.
+    """Candidate rows of a full step, and the steps on them until the certificate fails.
 
-    While open it holds the extrapolated point on ``S``, ``WS``: ``W`` on
-    ``rows``, then ``W_ghost`` on ``ghosts`` (excluded rows that still
-    carry weight); it is zero on every other row.  ``G_ref`` and ``R_ref``
-    are the full gradient and the residual at the reference point, and
-    ``self.X`` holds ``X[:, rows]`` (module docstring).
+    The reference is the extrapolated point of the full step that opened the
+    set, with its weights ``W_ref``, gradient ``G_ref`` and residual ``ref``
+    (``R_ref``).  On ``rows`` the set carries the extrapolated weights ``W``
+    and their gradient ``G``, and holds ``X[:, rows]`` in ``X`` and, for at
+    most ``2 m`` rows, its Gram ``H`` (module docstring).  Excluded rows keep
+    ``c`` times their reference weights, with ``c`` the product of ``1 -
+    lambda`` since the reference; ``ghosts`` are those that carry weight.
     """
 
-    def __init__(self, design, rows, W, G_ref, gamma, R_ref):
+    def __init__(self, design, rows, W_ref, G_ref, R_ref, P, Ymu, gamma, lam):
+        m = design.X.shape[0]
         self.rows = rows
-        excluded = np.ones(W.shape[0], dtype=bool)
+        self.gamma = gamma
+        self.Ymu = Ymu
+        self.c = 1.0 - lam
+        excluded = np.ones(W_ref.shape[0], dtype=bool)
         excluded[rows] = False
         excluded = np.flatnonzero(excluded)
-        weighted = np.any(W[excluded] != 0.0, axis=1)
+        # with c = 0 (lambda = 1) no excluded row keeps weight
+        weighted = np.any(W_ref[excluded] != 0.0, axis=1) & (self.c != 0.0)
         self.ghosts = excluded[weighted]
-        self.S = np.concatenate([rows, self.ghosts])
-        self.WS = W[self.S]
-        self.P = None
+        self.W_ghost_ref = W_ref[self.ghosts]
         self.X = design.X[:, rows]
+        self.H = self.X.T @ self.X if rows.size <= 2 * m else None
+        self.W_ref = np.asfortranarray(W_ref[rows])
+        self.G_ref = np.asfortranarray(G_ref[rows])
         self.ref = R_ref
+        # X_C.T @ A is written (A.T @ X_C).T, in the layout of the gradient
+        self.b = None if self.H is None else (Ymu.T @ self.X).T
+        # the excluded rows' share of the reference residual, X_excl @ W_ref_excl
+        self.Q0 = R_ref + Ymu - self.X @ self.W_ref
+        self.M0 = (self.Q0.T @ self.X).T
+        self.half_ymu = 0.5 * float(np.vdot(Ymu, Ymu))
+        self.n0 = np.einsum("ij,ij->j", self.Q0, self.Q0)
+        self.q0 = np.einsum("ij,ij->j", self.Q0, R_ref)
+        self.r = np.einsum("ij,ij->j", R_ref, R_ref)
+        # drift's rounding margin takes its terms' sizes from these Frobenius
+        # norms; its floor covers the rounding that R_ref itself carries
+        self.eps = _DRIFT_ROUNDING * (m + rows.size) * np.finfo(float).eps
+        self.sizes = (
+            np.linalg.norm(self.G_ref),
+            np.linalg.norm(self.M0),
+            np.linalg.norm(self.Q0) * np.sqrt(self.r.sum()),
+            self.n0.sum(),
+        )
+        self.floor = self.eps * (np.sqrt(self.r.sum()) + np.sqrt(2.0 * self.half_ymu))
         a = design.norms[excluded]
         self.gG_ghost = gamma * G_ref[self.ghosts]
         self.ga_ghost = gamma * a[weighted, None]
         zero = excluded[~weighted]
         self.gG_zero = gamma * np.abs(G_ref[zero])
         self.ga_zero = gamma * a[~weighted, None]
-        # columnwise maxima give a cheap first check, which usually settles the zero rows
-        self.zero_caps = (self.gG_zero.max(axis=0), self.ga_zero.max()) if zero.size else None
-
-    @property
-    def W(self):
-        return self.WS[: self.rows.size]
-
-    @property
-    def W_ghost(self):
-        return self.WS[self.rows.size :]
-
-    def step(self, V, eta, lo, R):
-        """Project ``V`` on the rows; True when the result is certified, kept in ``P``.
-
-        ``lo`` is the threshold scan's guess (:func:`_tau_scan`), and the
-        threshold is kept in ``tau``.  ``R`` is the residual at the
-        extrapolated point.
-        """
-        self.P, self.tau = _shrink(V, eta, lo)
-        return self.tau > 0.0 and self.certifies(R, self.tau)
-
-    def certifies(self, R, tau):
-        """True when every excluded entry of the full ``V`` is provably at most ``tau``."""
-        limit = tau * (1.0 - _CERTIFICATE_SLACK)
-        D = R - self.ref
-        delta = np.sqrt(np.einsum("ij,ij->j", D, D))
+        # columnwise maxima give a cheap first check, which usually settles the
+        # zero rows and often the ghosts, through c W - (1 + beta) g = c (W - g)
+        # + (c - 1 - beta) g with g = gamma G_ref
+        self.ghost_caps = self.zero_caps = None
         if self.ghosts.size:
-            bound = np.abs(self.W_ghost - self.gG_ghost) + self.ga_ghost * delta
-            if bound.max() > limit:
-                return False
-        if self.zero_caps is not None:
-            gG_max, ga_max = self.zero_caps
-            if np.any(gG_max + ga_max * delta > limit):
-                return bool((self.gG_zero + self.ga_zero * delta).max() <= limit)
+            self.ghost_caps = (
+                np.abs(self.W_ghost_ref - self.gG_ghost).max(axis=0),
+                np.abs(self.gG_ghost).max(axis=0),
+                self.ga_ghost.max(),
+            )
+        if zero.size:
+            self.zero_caps = (self.gG_zero.max(axis=0), self.ga_zero.max())
+        self.P = np.asfortranarray(P[rows])
+        self.W = _relax(self.W_ref, self.P, lam)
+        G_proj, self.objective = self._product(self.P)
+        self.G = _relax(self.G_ref, G_proj, lam)
+
+    def _product(self, P):
+        """The gradient at a projected point ``P`` on the rows, and its trace entry."""
+        if self.H is not None:
+            # P is zero outside its support (module docstring)
+            supp = np.flatnonzero(P.any(axis=1))
+            if 2 * supp.size < P.shape[0]:
+                G = (P[supp].T @ self.H[supp]).T - self.b
+            else:
+                G = _sym_product(self.H, P) - self.b
+            return G, self.half_ymu + 0.5 * _fdot(P, G - self.b)
+        R = self.X @ P - self.Ymu
+        return (R.T @ self.X).T, 0.5 * float(np.vdot(R, R))
+
+    def step(self, eta, lo, lam):
+        """One step on the rows; True when it is certified, and then taken.
+
+        ``lo`` is the threshold scan's guess (:func:`_tau_scan`).  The
+        projected point is kept in ``P``, its threshold in ``tau`` and its
+        trace entry in ``objective``.
+        """
+        self.P, self.tau = _shrink(self.W - self.gamma * self.G, eta, lo)
+        if not (self.tau > 0.0 and self.certifies(self.tau)):
+            return False
+        G_proj, self.objective = self._product(self.P)
+        self.W = _relax(self.W, self.P, lam)
+        self.G = _relax(self.G, G_proj, lam)
+        self.c *= 1.0 - lam
         return True
 
-    def relax(self, lam):
-        n = self.rows.size
-        self.WS[:n] = _relax(self.WS[:n], self.P, lam)
-        self.WS[n:] *= 1.0 - lam
+    def drift(self):
+        """``(beta, delta)``: the drift's share along ``R_ref`` and a bound on the rest.
+
+        With ``D = R - R_ref``, ``beta_j = D_j . R_ref_j / ||R_ref_j||^2``
+        (0 where ``R_ref_j`` is zero) and ``delta_j >= ||D_j - beta_j
+        R_ref_j||``, from the Gram-form drift (module docstring).
+        """
+        e = self.c - 1.0
+        dW = self.W - self.W_ref
+        A = self.G - self.G_ref
+        A += e * self.M0
+        s = np.einsum("ij,ij->j", dW, A) + e * e * self.n0
+        p = np.einsum("ij,ij->j", dW, self.G_ref) + e * self.q0
+        beta = np.divide(p, self.r, out=np.zeros_like(p), where=self.r > 0.0)
+        G_ref_norm, M0_norm, QR_norm, Q0_sq = self.sizes
+        size = np.sqrt(_fdot(self.G, self.G)) + G_ref_norm + abs(e) * M0_norm
+        size *= np.sqrt(_fdot(dW, dW))
+        size = (1.0 + np.abs(beta).max()) * (size + abs(e) * QR_norm) + e * e * Q0_sq
+        return beta, np.sqrt(np.maximum(s - beta * p, 0.0) + self.eps * size) + self.floor
+
+    def certifies(self, tau):
+        """True when every excluded entry of the full ``V`` is provably at most ``tau``."""
+        limit = tau * (1.0 - _CERTIFICATE_SLACK)
+        beta, delta = self.drift()
+        scale = 1.0 + beta
+        if self.ghost_caps is not None:
+            v_max, g_max, ga_max = self.ghost_caps
+            cap = abs(self.c) * v_max + np.abs(self.c - scale) * g_max + ga_max * delta
+            if np.any(cap > limit):
+                W_ghost = self.c * self.W_ghost_ref
+                bound = np.abs(W_ghost - self.gG_ghost * scale) + self.ga_ghost * delta
+                if bound.max() > limit:
+                    return False
+        if self.zero_caps is not None:
+            gG_max, ga_max = self.zero_caps
+            scale = np.abs(scale)
+            if np.any(gG_max * scale + ga_max * delta > limit):
+                return bool((self.gG_zero * scale + self.ga_zero * delta).max() <= limit)
+        return True
 
     def extrapolated_point(self, shape):
-        W = np.zeros(shape)
-        W[self.S] = self.WS
+        W = np.zeros(shape, order="F")
+        W[self.rows] = self.W
+        W[self.ghosts] = self.c * self.W_ghost_ref
         return W
 
+    def residual(self):
+        """The residual at the extrapolated point, ``R_ref + X_C dW + (c - 1) Q0``."""
+        return self.ref + self.X @ (self.W - self.W_ref) + (self.c - 1.0) * self.Q0
+
     def projected_point(self, shape):
-        P = np.zeros(shape)
+        P = np.zeros(shape, order="F")
         P[self.rows] = self.P
         return P
 
@@ -315,8 +435,10 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
 def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
     """The loop on ``X``, carrying the residual at the extrapolated point.
 
-    Returns the last projected point, the objective trace and the count of
-    full-width gradients.
+    While a working set is open, the set carries the gradient on its rows
+    instead, and the residual is rebuilt when it closes.  Returns the last
+    projected point, the objective trace and the count of full-width
+    gradients.
     """
     X = design.X
     Ymu = mu[labels]
@@ -329,40 +451,38 @@ def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
     R = R_proj
     t = 1.0
     lam = 1.0  # without acceleration the extrapolated point is the projected point
-    ws = None  # the open working set, which then holds W
+    ws = None  # the open working set, which then holds the iterates
     full_gradients = 0
     for n in range(n_iters):
         if accelerated:
             t, lam = momentum_schedule(n, t)
         # the threshold moves little from step to step, so the last one starts its scan
         lo = _TAU_HINT * tau
-        # same product as X_C.T @ R, in the layout of the full gradient
-        if ws is not None and ws.step(ws.W - gamma * (R.T @ ws.X).T, eta, lo, R):
-            tau = ws.tau
-            W_proj = None  # held by ws until needed
-            R_proj = ws.X @ ws.P - Ymu
-            ws.relax(lam)
-        else:
-            if ws is not None:
-                W, ws = ws.extrapolated_point(W0.shape), None
-            full_gradients += 1
-            # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
-            G = (R.T @ X).T
-            V = W - gamma * G
-            W_proj, tau = _shrink(V, eta, lo)
-            W = _relax(W, W_proj, lam)
-            rows = _candidates(V, tau)
-            if rows is not None:
-                ws = _WorkingSet(design, rows, W, G, gamma, R)
-                # every kept entry has |V| > tau, so the support of W_proj lies in rows
-                R_proj = ws.X @ W_proj[rows] - Ymu
-            else:
-                R_proj = (W_proj.T @ X.T).T - Ymu
+        if ws is not None:
+            if ws.step(eta, lo, lam):
+                tau = ws.tau
+                trace.append(ws.objective)
+                continue
+            W, R, ws = ws.extrapolated_point(W0.shape), ws.residual(), None
+        full_gradients += 1
+        # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
+        G = (R.T @ X).T
+        V = W - gamma * G
+        W_proj, tau = _shrink(V, eta, lo)
+        rows = _candidates(V, tau)
+        if rows is not None:
+            # every kept entry has |V| > tau, so the support of W_proj lies in rows
+            ws = _WorkingSet(design, rows, W, G, R, W_proj, Ymu, gamma, lam)
+            trace.append(ws.objective)
+            continue
+        W = _relax(W, W_proj, lam)
+        R_proj = (W_proj.T @ X.T).T - Ymu
         trace.append(0.5 * float(np.vdot(R_proj, R_proj)))
         # residual is affine in W, so recombine instead of re-multiplying
         R = _relax(R, R_proj, lam)
-    if W_proj is None:
+    if ws is not None:
         W_proj = ws.projected_point(W0.shape)
+        trace[-1] = _half_squared_residual(ws.X, ws.P, labels, mu)
     return W_proj, trace, full_gradients
 
 

@@ -288,23 +288,60 @@ def _assert_matches_reference(rep, X, labels, mu, W0, n_iters, eta, accelerated)
     np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
 
 
+def _check_certified_steps(patch, X, labels, mu):
+    """Check every certified step of the wide loop against its full step rebuilt on X.
+
+    The residual at the extrapolated point is recomputed as ``X W - Y mu``.
+    The set's drift bound must cover the part of ``D = R - R_ref`` off
+    ``R_ref``, and the full ``V`` must be within the threshold outside the
+    set.  Returns a list that gets one entry per checked step.
+    """
+    Ymu = mu[labels]
+    shape = (X.shape[1], mu.shape[1])
+    certifies = ksparse.solver._WorkingSet.certifies
+    checked = []
+
+    def spy(self, tau):
+        ok = certifies(self, tau)
+        if ok:
+            W = self.extrapolated_point(shape)
+            R = X @ W - Ymu
+            beta, delta = self.drift()
+            off = R - (1.0 + beta) * self.ref  # D - beta R_ref
+            assert np.all(delta >= np.linalg.norm(off, axis=0))
+            V = W - self.gamma * (X.T @ R)
+            excluded = np.ones(shape[0], dtype=bool)
+            excluded[self.rows] = False
+            assert np.abs(V[excluded]).max() <= tau * (1.0 + ksparse.solver._CERTIFICATE_SLACK)
+            checked.append(self.rows.size)
+        return ok
+
+    patch.setattr(ksparse.solver._WorkingSet, "certifies", spy)
+    return checked
+
+
 class TestWorkingSet:
     """Steps on a certified working set give the full-width loop's iterates."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
-    def test_certificate_stress(self, accelerated, eta):
+    def test_certificate_stress(self, monkeypatch, accelerated, eta):
         solve = solve_weights_fista if accelerated else solve_weights_ista
-        full = []
+        full, checked = [], 0
         for seed in range(60):
             X, labels, mu = _screening_instance(seed)
             W0 = default_weight_init(400, 3, eta)
-            rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
+            with monkeypatch.context() as patch:
+                steps = _check_certified_steps(patch, X, labels, mu)
+                rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
             _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
+            assert len(steps) == 60 - rep.full_gradients
             full.append(rep.full_gradients)
+            checked += len(steps)
         # the set both engages and fails its certificate across these seeds
         assert sum(full) < 60 * 60
         assert max(full) > 1
+        assert checked > 1000
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
@@ -332,7 +369,7 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_failing_certificate_takes_full_steps(self, monkeypatch, accelerated):
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "certifies", lambda self, R, tau: False)
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "certifies", lambda self, tau: False)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         X, labels, mu = _screening_instance(4)
         W0 = default_weight_init(400, 3, 1.0)
@@ -364,11 +401,67 @@ class TestWorkingSet:
             opened.append((self.rows.size, self.ghosts.size))
 
         monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
+        steps = _check_certified_steps(monkeypatch, X, labels, mu)
         W0 = default_weight_init(d, dbar, 20.0)
         rep = solve_weights_fista(X, labels, mu, W0, 100, 20.0, sigma_max=1.0)
         assert (16, d - 16) in opened
         assert rep.full_gradients < 100
+        assert len(steps) == 100 - rep.full_gradients
         _assert_matches_reference(rep, X, labels, mu, W0, 100, 20.0, True)
+
+    def test_drift_along_the_reference_residual(self):
+        # a set opened at W_ref whose weights then move the residual to exactly
+        # 2 R_ref: every excluded entry of the full V is W - 2 gamma G_ref, and
+        # the certificate must see the drift along R_ref at full size
+        X, labels, mu = _screening_instance(0)
+        m, d = X.shape
+        Ymu = mu[labels]
+        rows = np.arange(2 * m)  # X[:, rows] spans every residual
+        W_ref = np.zeros((d, 3))
+        W_ref[rows] = 0.01 * np.random.default_rng(0).standard_normal((2 * m, 3))
+        W_ref[300:305] = 0.01  # ghosts
+        R_ref = X @ W_ref - Ymu
+        G_ref = X.T @ R_ref
+        # lambda = 0 opens the set at W_ref itself, with c = 1
+        design = ksparse.solver._Design(X)
+        ws = ksparse.solver._WorkingSet(design, rows, W_ref, G_ref, R_ref, W_ref, Ymu, 1.0, 0.0)
+        assert ws.ghosts.tolist() == list(range(300, 305))
+        ws.W = ws.W + np.linalg.lstsq(X[:, rows], R_ref, rcond=None)[0]
+        ws.G = 2.0 * ws.G
+        beta, delta = ws.drift()
+        np.testing.assert_allclose(beta, 1.0, rtol=1e-9)
+        assert np.all(delta <= 1e-4 * np.linalg.norm(R_ref, axis=0))
+        excluded = np.setdiff1d(np.arange(d), rows)
+        top = np.abs(W_ref - 2.0 * G_ref)[excluded].max()
+        # the bound without the drift along R_ref would pass a threshold below top
+        assert np.abs(W_ref - G_ref)[excluded].max() < 0.9 * top
+        assert not ws.certifies(0.99 * top)
+        assert ws.certifies(1.01 * top)
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_zero_reference_column(self, monkeypatch, accelerated):
+        # a zero column of mu and of W0 keeps that column of every residual at
+        # exactly zero, so the drift's share along R_ref is 0 there, with no
+        # 0 / 0 (pytest turns its warning into an error)
+        X, labels, mu = _screening_instance(4)
+        mu[:, 2] = 0.0
+        W0 = default_weight_init(400, 3, 1.0)
+        W0[:, 2] = 0.0
+        betas = []
+        drift = ksparse.solver._WorkingSet.drift
+
+        def spy(self):
+            beta, delta = drift(self)
+            assert np.all(self.ref[:, 2] == 0.0)
+            betas.append(beta[2])
+            return beta, delta
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "drift", spy)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        rep = solve(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
+        assert betas and all(beta == 0.0 for beta in betas)
+        assert np.all(rep.final_weights[:, 2] == 0.0)
+        _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
 
     def test_zero_iterations(self):
         X, labels, mu = _screening_instance(5)
@@ -377,6 +470,80 @@ class TestWorkingSet:
         )
         assert rep.iterations_run == 0
         assert rep.full_gradients == 0
+
+
+class _Counted(np.ndarray):
+    """A view of X that logs every product that it, or a slice of it, enters."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.log.append(("matmul",) + tuple(a.shape for a in inputs))
+        inputs = [a.view(np.ndarray) if isinstance(a, _Counted) else a for a in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestSetProducts:
+    """A set forms its Gram once per opening, and only with at most 2 m rows.
+
+    A certified step then makes one product on that Gram, on the rows in the
+    projected point's support when they are under half of them; a larger
+    set takes the same product through ``X[:, rows]`` twice.
+    """
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_very_wide(self, monkeypatch, accelerated):
+        # m = 40 and d = 2000 at eta = 0.5: both solvers take certified steps on
+        # sets on both sides of 2 m
+        X, labels, mu = _screening_instance(0, m=40, d=2000)
+        m = X.shape[0]
+        design = ksparse.solver._Design(X)
+        log = []
+        design.X = design.X.view(_Counted)
+        design.X.log = log
+        events = []
+        init = ksparse.solver._WorkingSet.__init__
+        step = ksparse.solver._WorkingSet.step
+
+        def init_spy(self, *args):
+            start = len(log)
+            init(self, *args)
+            events.append(("open", self.rows.size, log[start:]))
+            if self.H is not None:
+                self.H = self.H.view(_Counted)
+                self.H.log = log
+
+        def step_spy(self, *args):
+            start = len(log)
+            certified = step(self, *args)
+            if certified:
+                events.append(("step", self.rows.size, log[start:]))
+            return certified
+
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", init_spy)
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "step", step_spy)
+        W0 = default_weight_init(2000, 3, 0.5)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        rep = solve(design, labels, mu, W0, 60, 0.5, sigma_max=1.0)
+        _assert_matches_reference(rep, X, labels, mu, W0, 60, 0.5, accelerated)
+        sizes = {n for kind, n, _ in events if kind == "step"}
+        assert min(sizes) <= 2 * m < max(sizes)
+        on_support = 0
+        for kind, n, products in events:
+            if kind == "open":
+                grams = [p for p in products if p == ("matmul", (n, m), (m, n))]
+                assert len(grams) == (n <= 2 * m)
+            elif n <= 2 * m:
+                # (P_S.T @ H_C[S]).T on the support S of P, or on all n rows
+                [(kind, (dbar, s), (rows, cols))] = products
+                assert kind == "matmul" and dbar == 3 and s == rows <= n == cols
+                on_support += s < n
+            else:
+                assert len(products) == 2
+                assert all(p[0] == "matmul" and (m, n) in p[1:] for p in products)
+        assert on_support > 0
 
 
 class TestThresholdGuess:
