@@ -40,7 +40,10 @@ costs fewer flops than two m x |C| x dbar ones, and ``H_C`` is at most
 twice the size of ``X_C``.  ``P`` is zero outside its support, so when
 that is under half of ``C`` the product reads only those rows of ``H_C``;
 large sets, whose ``H_C`` outgrows the cache, mostly step that way.  A set
-of more than ``2 m`` rows takes the same product through ``X_C`` twice.
+of more than ``2 m`` rows takes the same product through ``X_C`` twice,
+which bounds the set's memory by that of ``X_C``.  A set holds at most a
+fifth of the rows, so only data with ``d > 10 m`` reach that path; no
+benchmark workload does, and its speed is unmeasured.
 The set updates no m x dbar residual: ``R`` is rebuilt once, when the set
 closes, with one product on ``X_C``.
 
@@ -73,7 +76,11 @@ and ``||D_j - beta_j R_ref_j||^2 = ||D_j||^2 - beta_j D_j . R_ref_j``.  These
 terms cancel, so under the square root the bound adds a rounding margin of
 ``4 (m + |C|) eps`` times their magnitudes, from Frobenius norms, and
 outside it the same multiple of ``||R_ref|| + ||Y mu||`` for the rounding
-that ``R_ref`` itself carries.
+that ``R_ref`` itself carries.  ``G_C`` is carried from ``H_C P - b_C``,
+whose rounding grows with ``||H_C|| ||P|| + ||b_C||``, not with
+``||G_C||``: where ``Y mu`` lies near the range of ``X`` the two cancel to
+far below ``||b_C||``.  So the margin also takes their bounds ``||X_C||^2
+||P|| + ||X_C|| ||Y mu||``, with the largest ``||P||`` since opening.
 
 Ghost rows are excluded rows that still carry weight: the extrapolation
 ``(1 - lambda) W + lambda P`` keeps every row that was ever in the support,
@@ -305,6 +312,12 @@ class _WorkingSet:
             np.linalg.norm(self.Q0) * np.sqrt(self.r.sum()),
             self.n0.sum(),
         )
+        # G's own rounding scales with the terms it is carried from, H_C P and
+        # b_C (or their factors through X_C), at most ||X_C||^2 ||P|| and ||X_C||
+        # ||Y mu||; they cancel where Y mu lies near the range of X
+        x_sq = float(np.sum(design.norms[rows] ** 2))
+        self.product_sizes = (x_sq, np.sqrt(x_sq * 2.0 * self.half_ymu))
+        self.p_max = 0.0  # the largest ||P|| whose product G carries
         self.floor = self.eps * (np.sqrt(self.r.sum()) + np.sqrt(2.0 * self.half_ymu))
         a = design.norms[excluded]
         self.gG_ghost = gamma * G_ref[self.ghosts]
@@ -312,18 +325,8 @@ class _WorkingSet:
         zero = excluded[~weighted]
         self.gG_zero = gamma * np.abs(G_ref[zero])
         self.ga_zero = gamma * a[~weighted, None]
-        # columnwise maxima give a cheap first check, which usually settles the
-        # zero rows and often the ghosts, through c W - (1 + beta) g = c (W - g)
-        # + (c - 1 - beta) g with g = gamma G_ref
-        self.ghost_caps = self.zero_caps = None
-        if self.ghosts.size:
-            self.ghost_caps = (
-                np.abs(self.W_ghost_ref - self.gG_ghost).max(axis=0),
-                np.abs(self.gG_ghost).max(axis=0),
-                self.ga_ghost.max(),
-            )
-        if zero.size:
-            self.zero_caps = (self.gG_zero.max(axis=0), self.ga_zero.max())
+        # columnwise maxima give a cheap first check, which usually settles the zero rows
+        self.zero_caps = (self.gG_zero.max(axis=0), self.ga_zero.max()) if zero.size else None
         self.P = np.asfortranarray(P[rows])
         self.W = _relax(self.W_ref, self.P, lam)
         G_proj, self.objective = self._product(self.P)
@@ -331,6 +334,7 @@ class _WorkingSet:
 
     def _product(self, P):
         """The gradient at a projected point ``P`` on the rows, and its trace entry."""
+        self.p_max = max(self.p_max, np.sqrt(_fdot(P, P)))
         if self.H is not None:
             # P is zero outside its support (module docstring)
             supp = np.flatnonzero(P.any(axis=1))
@@ -373,7 +377,9 @@ class _WorkingSet:
         p = np.einsum("ij,ij->j", dW, self.G_ref) + e * self.q0
         beta = np.divide(p, self.r, out=np.zeros_like(p), where=self.r > 0.0)
         G_ref_norm, M0_norm, QR_norm, Q0_sq = self.sizes
-        size = np.sqrt(_fdot(self.G, self.G)) + G_ref_norm + abs(e) * M0_norm
+        X_sq, b_norm = self.product_sizes
+        size = np.sqrt(_fdot(self.G, self.G)) + X_sq * self.p_max + b_norm
+        size += G_ref_norm + abs(e) * M0_norm
         size *= np.sqrt(_fdot(dW, dW))
         size = (1.0 + np.abs(beta).max()) * (size + abs(e) * QR_norm) + e * e * Q0_sq
         return beta, np.sqrt(np.maximum(s - beta * p, 0.0) + self.eps * size) + self.floor
@@ -383,14 +389,11 @@ class _WorkingSet:
         limit = tau * (1.0 - _CERTIFICATE_SLACK)
         beta, delta = self.drift()
         scale = 1.0 + beta
-        if self.ghost_caps is not None:
-            v_max, g_max, ga_max = self.ghost_caps
-            cap = abs(self.c) * v_max + np.abs(self.c - scale) * g_max + ga_max * delta
-            if np.any(cap > limit):
-                W_ghost = self.c * self.W_ghost_ref
-                bound = np.abs(W_ghost - self.gG_ghost * scale) + self.ga_ghost * delta
-                if bound.max() > limit:
-                    return False
+        if self.ghosts.size:
+            W_ghost = self.c * self.W_ghost_ref
+            bound = np.abs(W_ghost - self.gG_ghost * scale) + self.ga_ghost * delta
+            if bound.max() > limit:
+                return False
         if self.zero_caps is not None:
             gG_max, ga_max = self.zero_caps
             scale = np.abs(scale)

@@ -275,6 +275,20 @@ def _screening_instance(seed, m=30, d=400, dbar=3, k=3):
     return X, labels, mu
 
 
+def _near_fit_instance(seed, m=30, d=400, k=3):
+    """Wide data whose first three columns are Y mu up to noise of 1e-4, with
+    an l1 budget of 0.999 times their least-squares fit: the solves end with
+    a residual near 1e-3 of ``||Y mu||``."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(m) % k
+    mu = 10.0 * rng.standard_normal((k, 3))
+    X = rng.standard_normal((m, d))
+    X[:, :3] = mu[labels] + 1e-4 * rng.standard_normal((m, 3))
+    X /= spectral_norm(X)
+    fit = np.linalg.lstsq(X[:, :3], mu[labels], rcond=None)[0]
+    return X, labels, mu, 0.999 * np.abs(fit).sum()
+
+
 def _assert_matches_reference(rep, X, labels, mu, W0, n_iters, eta, accelerated):
     ref_W, ref_trace = projected_gradient_reference(
         X, labels, mu, W0, n_iters, 1.0, eta, accelerated
@@ -342,6 +356,34 @@ class TestWorkingSet:
         assert sum(full) < 60 * 60
         assert max(full) > 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_certificate_near_fit(self, monkeypatch, accelerated):
+        # the set's gradient H_C P - b_C cancels to under 1e-4 of ||b_C||, so
+        # the drift's rounding margin must scale with H_C P and b_C, not G
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        product = ksparse.solver._WorkingSet._product
+        ratios = []
+
+        def spy(self, P):
+            G, entry = product(self, P)
+            ratios.append(np.linalg.norm(G) / np.linalg.norm(self.b))
+            return G, entry
+
+        checked = 0
+        for seed in range(12):
+            X, labels, mu, eta = _near_fit_instance(seed)
+            W0 = default_weight_init(400, 3, eta)
+            with monkeypatch.context() as patch:
+                patch.setattr(ksparse.solver._WorkingSet, "_product", spy)
+                steps = _check_certified_steps(patch, X, labels, mu)
+                rep = solve(X, labels, mu, W0, 200, eta, sigma_max=1.0)
+            assert len(steps) == 200 - rep.full_gradients
+            Ymu = mu[labels]
+            assert objective(X, rep.final_weights, labels, mu) < 1e-6 * np.vdot(Ymu, Ymu)
+            checked += len(steps)
+        assert checked > 2000
+        assert min(ratios) < 1e-4
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
@@ -437,6 +479,32 @@ class TestWorkingSet:
         assert np.abs(W_ref - G_ref)[excluded].max() < 0.9 * top
         assert not ws.certifies(0.99 * top)
         assert ws.certifies(1.01 * top)
+
+    def test_floor_covers_the_reference_residual_rounding(self):
+        # the loop carries R_ref by recombination, so R_ref misses X W_ref - Y mu
+        # by rounding, which the Gram-form drift sees only as (c - 1) times
+        # itself; with no drift on the set's rows and a residual near 1e-3 of
+        # ||Y mu||, only the bound's floor covers the rest
+        X, labels, mu, _ = _near_fit_instance(0)
+        m, d = X.shape
+        Ymu = mu[labels]
+        rows = np.arange(2 * m)
+        W_ref = np.zeros((d, 3))
+        W_ref[:3] = 0.999 * np.linalg.lstsq(X[:, :3], Ymu, rcond=None)[0]
+        err = np.random.default_rng(0).standard_normal((m, 3))
+        err /= np.linalg.norm(err, axis=0)
+        err *= (m + rows.size) * np.finfo(float).eps * np.linalg.norm(Ymu, axis=0)
+        R_ref = X @ W_ref - Ymu + err
+        G_ref = X.T @ R_ref
+        design = ksparse.solver._Design(X)
+        # lambda = 0.75 leaves the excluded rows c = 0.25 of their weights
+        ws = ksparse.solver._WorkingSet(design, rows, W_ref, G_ref, R_ref, W_ref, Ymu, 1.0, 0.75)
+        assert ws.ghosts.size == 0
+        ws.W = ws.W_ref.copy()
+        beta, delta = ws.drift()
+        R = X @ ws.extrapolated_point((d, 3)) - Ymu
+        assert np.linalg.norm(R_ref, axis=0).max() < 2e-3 * np.linalg.norm(Ymu, axis=0).min()
+        assert np.all(delta >= np.linalg.norm(R - (1.0 + beta) * R_ref, axis=0))
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_zero_reference_column(self, monkeypatch, accelerated):
