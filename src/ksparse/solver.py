@@ -34,12 +34,13 @@ outside ``C``.
 A set steps on its own Gram.  With ``X_C = X[:, C]`` and at most ``2 m``
 rows, it forms ``H_C = X_C.T X_C`` and ``b_C = X_C.T Y mu`` when it opens,
 and carries the gradient at the extrapolated point as the tall loop below
-carries ``G``: ``G_C = (1 - lambda) G_C + lambda (H_C P - b_C)`` after each
-projected point ``P``.  Below ``2 m`` rows one |C| x |C| x dbar product
-costs fewer flops than two m x |C| x dbar ones, and ``H_C`` is at most
-twice the size of ``X_C``.  ``P`` is zero outside its support, so when
-that is under half of ``C`` the product reads only those rows of ``H_C``;
-large sets, whose ``H_C`` outgrows the cache, mostly step that way.  A set
+carries ``G``, with the same Gram step (:func:`_gram_gradient`): ``G_C =
+(1 - lambda) G_C + lambda (H_C P - b_C)`` after each projected point
+``P``.  Below ``2 m`` rows one |C| x |C| x dbar product costs fewer flops
+than two m x |C| x dbar ones, and ``H_C`` is at most twice the size of
+``X_C``.  ``P`` is zero outside its support, so when that is under half
+of ``C`` the product reads only those rows of ``H_C``; large sets, whose
+``H_C`` outgrows the cache, mostly step that way.  A set
 of more than ``2 m`` rows takes the same product through ``X_C`` twice,
 which bounds the set's memory by that of ``X_C``.  A set holds at most a
 fifth of the rows, so only data with ``d > 10 m`` reach that path; no
@@ -96,15 +97,17 @@ W - b`` is affine in ``W``, so the loop carries ``G``, the gradient at the
 extrapolated point, by the points' own recombination: ``G = (1 - lambda)
 G + lambda (H P - b)`` after each projected point ``P``.  That is one d x
 d x dbar product per step, where the loop on ``X`` takes two m x d x dbar
-ones.  A :class:`_Design` shared by the solves of a run forms ``H`` once;
-each solve forms ``b`` from a k x m one-hot.  Every step on ``H`` is
-full-width.  A working set opens only while the candidate rows are at most
-a fifth of ``d``, and the tall solves of a clustering run keep a large
-share of their few hundred features, so a set would carry few of their
-steps and save only part of one d x d x dbar product on each.  The
-objective trace's first and last entries are computed on ``X``, as ``0.5
-||X P - Y mu||^2``; the entries between are ``0.5 ||Y mu||^2 + 0.5 <P, H P
-- 2 b>`` (see :class:`InnerSolveReport`).
+ones, and it is a set's Gram step: when the support of ``P`` is under half
+of the d rows, it reads only those rows of ``H``.  A :class:`_Design`
+shared by the solves of a run forms ``H`` once; each solve forms ``b`` and
+``0.5 ||Y mu||^2`` from the m x dbar ``Y mu``, as a set does.  Every step
+on ``H`` is full-width.  A working set opens only while the candidate
+rows are at most a fifth of ``d``, and the tall solves of a clustering run
+keep a large share of their few hundred features, so a set would carry
+few of their steps and save only part of one d x d x dbar product on
+each.  The objective trace's first and last entries are computed on
+``X``, as ``0.5 ||X P - Y mu||^2``; the entries between are ``0.5 ||Y
+mu||^2 + 0.5 <P, H P - 2 b>`` (see :class:`InnerSolveReport`).
 """
 
 from __future__ import annotations
@@ -258,6 +261,22 @@ def _fdot(A, B):
     return float(np.vdot(A.ravel(order="F"), B.ravel(order="F")))
 
 
+def _gram_gradient(H, b, half_ymu, P):
+    """The gradient ``H P - b`` at a projected point ``P``, and its trace entry.
+
+    ``H`` is a symmetric Gram, ``b = X.T Y mu`` on its rows and ``half_ymu =
+    0.5 ||Y mu||^2``.  The product reads only the rows of ``H`` in the
+    support of ``P`` when that is under half of them.  ``(P.T @ H).T`` is
+    ``H @ P`` in the layout OpenBLAS runs faster for the Fortran-ordered ``P``.
+    """
+    supp = np.flatnonzero(P.any(axis=1))
+    if 2 * supp.size < P.shape[0]:
+        G = (P[supp].T @ H[supp]).T - b
+    else:
+        G = (P.T @ H).T - b
+    return G, half_ymu + 0.5 * _fdot(P, G - b)
+
+
 def _candidates(V, tau):
     """The rows of a working set after a full step on ``V``, or None when none opens."""
     rows = np.flatnonzero(np.abs(V).max(axis=1) > _CANDIDATE_FRACTION * tau)
@@ -336,13 +355,7 @@ class _WorkingSet:
         """The gradient at a projected point ``P`` on the rows, and its trace entry."""
         self.p_max = max(self.p_max, np.sqrt(_fdot(P, P)))
         if self.H is not None:
-            # P is zero outside its support (module docstring)
-            supp = np.flatnonzero(P.any(axis=1))
-            if 2 * supp.size < P.shape[0]:
-                G = (P[supp].T @ self.H[supp]).T - self.b
-            else:
-                G = _sym_product(self.H, P) - self.b
-            return G, self.half_ymu + 0.5 * _fdot(P, G - self.b)
+            return _gram_gradient(self.H, self.b, self.half_ymu, P)
         R = self.X @ P - self.Ymu
         return (R.T @ self.X).T, 0.5 * float(np.vdot(R, R))
 
@@ -485,38 +498,15 @@ def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
         R = _relax(R, R_proj, lam)
     if ws is not None:
         W_proj = ws.projected_point(W0.shape)
-        trace[-1] = _half_squared_residual(ws.X, ws.P, labels, mu)
+        trace[-1] = _half_squared_residual(ws.X, ws.P, Ymu)
     return W_proj, trace, full_gradients
 
 
-def _half_squared_residual(X, P, labels, mu):
+def _half_squared_residual(X, P, Ymu):
     """``0.5 ||X P - Y mu||^2`` on ``X`` itself."""
     # same product as X @ P; for C-ordered X, OpenBLAS runs this layout faster
-    R = (P.T @ X.T).T - mu[labels]
+    R = (P.T @ X.T).T - Ymu
     return 0.5 * float(np.vdot(R, R))
-
-
-def _gram_target(X, labels, mu):
-    """``b = X.T @ Y @ mu`` through the k x m one-hot ``Y.T``, and ``0.5 ||Y mu||^2``.
-
-    ``b`` is Fortran-ordered, as are the projection's outputs and so the
-    loop's gradients, whose sums then run in one layout.
-    """
-    k, m = mu.shape[0], X.shape[0]
-    Yt = np.zeros((k, m))
-    Yt[labels, np.arange(m)] = 1.0
-    counts = np.bincount(labels, minlength=k)
-    return (mu.T @ (Yt @ X)).T, 0.5 * float(counts @ np.einsum("ij,ij->i", mu, mu))
-
-
-def _sym_product(H, P):
-    """``H @ P`` for a symmetric ``H``, as ``(P.T @ H).T``.
-
-    For the Fortran-ordered ``P`` that the projection returns, OpenBLAS
-    runs this layout faster: 60 against 114-123 us at d = 298, dbar = 10
-    (one BLAS thread, best of 7).
-    """
-    return (P.T @ H).T
 
 
 def _gram_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
@@ -525,12 +515,15 @@ def _gram_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
     Every step is full-width.  Returns what :func:`_residual_loop` returns.
     """
     X, H = design.X, design.gram
-    b, half_ymu = _gram_target(X, labels, mu)
+    Ymu = mu[labels]
+    # X.T @ Y mu is written (Ymu.T @ X).T, in the layout of the gradient
+    b = (Ymu.T @ X).T
+    half_ymu = 0.5 * float(np.vdot(Ymu, Ymu))
     W_proj, tau = _shrink(W0, eta)
-    trace = [_half_squared_residual(X, W_proj, labels, mu)]
+    trace = [_half_squared_residual(X, W_proj, Ymu)]
 
     W = W_proj  # extrapolated point, G is the gradient here
-    G = _sym_product(H, W) - b
+    G = _gram_gradient(H, b, half_ymu, W)[0]
     t = 1.0
     lam = 1.0
     for n in range(n_iters):
@@ -538,12 +531,12 @@ def _gram_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
             t, lam = momentum_schedule(n, t)
         W_proj, tau = _shrink(W - gamma * G, eta, _TAU_HINT * tau)
         W = _relax(W, W_proj, lam)
-        G_proj = _sym_product(H, W_proj) - b
-        trace.append(half_ymu + 0.5 * float(np.vdot(W_proj, G_proj - b)))
+        G_proj, objective = _gram_gradient(H, b, half_ymu, W_proj)
+        trace.append(objective)
         # the gradient is affine in W, so recombine instead of re-multiplying
         G = _relax(G, G_proj, lam)
     if n_iters:
-        trace[-1] = _half_squared_residual(X, W_proj, labels, mu)
+        trace[-1] = _half_squared_residual(X, W_proj, Ymu)
     return W_proj, trace, n_iters
 
 

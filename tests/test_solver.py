@@ -541,7 +541,7 @@ class TestWorkingSet:
 
 
 class _Counted(np.ndarray):
-    """A view of X that logs every product that it, or a slice of it, enters."""
+    """A view of X or a Gram that logs every product that it, or a slice of it, enters."""
 
     def __array_finalize__(self, obj):
         self.log = getattr(obj, "log", None)
@@ -693,8 +693,9 @@ class TestTallReduction:
     """On tall X the loop runs on H = X.T X and gives the same iterates.
 
     The solve forms ``H`` once and no m x d temporary; ``b = X.T Y mu``
-    comes from a k x m one-hot.  Every step is full-width.  The trace's
-    first and last entries are computed on ``X`` itself.
+    comes from the m x dbar ``Y mu``.  Every step is full-width and makes
+    one product on ``H``.  The trace's first and last entries are computed
+    on ``X`` itself.
     """
 
     @pytest.mark.parametrize("accelerated", [False, True])
@@ -728,14 +729,46 @@ class TestTallReduction:
         labels = np.arange(m) % k
         mu = rng.standard_normal((k, dbar))
         design = ksparse.solver._Design(X)
+        W0 = default_weight_init(d, dbar, 1.5)
         tracemalloc.start()
         try:
-            design.gram
-            ksparse.solver._gram_target(X, labels, mu)
+            solve_weights_fista(design, labels, mu, W0, 20, 1.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < m * d * 8
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_one_product_per_step(self, monkeypatch, accelerated):
+        # (P_S.T @ H[S]).T on the support S of P while it is under half of
+        # the d rows, else (P.T @ H).T; this budget keeps 3-7 of 12 rows
+        X, labels, mu = _instance(21, m=100, d=12, dbar=3)
+        d = X.shape[1]
+        design = ksparse.solver._Design(X)
+        log = []
+        design.gram = design.gram.view(_Counted)
+        design.gram.log = log
+        starts = []
+        shrink = ksparse.solver._shrink
+
+        def spy(*args):
+            starts.append(len(log))
+            return shrink(*args)
+
+        monkeypatch.setattr(ksparse.solver, "_shrink", spy)
+        W0 = default_weight_init(d, 3, 8.0)
+        solve = solve_weights_fista if accelerated else solve_weights_ista
+        rep = solve(design, labels, mu, W0, 80, 8.0, sigma_max=1.0)
+        _assert_matches_reference(rep, X, labels, mu, W0, 80, 8.0, accelerated)
+        # the start's projection, then one per step; each is followed by one product
+        assert len(starts) == 81
+        steps = [log[a:b] for a, b in zip(starts, starts[1:] + [len(log)])]
+        on_support = 0
+        for products in steps:
+            [(kind, (dbar, s), (rows, cols))] = products
+            assert kind == "matmul" and dbar == 3 and s == rows <= cols == d
+            on_support += s < d
+        assert 0 < on_support < len(steps)
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
