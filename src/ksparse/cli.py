@@ -357,6 +357,9 @@ def _cmd_sweep(parser, args) -> int:
 
 def _cmd_synth(parser, args) -> int:
     phases = _Phases(args.time)
+    import errno
+    import tempfile
+
     from . import dataio
 
     try:
@@ -379,15 +382,24 @@ def _cmd_synth(parser, args) -> int:
          lambda path: dataio._atomic_write(
              path, "".join(f"{int(j)}\n" for j in dataset.informative_features))),
     )
-    written = []
+    # every file is written under a staging name before any is put in place,
+    # so a failed run leaves the previous run's files as they were and none
+    # of its own behind
+    staged = {}
     try:
         for path, write in writes:
-            write(path)
-            written.append(path)
+            fd, staged[path] = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+            os.close(fd)
+            write(staged[path])
+        for path in staged:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for path in list(staged):
+            os.replace(staged[path], path)
+            del staged[path]
     except BaseException:
-        # a failed run leaves none of its files behind
-        for path in written:
-            os.unlink(path)
+        for tmp in staged.values():
+            os.unlink(tmp)
         raise
     phases.mark("write")
     print(f"{args.out}_matrix.csv\t{spec.m}\t{spec.d}\t{spec.k}")

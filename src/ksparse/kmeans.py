@@ -8,8 +8,8 @@ is reproducible in isolation.
 
 Assignment: a sample goes to its nearest center, ties to the lower index,
 exactly where ``np.argmin`` over the broadcast distances of
-``_squared_distances`` puts it, but those distances are formed only for the
-rows that need them.  One GEMM, of the centers with ``||c_j||^2`` appended
+``_squared_distances`` puts it, but those distances are formed only when
+some row needs them.  One GEMM, of the centers with ``||c_j||^2`` appended
 against ``Z.T`` over a row of ones, gives ``g_ji = ||c_j||^2 - 2 c_j . z_i``:
 the squared distance less the row constant ``||z_i||^2``.  Let
 ``tol_i = s ((||z_i|| + max_j ||c_j||)^2 + tiny)`` with
@@ -18,15 +18,10 @@ from the exact distance, and its ``tiny`` term covers underflow.  A row
 whose smallest ``g_ji`` has no other center within ``2 tol_i`` of it is
 certified: both forms have the same strict minimum there, so that center is
 its label.  Every other row (exact ties, duplicate centers, data far from
-the origin, overflow) takes ``np.argmin`` over the broadcast distances of
-those rows alone.  ``einsum`` sums in an order set by the memory layout, so
-the copy of those rows stays column-major, as the full ``Z`` is: a
-column-major copy of two or more rows reproduces their full-array distances
-bit for bit, where a row-major copy does not, nor a lone row, which is
-contiguous both ways and so is doubled.  Labels, and with them centers,
-wcss and iteration counts, are therefore the broadcast form's.  The
-rounding bound assumes finite inputs, so a non-finite ``Z`` or
-``init_centers`` is rejected.
+the origin, overflow) takes ``np.argmin`` over the broadcast distances
+themselves.  Labels, and with them centers, wcss and iteration counts, are
+therefore the broadcast form's.  The rounding bound assumes finite inputs,
+so a non-finite ``Z`` or ``init_centers`` is rejected.
 
 Layout: the functions that take ``Z`` work on a column-major copy, whatever
 the caller passes, and every result is the same for any input layout.
@@ -74,13 +69,11 @@ class _Samples:
     """A validated ``Z`` with what every assignment on it reuses.
 
     Passed as ``Z`` to ``best_of_replicates``, ``kmeanspp_seed`` and ``lloyd``,
-    one lets every run on the same ``Z`` share the checks, the transposed and
-    row-major copies, the row norms and the workspace.
+    one lets every run on the same ``Z`` share the checks, the transposed
+    copy and the row norms.
     """
 
     Z: np.ndarray  # column-major and finite
-    ZC: np.ndarray  # the same values row-major, for the wcss residual
-    work: np.ndarray  # row-major, Z's shape: where _wcss forms the residual
     ZT1: np.ndarray  # Z.T over a row of ones, the GEMM's right operand
     norms: np.ndarray  # ||z_i||
 
@@ -94,8 +87,7 @@ def _samples(Z) -> _Samples:
     if not np.isfinite(Z).all():
         raise ValueError("Z contains NaN or Inf entries")
     ZT1 = np.vstack([Z.T, np.ones(Z.shape[0])])
-    ZC = np.ascontiguousarray(Z)
-    return _Samples(Z, ZC, np.empty_like(ZC), ZT1, np.sqrt(np.einsum("ij,ij->i", Z, Z)))
+    return _Samples(Z, ZT1, np.sqrt(np.einsum("ij,ij->i", Z, Z)))
 
 
 def _tolerance(norms: np.ndarray, centers_sq: np.ndarray, dbar: int) -> np.ndarray:
@@ -105,14 +97,8 @@ def _tolerance(norms: np.ndarray, centers_sq: np.ndarray, dbar: int) -> np.ndarr
 
 
 def _exact_distances(Z: np.ndarray, centers: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_squared_distances(Z, centers)[rows]`` bit for bit, for a column-major
-    ``Z``, formed on those rows alone."""
-    if rows.size == Z.shape[0]:
-        return _squared_distances(Z, centers)
-    # a lone row is doubled: it would be contiguous both ways, and summed in
-    # another order
-    sub = np.asfortranarray(Z[np.repeat(rows, 2) if rows.size == 1 else rows])
-    return _squared_distances(sub, centers)[: rows.size]
+    """The broadcast distances of the uncertified ``rows``."""
+    return _squared_distances(Z, centers)[rows]
 
 
 def _assign(S: _Samples, centers: np.ndarray) -> np.ndarray:
@@ -133,15 +119,12 @@ def _assign(S: _Samples, centers: np.ndarray) -> np.ndarray:
 
 
 def _wcss(S: _Samples, labels: np.ndarray, centers: np.ndarray) -> float:
-    """``0.5 ||Z - centers[labels]||^2`` bit for bit, for any layout of ``Z``.
+    """Half the squared distance of each sample to its center, summed.
 
-    ``vdot`` sums a row-major operand in place and copies any other to row
-    major first, so the residual is formed row-major, in ``S.work``.
+    ``vdot`` sums in row-major order whatever the residual's layout, so the
+    result does not depend on the layout of the caller's ``Z``.
     """
-    # labels from the assignment are in range, so "clip" clips nothing; with
-    # an out array, "raise" would gather through a temporary
-    R = np.take(centers, labels, axis=0, out=S.work, mode="clip")
-    np.subtract(S.ZC, R, out=R)
+    R = S.Z - centers[labels]
     return 0.5 * float(np.vdot(R, R))
 
 

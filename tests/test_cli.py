@@ -116,6 +116,37 @@ class TestSynth:
         assert "error:" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("fault", ["labels_write", "labels_directory", "informative_write"])
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch, capsys, fault):
+        from ksparse import cli, dataio
+
+        def synth(seed):
+            return cli.main([
+                "synth", "--m", "10", "--d", "8", "--k", "2", "--informative", "2",
+                "--seed", seed, "--out", str(tmp_path / "x"),
+            ])
+
+        assert synth("1") == 0
+        if fault == "labels_directory":
+            (tmp_path / "x_labels.txt").unlink()
+            (tmp_path / "x_labels.txt").mkdir()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+        def fail(path, data):
+            raise OSError("disk full")
+
+        if fault == "labels_write":
+            monkeypatch.setattr(dataio, "save_labels", fail)
+        elif fault == "informative_write":
+            monkeypatch.setattr(dataio, "_atomic_write", fail)
+        # another seed: a replaced file would not keep its bytes
+        assert synth("2") == 1
+        assert "error:" in capsys.readouterr().err
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert after == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["x_matrix.csv", "x_labels.txt", "x_informative.txt"])
+
 
 class TestCluster:
     def test_summary_and_result_file(self, synth_files, tmp_path):

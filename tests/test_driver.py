@@ -16,6 +16,8 @@ from ksparse.metrics import ari
 from ksparse.projection import project_l1_ball
 from ksparse.solver import default_weight_init, solve_weights_fista, solve_weights_ista
 
+from oracles import k_sparse_reference
+
 FAST = SolverConfig(replicates=8, inner_iters=120, outer_loops=5)
 
 
@@ -184,6 +186,35 @@ class TestKSparse:
         assert len(warm_runs) == len(solves) == cfg.outer_loops
         np.testing.assert_array_equal(solves[4], solves[3])  # loop 3 kept its labels
         assert np.all(np.diff(res.objective_trace) <= 0)
+
+
+class TestReferenceRun:
+    """A whole run agrees with the plain alternating run of ``oracles``.
+
+    Labels and selection are equal.  On these 24 runs the traces agreed to
+    1.9e-11 relative and ``W`` to 8.3e-12 of its largest entry; the bounds
+    leave at least fifty times that.
+    """
+
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "m, d", [(60, 400), (300, 40), (30, 900), (80, 200)],
+        ids=["60x400", "300x40_tall", "30x900_sets_above_2m", "80x200"],
+    )
+    def test_matches_reference(self, m, d, seed, normalize):
+        k = 3 + seed % 2
+        ds = generate_synthetic(SyntheticSpec(m=m, d=d, k=k, n_informative=10, seed=seed))
+        cfg = SolverConfig(inner_iters=150, outer_loops=5, replicates=4, normalize=normalize)
+        res = k_sparse(ds.matrix, k, 2.0, cfg)
+        labels, W, selected, trace = k_sparse_reference(
+            ds.matrix, k, 2.0, cfg.inner_iters, cfg.outer_loops, cfg.replicates,
+            normalize=normalize,
+        )
+        np.testing.assert_array_equal(res.labels, labels)
+        np.testing.assert_array_equal(res.selected_features, selected)
+        np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(res.weights, W, rtol=0, atol=1e-9 * np.abs(W).max())
 
 
 class TestStep:

@@ -368,6 +368,48 @@ class TestCertifiedAssignment:
         assert seen and all(rows.size == 200 for rows in seen)
 
 
+def _has_uncertified_row(Z, C):
+    """Whether some row of ``Z`` has a second center within twice its
+    tolerance of its nearest one (the module docstring's certificate)."""
+    S = _samples(Z)
+    centers_sq = np.einsum("ij,ij->i", C, C)
+    g = np.hstack([-2.0 * C, centers_sq[:, None]]) @ S.ZT1
+    near = g <= g.min(axis=0) + 2.0 * _tolerance(S.norms, centers_sq, C.shape[1])
+    return bool((near.sum(axis=0) != 1).any())
+
+
+class TestFallbackCalls:
+    """The broadcast distances are formed once for an assignment with an
+    uncertified row, and never for one without."""
+
+    def test_separated_groups_never_fall_back(self, monkeypatch):
+        seen = _spy_exact_rows(monkeypatch)
+        rng = np.random.default_rng(3)
+        k, dbar = 4, 6
+        means = 50.0 * rng.standard_normal((k, dbar))
+        truth = rng.integers(0, k, 400)
+        Z = means[truth] + rng.standard_normal((400, dbar))
+        labels = _assign(_samples(Z), means)
+        np.testing.assert_array_equal(labels, truth)
+        assert not _has_uncertified_row(Z, means)
+        best = best_of_replicates(Z, k, 5, 0)
+        assert ari(truth, best.labels) == 1.0
+        assert seen == []
+
+    def test_ties_fall_back_once_per_uncertified_assignment(self, monkeypatch):
+        seen = _spy_exact_rows(monkeypatch)
+        rng = np.random.default_rng(_MAKEUPS.index("ties"))
+        uncertified = 0
+        for _ in range(60):
+            Z, C = _assignment_case(rng, "ties")
+            seen.clear()
+            _assign(_samples(Z), C)
+            expected = int(_has_uncertified_row(Z, C))
+            assert len(seen) == expected
+            uncertified += expected
+        assert uncertified > 0
+
+
 class TestNonFinite:
     """The certificate's rounding bound needs finite inputs."""
 
