@@ -5,10 +5,13 @@ Michelot (1986), which runs in expected linear time on typical inputs.  It
 computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
 sums to ``eta``.  ``_shrink``, the l1-ball projection without the public
 checks, also returns ``tau``, which the weight solver's certificate reads.
-Where the scan finds no usable threshold, a scan on the gaps below the
-largest entry gives the output instead.  That is finite input whose sums
-overflow, and an ``eta`` below the rounding of the entries it is shared
-among.
+Where the scan finds no usable threshold, or one beyond ``eta`` in
+magnitude, a scan on the gaps below the largest entry gives the output
+instead.  No usable threshold means finite input whose sums overflow, or an
+``eta`` below the rounding of the entries it is shared among.  Past
+``eta``, each kept ``v - tau`` carries the rounding of ``tau``, so the
+output meets ``eta`` only to that, while the gaps of the kept entries are
+below ``eta`` and the gap scan meets it to the rounding of ``eta``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
     # excluded entry's v - tau may overflow to -inf, which clips to 0
     with np.errstate(over="ignore", invalid="ignore"):
         tau = _tau_scan(v, eta)
-        return _gap_projection(v, eta) if tau is None else np.maximum(v - tau, 0.0)
+        if tau is None or abs(tau) > eta:
+            return _gap_projection(v, eta)
+        return np.maximum(v - tau, 0.0)
 
 
 def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
@@ -94,7 +99,9 @@ def _gap_projection(v: np.ndarray, eta: float) -> np.ndarray:
     """``max(v - tau, 0)`` summing to eta, where ``v - tau`` cannot give it.
 
     That is a finite ``v`` whose sums overflow, or an ``eta`` below the
-    rounding of the entries it is shared among.
+    rounding of the entries it is shared among; it is also the output where
+    ``|tau|`` exceeds ``eta``, as it meets ``eta`` more closely (module
+    docstring).
 
     With ``M = max(v)`` the threshold is ``tau = M - c`` and the output is
     ``c - g`` on the gaps ``g = M - v`` below ``c``, so the scan filters the
@@ -139,7 +146,7 @@ def _shrink(W: np.ndarray, eta: float, lo: float = 0.0) -> tuple[np.ndarray, flo
     if total <= eta * (1.0 + 1e-12):
         return W.copy(), 0.0
     tau = _tau_scan(a, eta, lo)
-    if tau is None:
+    if tau is None or tau > eta:
         shrunk = _gap_projection(a, eta)
         tau = float(a.max() - shrunk.max())  # a kept entry's a - out, to rounding
     else:

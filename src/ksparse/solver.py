@@ -32,23 +32,23 @@ projection keeps has ``|V_ij| > tau``, so the projected weights are zero
 outside ``C``.
 
 A set steps on its own Gram.  With ``X_C = X[:, C]`` and at most ``2 m``
-rows, it forms ``H_C = X_C.T X_C`` and ``b_C = X_C.T Y mu`` when it opens,
-and carries the gradient at the extrapolated point as the tall loop below
-carries ``G``, with the same Gram step (:func:`_gram_gradient`): ``G_C =
-(1 - lambda) G_C + lambda (H_C P - b_C)`` after each projected point
-``P``.  Below ``2 m`` rows one |C| x |C| x dbar product costs fewer flops
-than two m x |C| x dbar ones, and ``H_C`` is at most twice the size of
-``X_C``.  ``P`` is zero outside its support, so when that is under half
-of ``C`` the product reads only those rows of ``H_C``; large sets, whose
-``H_C`` outgrows the cache, mostly step that way.  A set
-of more than ``2 m`` rows takes the same product through ``X_C`` twice,
-which bounds the set's memory by that of ``X_C``.  A set holds at most a
-fifth of the rows, so only data with ``d > 10 m`` reach that path; no
-benchmark workload does.  On 150 x 8000 (k = 3, eta = 3, seeds 1-3, one
-BLAS thread) the path is the faster one: with such sets taking full steps
-instead, the full-width steps of a run rose from 69-77 to 157-180 and
-every run took more CPU, and with every set forming its Gram the runs took
-more CPU still and peaked at 79-88 MB instead of 57 MB.
+rows, it forms ``H_C = X_C.T X_C`` and ``b_C = X_C.T Y mu`` when it opens.
+The gradient ``H_C W - b_C`` is affine in ``W``, so the set carries it at
+the extrapolated point by the points' own recombination, one Gram step
+(:func:`_gram_gradient`) per step: ``G_C = (1 - lambda) G_C + lambda (H_C
+P - b_C)`` after each projected point ``P``.  Below ``2 m`` rows one |C| x
+|C| x dbar product costs fewer flops than two m x |C| x dbar ones, and
+``H_C`` is at most twice the size of ``X_C``.  ``P`` is zero outside its
+support, so when that is under half of ``C`` the product reads only those
+rows of ``H_C``; large sets, whose ``H_C`` outgrows the cache, mostly step
+that way.  A set of more than ``2 m`` rows takes the same product through
+``X_C`` twice, which bounds the set's memory by that of ``X_C``.  A set
+holds at most a fifth of the rows, so only data with ``d > 10 m`` reach
+that path; no benchmark workload does.  On 150 x 8000 (k = 3, eta = 3,
+seeds 1-3, one BLAS thread) the path is the faster one: with such sets
+taking full steps instead, the full-width steps of a run rose from 69-77 to
+157-180 and every run took more CPU, and with every set forming its Gram
+the runs took more CPU still and peaked at 79-88 MB instead of 57 MB.
 The set updates no m x dbar residual: ``R`` is rebuilt once, when the set
 closes, with one product on ``X_C``.
 
@@ -94,24 +94,20 @@ Keeping them in ``C`` would pin ``C`` at that size.  Outside ``C`` their
 weights only scale by ``1 - lambda`` per step, and the ``W_ij`` term of the
 bound covers them, so ``C`` stays near the support.
 
-Tall data.  When ``d + dbar <= m`` the loop runs on the Gram matrix ``H =
-X.T X`` (d x d), which does not depend on the labels, and on ``b = X.T Y
-mu``, with ``Y`` the m x k one-hot matrix of the labels.  The gradient ``H
-W - b`` is affine in ``W``, so the loop carries ``G``, the gradient at the
-extrapolated point, by the points' own recombination: ``G = (1 - lambda)
-G + lambda (H P - b)`` after each projected point ``P``.  That is one d x
-d x dbar product per step, where the loop on ``X`` takes two m x d x dbar
-ones, and it is a set's Gram step: when the support of ``P`` is under half
-of the d rows, it reads only those rows of ``H``.  A :class:`_Design`
-shared by the solves of a run forms ``H`` once; each solve forms ``b`` and
-``0.5 ||Y mu||^2`` from the m x dbar ``Y mu``, as a set does.  Every step
-on ``H`` is full-width.  A working set opens only while the candidate
-rows are at most a fifth of ``d``, and the tall solves of a clustering run
-keep a large share of their few hundred features, so a set would carry
-few of their steps and save only part of one d x d x dbar product on
-each.  The objective trace's first and last entries are computed on
-``X``, as ``0.5 ||X P - Y mu||^2``; the entries between are ``0.5 ||Y
-mu||^2 + 0.5 <P, H P - 2 b>`` (see :class:`InnerSolveReport`).
+Tall data.  When ``d + dbar <= m`` the loop opens a set of every row right
+after the start's projection.  It steps on the Gram matrix ``H = X.T X``
+(d x d), which does not depend on the labels, and on ``b = X.T Y mu``, with
+``Y`` the m x k one-hot matrix of the labels: one d x d x dbar product per
+step, where the loop on ``X`` takes two m x d x dbar ones.  A
+:class:`_Design` shared by the solves of a run forms ``H`` once.  The set
+excludes no row, so it forms no reference or certificate, takes every step
+(one inside the ball too) and never closes; its steps count as full-width.
+No set of some rows opens on tall data: such a set holds at most a fifth of
+``d``, and the tall solves of a clustering run keep a large share of their
+few hundred features, so it would carry few of their steps.  The objective
+trace's first and last entries are computed on ``X``, as ``0.5 ||X P - Y
+mu||^2``; the entries between are ``0.5 ||Y mu||^2 + 0.5 <P, H P - 2 b>``
+(see :class:`InnerSolveReport`).
 """
 
 from __future__ import annotations
@@ -157,16 +153,18 @@ class InnerSolveReport:
     projected point.  The first and last entries are computed on ``X``, as
     ``0.5 ||X P - Y mu||^2``.  The entries between are in Gram form, as
     ``0.5 ||Y mu||^2 + 0.5 <P, H P - 2 b>`` with ``H = X.T X`` and ``b = X.T
-    Y mu``, on tall data (``d + dbar <= m``) and, on wide data, at the steps
-    that open or step on a working set of at most ``2 m`` rows, there with
-    ``H_C`` and ``b_C`` on the set's rows (see the module docstring).  The
-    other entries are computed on ``X``.  A Gram-form entry's error relative
+    Y mu``, at the steps of a working set of at most ``2 m`` rows and of
+    the steps that open one, there with ``H_C`` and ``b_C`` on the set's
+    rows.  On tall data (``d + dbar <= m``) every step is one of a set of
+    all ``d`` rows, on ``H`` itself (see the module docstring).  The other
+    entries are computed on ``X``.  A Gram-form entry's error relative
     to the objective ``f`` is about ``eps ||Y mu||^2 / f``: about 1e-15 on
     the benchmark's counts-tall solves, and up to 1.6e-9 where ``Y mu`` lies
     within 1e-2 of the range of ``X``, which leaves ``f`` near 5e-7 of ``||Y
     mu||^2``.  ``full_gradients`` counts the iterations that computed the
     gradient over all ``d`` rows; the others stepped on a certified working
-    set.  On tall data every step is full-width, so it equals ``n_iters``.
+    set of some rows.  On tall data every step is one of the set of every
+    row, so it equals ``n_iters``.
     """
 
     final_weights: np.ndarray
@@ -197,8 +195,9 @@ class _Design:
     ``driver.k_sparse`` prepares one per run and passes it as ``X`` to each
     weight solve; a solve given an ndarray prepares its own.  It holds the
     column norms ``||x_i||`` and, formed on first use, the Gram matrix ``H =
-    X.T @ X`` that the tall solves step on (module docstring).  With ``m >
-    d`` the spectral norm comes from ``H`` too, so a tall run forms it once.
+    X.T @ X``, which a tall solve's set of every row steps on (module
+    docstring).  With ``m > d`` the spectral norm comes from ``H`` too, so a
+    tall run forms it once.
     """
 
     def __init__(self, X):
@@ -297,14 +296,41 @@ class _WorkingSet:
     most ``2 m`` rows, its Gram ``H`` (module docstring).  Excluded rows keep
     ``c`` times their reference weights, with ``c`` the product of ``1 -
     lambda`` since the reference; ``ghosts`` are those that carry weight.
+
+    With ``rows`` None the set holds every row (``full``) and opens at the
+    projected start, where ``lambda = 1``.  It steps on the design's ``X``
+    and ``H``, and it excludes no row, so it has no reference or
+    certificate, takes every step and never closes.
     """
 
-    def __init__(self, design, rows, W_ref, G_ref, R_ref, P, Ymu, gamma, lam):
+    def __init__(
+        self, design, P, Ymu, gamma, lam=1.0, rows=None, W_ref=None, G_ref=None, R_ref=None
+    ):
         m = design.X.shape[0]
         self.rows = rows
+        self.full = rows is None
         self.gamma = gamma
         self.Ymu = Ymu
         self.c = 1.0 - lam
+        self.half_ymu = 0.5 * float(np.vdot(Ymu, Ymu))
+        if self.full:
+            self.X, self.H = design.X, design.gram
+        else:
+            self.X = design.X[:, rows]
+            self.H = self.X.T @ self.X if rows.size <= 2 * m else None
+        # X_C.T @ A is written (A.T @ X_C).T, in the layout of the gradient
+        self.b = None if self.H is None else (Ymu.T @ self.X).T
+        self.p_max = 0.0  # the largest ||P|| whose product G carries
+        self.P = P if self.full else np.asfortranarray(P[rows])
+        G_proj, self.objective = self._product(self.P)
+        if self.full:
+            self.W, self.G = self.P, G_proj
+            return
+        self.W_ref = np.asfortranarray(W_ref[rows])
+        self.G_ref = np.asfortranarray(G_ref[rows])
+        self.W = _relax(self.W_ref, self.P, lam)
+        self.G = _relax(self.G_ref, G_proj, lam)
+        self.ref = R_ref
         excluded = np.ones(W_ref.shape[0], dtype=bool)
         excluded[rows] = False
         excluded = np.flatnonzero(excluded)
@@ -312,17 +338,9 @@ class _WorkingSet:
         weighted = np.any(W_ref[excluded] != 0.0, axis=1) & (self.c != 0.0)
         self.ghosts = excluded[weighted]
         self.W_ghost_ref = W_ref[self.ghosts]
-        self.X = design.X[:, rows]
-        self.H = self.X.T @ self.X if rows.size <= 2 * m else None
-        self.W_ref = np.asfortranarray(W_ref[rows])
-        self.G_ref = np.asfortranarray(G_ref[rows])
-        self.ref = R_ref
-        # X_C.T @ A is written (A.T @ X_C).T, in the layout of the gradient
-        self.b = None if self.H is None else (Ymu.T @ self.X).T
         # the excluded rows' share of the reference residual, X_excl @ W_ref_excl
         self.Q0 = R_ref + Ymu - self.X @ self.W_ref
         self.M0 = (self.Q0.T @ self.X).T
-        self.half_ymu = 0.5 * float(np.vdot(Ymu, Ymu))
         self.n0 = np.einsum("ij,ij->j", self.Q0, self.Q0)
         self.q0 = np.einsum("ij,ij->j", self.Q0, R_ref)
         self.r = np.einsum("ij,ij->j", R_ref, R_ref)
@@ -340,7 +358,6 @@ class _WorkingSet:
         # ||Y mu||; they cancel where Y mu lies near the range of X
         x_sq = float(np.sum(design.norms[rows] ** 2))
         self.product_sizes = (x_sq, np.sqrt(x_sq * 2.0 * self.half_ymu))
-        self.p_max = 0.0  # the largest ||P|| whose product G carries
         self.floor = self.eps * (np.sqrt(self.r.sum()) + np.sqrt(2.0 * self.half_ymu))
         a = design.norms[excluded]
         self.gG_ghost = gamma * G_ref[self.ghosts]
@@ -350,14 +367,11 @@ class _WorkingSet:
         self.ga_zero = gamma * a[~weighted, None]
         # columnwise maxima give a cheap first check, which usually settles the zero rows
         self.zero_caps = (self.gG_zero.max(axis=0), self.ga_zero.max()) if zero.size else None
-        self.P = np.asfortranarray(P[rows])
-        self.W = _relax(self.W_ref, self.P, lam)
-        G_proj, self.objective = self._product(self.P)
-        self.G = _relax(self.G_ref, G_proj, lam)
 
     def _product(self, P):
         """The gradient at a projected point ``P`` on the rows, and its trace entry."""
-        self.p_max = max(self.p_max, np.sqrt(_fdot(P, P)))
+        if not self.full:  # only the certificate reads p_max
+            self.p_max = max(self.p_max, np.sqrt(_fdot(P, P)))
         if self.H is not None:
             return _gram_gradient(self.H, self.b, self.half_ymu, P)
         R = self.X @ P - self.Ymu
@@ -366,12 +380,12 @@ class _WorkingSet:
     def step(self, eta, lo, lam):
         """One step on the rows; True when it is certified, and then taken.
 
-        ``lo`` is the threshold scan's guess (:func:`_tau_scan`).  The
-        projected point is kept in ``P``, its threshold in ``tau`` and its
-        trace entry in ``objective``.
+        A set of every row takes every step.  ``lo`` is the threshold scan's
+        guess (:func:`_tau_scan`).  The projected point is kept in ``P``, its
+        threshold in ``tau`` and its trace entry in ``objective``.
         """
         self.P, self.tau = _shrink(self.W - self.gamma * self.G, eta, lo)
-        if not (self.tau > 0.0 and self.certifies(self.tau)):
+        if not (self.full or (self.tau > 0.0 and self.certifies(self.tau))):
             return False
         G_proj, self.objective = self._product(self.P)
         self.W = _relax(self.W, self.P, lam)
@@ -429,6 +443,8 @@ class _WorkingSet:
         return self.ref + self.X @ (self.W - self.W_ref) + (self.c - 1.0) * self.Q0
 
     def projected_point(self, shape):
+        if self.full:
+            return self.P
         P = np.zeros(shape, order="F")
         P[self.rows] = self.P
         return P
@@ -443,24 +459,23 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
             f"sigma_max={sigma_max} is below the largest column norm {norms.max():.6g} "
             "of X, so it cannot be the spectral norm of X"
         )
-    d, dbar = W0.shape
-    # tall X: step on H = X.T X (see the module docstring)
-    loop = _gram_loop if d + dbar <= design.X.shape[0] else _residual_loop
-    W_proj, trace, full_gradients = loop(
+    W_proj, trace, full_gradients = _loop(
         design, labels, mu, W0, n_iters, eta, 1.0 / sigma_max**2, accelerated
     )
     return InnerSolveReport(W_proj, np.asarray(trace), n_iters, full_gradients)
 
 
-def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
-    """The loop on ``X``, carrying the residual at the extrapolated point.
+def _loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
+    """The projected-gradient loop, carrying the residual at the extrapolated point.
 
     While a working set is open, the set carries the gradient on its rows
-    instead, and the residual is rebuilt when it closes.  Returns the last
-    projected point, the objective trace and the count of full-width
+    instead, and the residual is rebuilt when it closes.  On tall data a set
+    of every row opens at the start and carries every step.  Returns the
+    last projected point, the objective trace and the count of full-width
     gradients.
     """
     X = design.X
+    d, dbar = W0.shape
     Ymu = mu[labels]
     W_proj, tau = _shrink(W0, eta)
     # same product as X @ W_proj; for C-ordered X, OpenBLAS runs this layout faster
@@ -471,7 +486,9 @@ def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
     R = R_proj
     t = 1.0
     lam = 1.0  # without acceleration the extrapolated point is the projected point
-    ws = None  # the open working set, which then holds the iterates
+    # the open working set, which then holds the iterates; on tall X the set of
+    # every row steps on H = X.T X from the start (see the module docstring)
+    ws = _WorkingSet(design, W_proj, Ymu, gamma) if d + dbar <= X.shape[0] else None
     full_gradients = 0
     for n in range(n_iters):
         if accelerated:
@@ -482,6 +499,8 @@ def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
             if ws.step(eta, lo, lam):
                 tau = ws.tau
                 trace.append(ws.objective)
+                # a step on every row is full-width
+                full_gradients += ws.full
                 continue
             W, R, ws = ws.extrapolated_point(W0.shape), ws.residual(), None
         full_gradients += 1
@@ -492,7 +511,7 @@ def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
         rows = _candidates(V, tau)
         if rows is not None:
             # every kept entry has |V| > tau, so the support of W_proj lies in rows
-            ws = _WorkingSet(design, rows, W, G, R, W_proj, Ymu, gamma, lam)
+            ws = _WorkingSet(design, W_proj, Ymu, gamma, lam, rows, W, G, R)
             trace.append(ws.objective)
             continue
         W = _relax(W, W_proj, lam)
@@ -502,46 +521,10 @@ def _residual_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
         R = _relax(R, R_proj, lam)
     if ws is not None:
         W_proj = ws.projected_point(W0.shape)
-        trace[-1] = _half_squared_residual(ws.X, ws.P, Ymu)
+        # same product as X @ P; for C-ordered X, OpenBLAS runs this layout faster
+        R_proj = (ws.P.T @ ws.X.T).T - Ymu
+        trace[-1] = 0.5 * float(np.vdot(R_proj, R_proj))
     return W_proj, trace, full_gradients
-
-
-def _half_squared_residual(X, P, Ymu):
-    """``0.5 ||X P - Y mu||^2`` on ``X`` itself."""
-    # same product as X @ P; for C-ordered X, OpenBLAS runs this layout faster
-    R = (P.T @ X.T).T - Ymu
-    return 0.5 * float(np.vdot(R, R))
-
-
-def _gram_loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
-    """The loop on ``H = X.T X``, carrying the gradient at the extrapolated point.
-
-    Every step is full-width.  Returns what :func:`_residual_loop` returns.
-    """
-    X, H = design.X, design.gram
-    Ymu = mu[labels]
-    # X.T @ Y mu is written (Ymu.T @ X).T, in the layout of the gradient
-    b = (Ymu.T @ X).T
-    half_ymu = 0.5 * float(np.vdot(Ymu, Ymu))
-    W_proj, tau = _shrink(W0, eta)
-    trace = [_half_squared_residual(X, W_proj, Ymu)]
-
-    W = W_proj  # extrapolated point, G is the gradient here
-    G = _gram_gradient(H, b, half_ymu, W)[0]
-    t = 1.0
-    lam = 1.0
-    for n in range(n_iters):
-        if accelerated:
-            t, lam = momentum_schedule(n, t)
-        W_proj, tau = _shrink(W - gamma * G, eta, _TAU_HINT * tau)
-        W = _relax(W, W_proj, lam)
-        G_proj, objective = _gram_gradient(H, b, half_ymu, W_proj)
-        trace.append(objective)
-        # the gradient is affine in W, so recombine instead of re-multiplying
-        G = _relax(G, G_proj, lam)
-    if n_iters:
-        trace[-1] = _half_squared_residual(X, W_proj, Ymu)
-    return W_proj, trace, n_iters
 
 
 def solve_weights_ista(

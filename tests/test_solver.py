@@ -184,7 +184,7 @@ class TestStep:
 
     @pytest.mark.parametrize("accelerated", [False, True])
     # eta=0.1 opens a working set on the wide 30 x 40 instance; eta=3 runs the
-    # tall 40 x 30 one on X.T X, where every step is full-width
+    # tall 40 x 30 one on X.T X, where every step counts as full-width
     @pytest.mark.parametrize("eta", [0.1, 3.0])
     def test_raw_scale_matches_reference(self, accelerated, eta):
         m, d = (30, 40) if eta < 1.0 else (40, 30)
@@ -230,8 +230,8 @@ class TestTextbookForm:
     """The solver's product layouts and residual recombination change rounding only."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # eta=0.3 opens a working set on the wide 30 x 40 instance; eta=10 runs the
-    # tall 40 x 30 one on X.T X, where every step is full-width
+    # eta=0.3 opens working sets of some rows on the wide 30 x 40 instance;
+    # eta=10 runs the tall 40 x 30 one on X.T X, as the set of every row
     @pytest.mark.parametrize("eta", [0.3, 10.0])
     def test_matches_reference_loop(self, monkeypatch, accelerated, eta):
         m, d = (30, 40) if eta < 1.0 else (40, 30)
@@ -241,19 +241,16 @@ class TestTextbookForm:
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 60, 1.0, eta, accelerated
         )
-        opened = []
-        init = ksparse.solver._WorkingSet.__init__
-
-        def spy(self, *args):
-            init(self, *args)
-            opened.append(self.rows.size)
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
+        log = _set_log(monkeypatch)
         reports = [
             solve(Xo, labels, mu, W0, 60, eta, sigma_max=1.0)
             for Xo in (np.ascontiguousarray(X), np.asfortranarray(X))
         ]
-        assert bool(opened) == (eta < 1.0)
+        if eta < 1.0:
+            opened = [event for event in log if event[0] == "open"]
+            assert opened and not any(full for _, full, _ in opened)
+        else:
+            assert log == 2 * _every_row_log(d, 60)
         for rep in reports:
             assert (rep.full_gradients < 60) == (eta < 1.0)
             np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
@@ -334,6 +331,42 @@ def _check_certified_steps(patch, X, labels, mu):
     return checked
 
 
+def _set_log(patch):
+    """Log what every working set does; returns the log.
+
+    An opening logs ``("open", full, rows held)``, a step that is taken logs
+    ``"step"``, and each call of ``certifies``, ``drift`` and ``residual``
+    (which a set's close calls) logs its name.
+    """
+    log = []
+    cls = ksparse.solver._WorkingSet
+
+    def spy(name):
+        real = getattr(cls, name)
+
+        def call(self, *args):
+            out = real(self, *args)
+            if name == "__init__":
+                log.append(("open", self.full, self.W.shape[0]))
+            elif name != "step":
+                log.append(name)
+            elif out:
+                log.append("step")
+            return out
+
+        patch.setattr(cls, name, call)
+
+    for name in ("__init__", "step", "certifies", "drift", "residual"):
+        spy(name)
+    return log
+
+
+def _every_row_log(d, n_iters):
+    """The log of a tall solve: the set of all d rows opens before the first
+    step and takes every step, with no certificate and no close."""
+    return [("open", True, d)] + ["step"] * n_iters
+
+
 class TestWorkingSet:
     """Steps on a certified working set give the full-width loop's iterates."""
 
@@ -388,19 +421,19 @@ class TestWorkingSet:
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
     def test_certificate_stress_tall(self, monkeypatch, accelerated, eta):
-        # m = 2d runs the loop on X.T X, where every step is full-width: no
-        # set opens, though these solves keep few rows
-        def fail(*args):
-            raise AssertionError("a working set opened on tall data")
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", fail)
+        # m = 2d runs the loop on X.T X as the set of every row, which needs
+        # no certificate: no set of some rows opens, though these solves keep
+        # few rows
         solve = solve_weights_fista if accelerated else solve_weights_ista
         for seed in range(60):
             X, labels, mu = _screening_instance(seed, m=120, d=60)
             W0 = default_weight_init(60, 3, eta)
-            rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
+            with monkeypatch.context() as patch:
+                log = _set_log(patch)
+                rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
             _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
-            assert rep.full_gradients == 60
+            assert log == _every_row_log(60, 60)
+            assert rep.full_gradients == rep.iterations_run == 60
 
     def test_engages_when_d_much_larger_than_m(self):
         X, labels, mu = _screening_instance(3)
@@ -466,7 +499,7 @@ class TestWorkingSet:
         G_ref = X.T @ R_ref
         # lambda = 0 opens the set at W_ref itself, with c = 1
         design = ksparse.solver._Design(X)
-        ws = ksparse.solver._WorkingSet(design, rows, W_ref, G_ref, R_ref, W_ref, Ymu, 1.0, 0.0)
+        ws = ksparse.solver._WorkingSet(design, W_ref, Ymu, 1.0, 0.0, rows, W_ref, G_ref, R_ref)
         assert ws.ghosts.tolist() == list(range(300, 305))
         ws.W = ws.W + np.linalg.lstsq(X[:, rows], R_ref, rcond=None)[0]
         ws.G = 2.0 * ws.G
@@ -498,7 +531,7 @@ class TestWorkingSet:
         G_ref = X.T @ R_ref
         design = ksparse.solver._Design(X)
         # lambda = 0.75 leaves the excluded rows c = 0.25 of their weights
-        ws = ksparse.solver._WorkingSet(design, rows, W_ref, G_ref, R_ref, W_ref, Ymu, 1.0, 0.75)
+        ws = ksparse.solver._WorkingSet(design, W_ref, Ymu, 1.0, 0.75, rows, W_ref, G_ref, R_ref)
         assert ws.ghosts.size == 0
         ws.W = ws.W_ref.copy()
         beta, delta = ws.drift()
@@ -532,12 +565,16 @@ class TestWorkingSet:
         _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
 
     def test_zero_iterations(self):
-        X, labels, mu = _screening_instance(5)
-        rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(400, 3, 1.0), 0, 1.0, sigma_max=1.0
-        )
-        assert rep.iterations_run == 0
-        assert rep.full_gradients == 0
+        # wide, then tall, where the set of every row opens and takes no step
+        for m, d in ((30, 400), (120, 60)):
+            X, labels, mu = _screening_instance(5, m=m, d=d)
+            W0 = default_weight_init(d, 3, 1.0)
+            rep = solve_weights_fista(X, labels, mu, W0, 0, 1.0, sigma_max=1.0)
+            assert rep.iterations_run == 0
+            assert rep.full_gradients == 0
+            np.testing.assert_array_equal(rep.final_weights, W0)
+            assert rep.objective_trace.shape == (1,)
+            assert rep.objective_trace[0] == pytest.approx(objective(X, W0, labels, mu), rel=1e-12)
 
 
 class _Counted(np.ndarray):
@@ -693,9 +730,9 @@ class TestTallReduction:
     """On tall X the loop runs on H = X.T X and gives the same iterates.
 
     The solve forms ``H`` once and no m x d temporary; ``b = X.T Y mu``
-    comes from the m x dbar ``Y mu``.  Every step is full-width and makes
-    one product on ``H``.  The trace's first and last entries are computed
-    on ``X`` itself.
+    comes from the m x dbar ``Y mu``.  Every step is one of the set of every
+    row, counts as full-width and makes one product on ``H`` and none on
+    ``X``.  The trace's first and last entries are computed on ``X`` itself.
     """
 
     @pytest.mark.parametrize("accelerated", [False, True])
@@ -743,32 +780,51 @@ class TestTallReduction:
         # (P_S.T @ H[S]).T on the support S of P while it is under half of
         # the d rows, else (P.T @ H).T; this budget keeps 3-7 of 12 rows
         X, labels, mu = _instance(21, m=100, d=12, dbar=3)
-        d = X.shape[1]
+        m, d = X.shape
         design = ksparse.solver._Design(X)
-        log = []
+        log, x_log = [], []
         design.gram = design.gram.view(_Counted)
         design.gram.log = log
+        design.X = design.X.view(_Counted)
+        design.X.log = x_log
         starts = []
         shrink = ksparse.solver._shrink
+        init = ksparse.solver._WorkingSet.__init__
+        held = []
 
         def spy(*args):
-            starts.append(len(log))
+            starts.append((len(log), len(x_log)))
             return shrink(*args)
 
+        def init_spy(self, *args):
+            init(self, *args)
+            held.append((self.X is design.X, self.H is design.gram))
+
         monkeypatch.setattr(ksparse.solver, "_shrink", spy)
+        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", init_spy)
         W0 = default_weight_init(d, 3, 8.0)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         rep = solve(design, labels, mu, W0, 80, 8.0, sigma_max=1.0)
         _assert_matches_reference(rep, X, labels, mu, W0, 80, 8.0, accelerated)
+        # one set, on the design's own X and H: no gather and no Gram of its own
+        assert held == [(True, True)]
         # the start's projection, then one per step; each is followed by one product
         assert len(starts) == 81
-        steps = [log[a:b] for a, b in zip(starts, starts[1:] + [len(log)])]
+        ends = starts[1:] + [(len(log), len(x_log))]
+        steps = [log[a:b] for (a, _), (b, _) in zip(starts, ends)]
         on_support = 0
         for products in steps:
             [(kind, (dbar, s), (rows, cols))] = products
             assert kind == "matmul" and dbar == 3 and s == rows <= cols == d
             on_support += s < d
         assert 0 < on_support < len(steps)
+        # on X, only the start's residual and b before the first step, and the
+        # last trace entry after the last; no step makes a product on X
+        x_steps = [x_log[a:b] for (_, a), (_, b) in zip(starts, ends)]
+        residual = ("matmul", (3, d), (d, m))
+        assert x_steps[0] == [residual, ("matmul", (3, m), (m, d))]
+        assert x_steps[1:-1] == [[]] * 79
+        assert x_steps[-1] == [residual]
 
     @pytest.mark.parametrize("accelerated", [False, True])
     @pytest.mark.parametrize("extra_rows, reduced", [(0, True), (-1, False)])
@@ -781,16 +837,15 @@ class TestTallReduction:
     @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
     @pytest.mark.parametrize("case", ["full_rank", "rank_deficient", "dbar_below_k"])
     def test_every_step_full_width(self, monkeypatch, solve, case):
-        def fail(*args):
-            raise AssertionError("a working set opened on tall data")
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", fail)
         X, solves = TestDesignReuse._instance(case)
         d, dbar = X.shape[1], solves[0][1].shape[1]
         assert d + dbar <= X.shape[0]
         for labels, mu in solves:
             W0 = default_weight_init(d, dbar, 0.2)
-            rep = solve(X, labels, mu, W0, 60, 0.2, sigma_max=1.0)
+            with monkeypatch.context() as patch:
+                log = _set_log(patch)
+                rep = solve(X, labels, mu, W0, 60, 0.2, sigma_max=1.0)
+            assert log == _every_row_log(d, 60)
             assert rep.full_gradients == rep.iterations_run == 60
 
     def test_objective_on_original_x_near_interpolation(self):
