@@ -124,7 +124,7 @@ def _wcss(S: _Samples, labels: np.ndarray, centers: np.ndarray) -> float:
     ``vdot`` sums in row-major order whatever the residual's layout, so the
     result does not depend on the layout of the caller's ``Z``.
     """
-    R = S.Z - centers[labels]
+    R = S.Z - np.take(centers, labels, axis=0)
     return 0.5 * float(np.vdot(R, R))
 
 

@@ -87,12 +87,14 @@ whose rounding grows with ``||H_C|| ||P|| + ||b_C||``, not with
 far below ``||b_C||``.  So the margin also takes their bounds ``||X_C||^2
 ||P|| + ||X_C|| ||Y mu||``, with the largest ``||P||`` since opening.
 
-Ghost rows are excluded rows that still carry weight: the extrapolation
-``(1 - lambda) W + lambda P`` keeps every row that was ever in the support,
-several hundred at paper size, against about a hundred in the support.
-Keeping them in ``C`` would pin ``C`` at that size.  Outside ``C`` their
-weights only scale by ``1 - lambda`` per step, and the ``W_ij`` term of the
-bound covers them, so ``C`` stays near the support.
+Every excluded row is checked against this one bound.  Per row the set keeps
+``max_j |W_ref_ij|``, ``gamma max_j |G_ref_ij|`` and ``gamma ||x_i||``;
+times ``|c|``, ``max_j |1 + beta_j|`` and the largest drift term, they sum to
+a cap on the row's bounds that rounds no lower, so the exact bound is taken
+only on rows whose cap exceeds ``tau_C``.  Rows that were ever in the support
+keep weight under the extrapolation ``(1 - lambda) W + lambda P``: several
+hundred at paper size, against about a hundred in the support.  Keeping them
+in ``C`` would pin ``C`` at that size; the ``W_ij`` term covers them instead.
 
 Tall data.  When ``d + dbar <= m`` the loop opens a set of every row right
 after the start's projection.  It steps on the Gram matrix ``H = X.T X``
@@ -290,12 +292,12 @@ class _WorkingSet:
     """Candidate rows of a full step, and the steps on them until the certificate fails.
 
     The reference is the extrapolated point of the full step that opened the
-    set, with its weights ``W_ref``, gradient ``G_ref`` and residual ``ref``
-    (``R_ref``).  On ``rows`` the set carries the extrapolated weights ``W``
-    and their gradient ``G``, and holds ``X[:, rows]`` in ``X`` and, for at
-    most ``2 m`` rows, its Gram ``H`` (module docstring).  Excluded rows keep
-    ``c`` times their reference weights, with ``c`` the product of ``1 -
-    lambda`` since the reference; ``ghosts`` are those that carry weight.
+    set, with its weights ``W_all``, gradient ``G_all`` and residual ``ref``
+    (``R_ref``), and ``W_ref`` and ``G_ref`` on ``rows``.  There the set
+    carries the extrapolated weights ``W`` and their gradient ``G``, and holds
+    ``X[:, rows]`` in ``X`` and, for at most ``2 m`` rows, its Gram ``H``
+    (module docstring).  The ``excluded`` rows keep ``c`` times their
+    reference weights, with ``c`` the product of ``1 - lambda`` since then.
 
     With ``rows`` None the set holds every row (``full``) and opens at the
     projected start, where ``lambda = 1``.  It steps on the design's ``X``
@@ -331,13 +333,8 @@ class _WorkingSet:
         self.W = _relax(self.W_ref, self.P, lam)
         self.G = _relax(self.G_ref, G_proj, lam)
         self.ref = R_ref
-        excluded = np.ones(W_ref.shape[0], dtype=bool)
-        excluded[rows] = False
-        excluded = np.flatnonzero(excluded)
-        # with c = 0 (lambda = 1) no excluded row keeps weight
-        weighted = np.any(W_ref[excluded] != 0.0, axis=1) & (self.c != 0.0)
-        self.ghosts = excluded[weighted]
-        self.W_ghost_ref = W_ref[self.ghosts]
+        self.W_all, self.G_all = W_ref, G_ref
+        self.excluded = np.delete(np.arange(W_ref.shape[0]), rows)
         # the excluded rows' share of the reference residual, X_excl @ W_ref_excl
         self.Q0 = R_ref + Ymu - self.X @ self.W_ref
         self.M0 = (self.Q0.T @ self.X).T
@@ -359,14 +356,10 @@ class _WorkingSet:
         x_sq = float(np.sum(design.norms[rows] ** 2))
         self.product_sizes = (x_sq, np.sqrt(x_sq * 2.0 * self.half_ymu))
         self.floor = self.eps * (np.sqrt(self.r.sum()) + np.sqrt(2.0 * self.half_ymu))
-        a = design.norms[excluded]
-        self.gG_ghost = gamma * G_ref[self.ghosts]
-        self.ga_ghost = gamma * a[weighted, None]
-        zero = excluded[~weighted]
-        self.gG_zero = gamma * np.abs(G_ref[zero])
-        self.ga_zero = gamma * a[~weighted, None]
-        # columnwise maxima give a cheap first check, which usually settles the zero rows
-        self.zero_caps = (self.gG_zero.max(axis=0), self.ga_zero.max()) if zero.size else None
+        # each excluded row's caps on the bound's three terms (module docstring)
+        self.W_max = np.abs(W_ref).max(axis=1)[self.excluded]
+        self.gG_max = gamma * np.abs(G_ref).max(axis=1)[self.excluded]
+        self.ga = gamma * design.norms[self.excluded]
 
     def _product(self, P):
         """The gradient at a projected point ``P`` on the rows, and its trace entry."""
@@ -420,22 +413,20 @@ class _WorkingSet:
         limit = tau * (1.0 - _CERTIFICATE_SLACK)
         beta, delta = self.drift()
         scale = 1.0 + beta
-        if self.ghosts.size:
-            W_ghost = self.c * self.W_ghost_ref
-            bound = np.abs(W_ghost - self.gG_ghost * scale) + self.ga_ghost * delta
-            if bound.max() > limit:
-                return False
-        if self.zero_caps is not None:
-            gG_max, ga_max = self.zero_caps
-            scale = np.abs(scale)
-            if np.any(gG_max * scale + ga_max * delta > limit):
-                return bool((self.gG_zero * scale + self.ga_zero * delta).max() <= limit)
-        return True
+        caps = abs(self.c) * self.W_max
+        caps += np.abs(scale).max() * self.gG_max
+        caps += delta.max() * self.ga
+        flagged = np.flatnonzero(caps > limit)
+        if not flagged.size:
+            return True
+        rows = self.excluded[flagged]
+        W = self.c * self.W_all[rows]
+        bound = np.abs(W - self.gamma * self.G_all[rows] * scale) + self.ga[flagged, None] * delta
+        return bool(bound.max() <= limit)
 
-    def extrapolated_point(self, shape):
-        W = np.zeros(shape, order="F")
+    def extrapolated_point(self):
+        W = np.multiply(self.c, self.W_all, order="F")
         W[self.rows] = self.W
-        W[self.ghosts] = self.c * self.W_ghost_ref
         return W
 
     def residual(self):
@@ -502,7 +493,7 @@ def _loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
                 # a step on every row is full-width
                 full_gradients += ws.full
                 continue
-            W, R, ws = ws.extrapolated_point(W0.shape), ws.residual(), None
+            W, R, ws = ws.extrapolated_point(), ws.residual(), None
         full_gradients += 1
         # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
         G = (R.T @ X).T

@@ -231,7 +231,7 @@ class TestLayout:
                 want = 0.5 * float(np.vdot(R, R))
                 S = _samples(Zl)
                 assert kmeans._wcss(S, labels, centers) == want
-                assert kmeans._wcss(S, labels, centers) == want  # the workspace is reused
+                assert kmeans._wcss(S, labels, centers) == want  # and again, unchanged
 
 
 _MAKEUPS = ["gaussian", "far", "ties", "underflow", "dbar1"]

@@ -315,7 +315,7 @@ def _check_certified_steps(patch, X, labels, mu):
     def spy(self, tau):
         ok = certifies(self, tau)
         if ok:
-            W = self.extrapolated_point(shape)
+            W = self.extrapolated_point()
             R = X @ W - Ymu
             beta, delta = self.drift()
             off = R - (1.0 + beta) * self.ref  # D - beta R_ref
@@ -329,6 +329,12 @@ def _check_certified_steps(patch, X, labels, mu):
 
     patch.setattr(ksparse.solver._WorkingSet, "certifies", spy)
     return checked
+
+
+def _weighted_excluded(ws):
+    """The excluded rows of a set that carry weight at its extrapolated point."""
+    W = ws.extrapolated_point()
+    return ws.excluded[np.any(W[ws.excluded] != 0.0, axis=1)]
 
 
 def _set_log(patch):
@@ -473,7 +479,7 @@ class TestWorkingSet:
 
         def spy(self, *args):
             init(self, *args)
-            opened.append((self.rows.size, self.ghosts.size))
+            opened.append((self.rows.size, _weighted_excluded(self).size))
 
         monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
         steps = _check_certified_steps(monkeypatch, X, labels, mu)
@@ -494,13 +500,13 @@ class TestWorkingSet:
         rows = np.arange(2 * m)  # X[:, rows] spans every residual
         W_ref = np.zeros((d, 3))
         W_ref[rows] = 0.01 * np.random.default_rng(0).standard_normal((2 * m, 3))
-        W_ref[300:305] = 0.01  # ghosts
+        W_ref[300:305] = 0.01  # excluded rows that carry weight
         R_ref = X @ W_ref - Ymu
         G_ref = X.T @ R_ref
         # lambda = 0 opens the set at W_ref itself, with c = 1
         design = ksparse.solver._Design(X)
         ws = ksparse.solver._WorkingSet(design, W_ref, Ymu, 1.0, 0.0, rows, W_ref, G_ref, R_ref)
-        assert ws.ghosts.tolist() == list(range(300, 305))
+        assert _weighted_excluded(ws).tolist() == list(range(300, 305))
         ws.W = ws.W + np.linalg.lstsq(X[:, rows], R_ref, rcond=None)[0]
         ws.G = 2.0 * ws.G
         beta, delta = ws.drift()
@@ -532,12 +538,86 @@ class TestWorkingSet:
         design = ksparse.solver._Design(X)
         # lambda = 0.75 leaves the excluded rows c = 0.25 of their weights
         ws = ksparse.solver._WorkingSet(design, W_ref, Ymu, 1.0, 0.75, rows, W_ref, G_ref, R_ref)
-        assert ws.ghosts.size == 0
+        assert _weighted_excluded(ws).size == 0
         ws.W = ws.W_ref.copy()
         beta, delta = ws.drift()
-        R = X @ ws.extrapolated_point((d, 3)) - Ymu
+        R = X @ ws.extrapolated_point() - Ymu
         assert np.linalg.norm(R_ref, axis=0).max() < 2e-3 * np.linalg.norm(Ymu, axis=0).min()
         assert np.all(delta >= np.linalg.norm(R - (1.0 + beta) * R_ref, axis=0))
+
+    @pytest.mark.parametrize(
+        "lam, weights",
+        [
+            (0.5, "some"),  # c > 0
+            (1.5, "some"),  # c < 0
+            (1.0, "some"),  # c = 0: the excluded weights are gone
+            (0.5, "zero_column"),
+            (1.5, "every"),
+            (0.5, 77),  # one heavy row, which alone exceeds the threshold
+            (1.5, 399),
+            (0.5, "behind"),
+        ],
+    )
+    def test_certifies_matches_the_exact_bound(self, lam, weights):
+        # certifies must decide as the exact bound over every excluded entry
+        # does, both ways, whichever rows its caps flag; the thresholds lie a
+        # relative 1e-9 above and below the largest bound
+        X, labels, mu = _screening_instance(0)
+        d = X.shape[1]
+        rng = np.random.default_rng(1)
+        rows = np.arange(40)
+        excluded = np.arange(40, d)
+        if weights == "zero_column":
+            mu[:, 2] = 0.0
+        Ymu = mu[labels]
+        W_ref = np.zeros((d, 3))
+        W_ref[rows] = 0.01 * rng.standard_normal((40, 3))
+        if weights == "every":
+            W_ref[excluded] = 0.05 * rng.standard_normal((d - 40, 3))
+        elif isinstance(weights, int):
+            W_ref[weights, 1] = 2.0
+        else:
+            W_ref[300:310] = 0.05 * rng.standard_normal((10, 3))
+        P = np.zeros((d, 3))
+        P[rows] = W_ref[rows] + 0.01 * rng.standard_normal((40, 3))
+        if weights == "zero_column":
+            W_ref[:, 2] = P[:, 2] = 0.0
+        R_ref = X @ W_ref - Ymu
+        G_ref = X.T @ R_ref
+        if weights == "behind":
+            # row 40's weight and gradient lie in different columns, so its cap
+            # adds them and exceeds the largest bound, row 399's: the caps flag
+            # row 40 ahead of the row that decides
+            W_ref[40], G_ref[40] = [0.0, 1.0, 0.0], [0.4, 0.0, 0.0]
+            W_ref[399], G_ref[399] = [0.0, 1.4, 0.0], 0.0
+        design = ksparse.solver._Design(X)
+        ws = ksparse.solver._WorkingSet(design, P, Ymu, 1.0, lam, rows, W_ref, G_ref, R_ref)
+        assert ws.c == 1.0 - lam
+        beta, delta = ws.drift()
+        if weights == "zero_column":
+            assert np.all(R_ref[:, 2] == 0.0) and beta[2] == 0.0
+        a = np.linalg.norm(X[:, excluded], axis=0)
+        W = ws.c * W_ref[excluded]
+        bound = np.abs(W - (1.0 + beta) * G_ref[excluded]) + a[:, None] * delta
+        top = bound.max()
+        slack = 1.0 - ksparse.solver._CERTIFICATE_SLACK
+        assert ws.certifies(top * (1.0 + 1e-9) / slack)
+        assert not ws.certifies(top * (1.0 - 1e-9) / slack)
+        # the module docstring's caps: each row whose cap exceeds the limit is
+        # flagged, and only there is the exact bound taken
+        caps = abs(ws.c) * np.abs(W_ref[excluded]).max(axis=1)
+        caps += np.abs(1.0 + beta).max() * np.abs(G_ref[excluded]).max(axis=1)
+        caps += a * delta.max()
+        flagged = np.count_nonzero(caps > top * (1.0 - 1e-9))
+        if isinstance(weights, int):
+            assert np.argmax(bound.max(axis=1)) == weights - 40
+            assert 1 <= flagged <= 3
+        elif weights == "behind":
+            assert np.argmax(bound.max(axis=1)) == 399 - 40
+            assert caps[0] > top and bound[0].max() < top and flagged <= 3
+        # above every cap the caps settle alone, reading no reference row
+        ws.W_all = ws.G_all = None
+        assert ws.certifies(caps.max() * (1.0 + 1e-9) / slack)
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_zero_reference_column(self, monkeypatch, accelerated):
