@@ -125,22 +125,44 @@ def load_matrix_csv(
     unless given.  ``np.loadtxt`` parses every value.  Ragged rows,
     non-numeric cells, NaN/Inf, rows without data and empty files raise
     with the offending 1-based row/column position; rows are numbered by
-    file line, blank lines and the header included.  With ``n_jobs`` above
-    1, a large file is parsed in up to that many blocks of whole lines, all
-    but the first in forked processes; the matrix, the names and every
-    error are the same as with ``n_jobs=1``.
+    file line, blank lines and the header included.  The delimiter, the
+    header and the first data row are read once, before the file is cut,
+    and the blocks start at that row.  With ``n_jobs`` above 1, a large file
+    is parsed in up to that many blocks of whole lines, all but the first in
+    forked processes; one function parses every block.  The matrix, the
+    names and every error are the same as with ``n_jobs=1``.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
+    # newline="" keeps the line ends as written, so the lines' bytes add up to
+    # the offset of the first data row; blocks start there
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        delimiter, feature_names, rows = _matrix_lines(
+            path, fh, has_header, has_rownames, delimiter
+        )
+        first_row = next(rows)[0]
+        fh.seek(0)
+        start = sum(len(line.encode()) for line in itertools.islice(fh, first_row - 1))
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
         ctx, n = _split(n_jobs, size // _SPLIT_BLOCK_BYTES)
-        cuts = _line_cuts(raw, size, n)
-        loaded = _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter)
-        if loaded is None:  # the first block holds no data row: read the file whole
-            loaded = _load_blocks(path, raw, None, [0, size], has_header, has_rownames,
-                                  delimiter)
-    X, feature_names, sample_ids, delimiter = loaded
+        cuts = [max(cut, start) for cut in _line_cuts(raw, size, n)]
+    blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts[1:], cuts[2:])]
+    X, sample_ids = None, [] if has_rownames else None
+    with _forked(ctx, _parse_block, blocks) as children:
+        try:
+            parts = itertools.chain(
+                [_parse_block(path, cuts[0], cuts[1], has_rownames, delimiter)],
+                (child.result() for child in children),
+            )
+            for part, ids in parts:
+                if len(part):  # the first part with rows starts the matrix
+                    X = part if X is None else _append_rows(X, part)
+                del part  # each part is freed as it lands
+                if has_rownames:
+                    sample_ids += ids
+        except ValueError:
+            X = None
     if X is None or not np.all(np.isfinite(X)):
         _locate_error(path, has_header, has_rownames, delimiter)
     m, d = X.shape
@@ -153,40 +175,6 @@ def load_matrix_csv(
     if sample_ids is None:
         sample_ids = [f"s{i}" for i in range(m)]
     return Dataset(X, feature_names, sample_ids)
-
-
-def _load_blocks(path, raw, ctx, cuts, has_header, has_rownames, delimiter):
-    """Parse the file's blocks ``cuts[i]:cuts[i + 1]``, the first one here.
-
-    Returns ``(matrix, feature names, sample ids, delimiter)``, the matrix
-    None where a block was refused, or None where the first of several
-    blocks holds no data row.
-    """
-    with _text_block(raw, cuts[0], cuts[1]) as fh:
-        try:
-            delimiter, feature_names, rows = _matrix_lines(
-                path, fh, has_header, has_rownames, delimiter
-            )
-        except ValueError:
-            if len(cuts) > 2:
-                return None
-            raise
-        blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts[1:], cuts[2:])]
-        with _forked(ctx, _parse_block, blocks) as children:
-            try:
-                X, sample_ids = _parse_rows(
-                    (line for _, line in rows), has_rownames, delimiter
-                )
-                for child in children:
-                    part, ids = child.result()
-                    if len(part):
-                        X = _append_rows(X, part)
-                    del part  # each part is freed as it lands
-                    if has_rownames:
-                        sample_ids += ids
-            except ValueError:
-                return None, feature_names, None, delimiter
-    return X, feature_names, sample_ids, delimiter
 
 
 def _append_rows(X, part):
@@ -206,35 +194,31 @@ def _append_rows(X, part):
     return X
 
 
-def _parse_rows(lines, has_rownames, delimiter):
-    """``np.loadtxt`` over data lines: ``(matrix, rownames or None)``.
+def _parse_block(path, start, stop, has_rownames, delimiter):
+    """Bytes ``start:stop`` of the file, whole lines: ``(matrix, rownames or None)``.
 
-    Raises ValueError where ``np.loadtxt`` refuses a line, or where a line
-    holds a rowname alone.
+    Blank lines add no row, and a block of blank lines alone is a 0 x 0
+    matrix.  Raises ValueError where ``np.loadtxt`` refuses a line, or where
+    a line holds a rowname alone.
     """
     sample_ids = [] if has_rownames else None
-
-    def values():
-        for line in lines:
-            if has_rownames:
-                name, _, line = line.partition(delimiter)
-                if not line or line.isspace():
-                    raise ValueError  # a rowname alone; the locator names the row
-                sample_ids.append(name.strip())
-            yield line
-
-    X = np.loadtxt(values(), dtype=float, delimiter=delimiter, comments=None, ndmin=2)
-    return X, sample_ids
-
-
-def _parse_block(path, start, stop, has_rownames, delimiter):
-    """Child side of a split load: the block's ``(matrix, rownames)``."""
     with open(path, "rb", buffering=0) as raw, _text_block(raw, start, stop) as fh:
         lines = (line for line in fh if not line.isspace())
         first = next(lines, None)
-        if first is None:  # np.loadtxt warns on no data; blank lines add no row
-            return np.empty((0, 0)), []
-        return _parse_rows(itertools.chain([first], lines), has_rownames, delimiter)
+        if first is None:  # np.loadtxt warns on no data
+            return np.empty((0, 0)), sample_ids
+
+        def values():
+            for line in itertools.chain([first], lines):
+                if has_rownames:
+                    name, _, line = line.partition(delimiter)
+                    if not line or line.isspace():
+                        raise ValueError  # a rowname alone; the locator names the row
+                    sample_ids.append(name.strip())
+                yield line
+
+        X = np.loadtxt(values(), dtype=float, delimiter=delimiter, comments=None, ndmin=2)
+    return X, sample_ids
 
 
 def _matrix_lines(path, fh, has_header, has_rownames, delimiter):
@@ -469,10 +453,10 @@ def _atomic_file(path):
 
 
 # CSV work is split over forked processes (core._forked) only from two
-# blocks of this size up: of the file for a load, of the matrix's doubles
-# for a write.  A 4 MiB block of text parses in about 0.1 s, which a fork and
-# its pipe would eat much of.  The 3.25 MB counts-tall CSV stays in one
-# process; the 59 MB paper-size CSV and its 24 MB matrix split.
+# blocks of this size up: of the file, header included, for a load, and of
+# the matrix's doubles for a write.  A 4 MiB block of text parses in about
+# 0.1 s, which a fork and its pipe would eat much of.  The 3.25 MB counts-tall
+# CSV stays in one process; the 59 MB paper-size CSV and its 24 MB matrix split.
 _SPLIT_BLOCK_BYTES = 4 << 20
 
 

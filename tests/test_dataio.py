@@ -243,9 +243,16 @@ class TestSplitLoad:
             (",\u00e9t\u00e9,\u4e2d\n"
              + "".join(f"\u00e9\u4e2d{i},{i},1\n" for i in range(20)),
              {"has_header": True, "has_rownames": True}, 1),
+            # the blocks start past the header, at its offset in bytes as written
+            ("\n" * 40 + "a,b\n" + _rows(6), {"has_header": True}, 1),
+            (("\n" * 20 + "a,b\n" + _rows(6)).replace("\n", "\r\n"), {"has_header": True}, 1),
+            (",".join(f"\u00e9\u4e2d{j}" for j in range(12)) + "\n" + _rows(3, width=12),
+             {"has_header": True}, 1),  # the header is over half the file's bytes
         ],
         ids=["tab-header-rownames", "crlf", "blank-lines-at-cut", "blank-second-block",
-             "cut-at-last-line", "cut-inside-last-line", "no-final-newline", "non-ascii"],
+             "cut-at-last-line", "cut-inside-last-line", "no-final-newline", "non-ascii",
+             "blank-lines-before-header", "crlf-blank-lines-before-header",
+             "non-ascii-long-header"],
     )
     def test_same_as_one_block(self, tmp_path, split_blocks, text, kwargs, children):
         p = tmp_path / "m.csv"
@@ -287,8 +294,11 @@ class TestSplitLoad:
         header = ",".join(f"long_gene_name_{j}" for j in range(40))
         p.write_text(header + "\n" + _rows(3, width=40))
         ds = load_matrix_csv(p, has_header=True, n_jobs=2)
-        assert split_blocks == [0]  # the first block held only the header
+        # the first block held only the header, so it is empty, and one child
+        # parses every data row
+        assert split_blocks == [1]
         assert ds.matrix.shape == (3, 40)
+        assert ds.matrix.tobytes() == load_matrix_csv(p, has_header=True).matrix.tobytes()
 
     def test_blocks_of_different_widths_are_ragged(self, tmp_path, split_blocks):
         p = tmp_path / "m.csv"
@@ -325,11 +335,12 @@ class TestSplitLoad:
         assert split_blocks == [0, 1]
 
     def test_dead_child_is_an_error(self, tmp_path, split_blocks, monkeypatch):
-        parent = os.getpid()
+        parent, parse_block = os.getpid(), dataio._parse_block
 
         def die(*args):
             if os.getpid() != parent:
                 os._exit(3)
+            return parse_block(*args)
 
         monkeypatch.setattr(dataio, "_parse_block", die)
         p = tmp_path / "m.csv"
