@@ -281,10 +281,7 @@ def _cmd_cluster(parser, args) -> int:
     dataio.write_result(result, dataset, args.out)
     phases.mark("write")
 
-    line = (
-        f"{eta:g}\t{result.selected_features.size}"
-        f"\t{result.objective_trace[-1]:.15g}"
-    )
+    line = f"{eta:g}\t{result.selected_features.size}\t{result.objective_trace[-1]:.15g}"
     if result.metrics is not None:
         line += (
             f"\t{result.metrics['accuracy']:.6f}"
@@ -357,9 +354,6 @@ def _cmd_sweep(parser, args) -> int:
 
 def _cmd_synth(parser, args) -> int:
     phases = _Phases(args.time)
-    import errno
-    import tempfile
-
     from . import dataio
 
     try:
@@ -369,40 +363,17 @@ def _cmd_synth(parser, args) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
-    dataset = dataio.generate_synthetic(spec)
-    phases.mark("generate")
-
-    writes = (
-        (f"{args.out}_matrix.csv",
-         lambda path: dataio.write_matrix_csv(path, dataset, header=False, rownames=False,
-                                              n_jobs=args.threads)),
-        (f"{args.out}_labels.txt",
-         lambda path: dataio.save_labels(path, dataset.labels_true)),
-        (f"{args.out}_informative.txt",
-         lambda path: dataio._atomic_write(
-             path, "".join(f"{int(j)}\n" for j in dataset.informative_features))),
-    )
-    # every file is written under a staging name before any is put in place,
-    # so a failed run leaves the previous run's files as they were and none
-    # of its own behind
-    staged = {}
-    try:
-        for path, write in writes:
-            fd, staged[path] = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-            os.close(fd)
-            write(staged[path])
-        for path in staged:
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        for path in list(staged):
-            os.replace(staged[path], path)
-            del staged[path]
-    except BaseException:
-        for tmp in staged.values():
-            os.unlink(tmp)
-        raise
+    # one staged group: a failed run, or a directory target, which fails before
+    # any work, leaves the previous run's files as they were and none of its own
+    paths = [args.out + s for s in ("_matrix.csv", "_labels.txt", "_informative.txt")]
+    with dataio._atomic_file(*paths) as (matrix, labels, informative):
+        dataset = dataio.generate_synthetic(spec)
+        phases.mark("generate")
+        dataio._write_matrix(matrix, dataset, header=False, rownames=False, n_jobs=args.threads)
+        labels.write(dataio._integer_lines(dataset.labels_true).encode())
+        informative.write(dataio._integer_lines(dataset.informative_features).encode())
     phases.mark("write")
-    print(f"{args.out}_matrix.csv\t{spec.m}\t{spec.d}\t{spec.k}")
+    print(f"{paths[0]}\t{spec.m}\t{spec.d}\t{spec.k}")
     return 0
 
 

@@ -12,6 +12,7 @@ File formats:
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -304,7 +305,12 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_labels(path, labels: np.ndarray) -> None:
-    _atomic_write(path, "".join(f"{int(v)}\n" for v in labels))
+    _atomic_write(path, _integer_lines(labels))
+
+
+def _integer_lines(values) -> str:
+    """One integer per line, the labels file format."""
+    return "".join(f"{int(v)}\n" for v in values)
 
 
 def write_matrix_csv(
@@ -316,18 +322,22 @@ def write_matrix_csv(
     matrix is formatted in up to that many blocks of rows, all but the
     first in forked processes; the bytes written are the same.
     """
+    with _atomic_file(path) as (fh,):
+        _write_matrix(fh, dataset, header, rownames, n_jobs)
+
+
+def _write_matrix(fh, dataset: Dataset, header: bool, rownames: bool, n_jobs: int) -> None:
+    """The CSV text of :func:`write_matrix_csv`, written to the binary file ``fh``."""
     X = np.asarray(dataset.matrix, dtype=float)
     ids = dataset.sample_ids if rownames else None
     m = X.shape[0]
     ctx, n = _split(n_jobs, min(m, X.nbytes // _SPLIT_BLOCK_BYTES))
     cuts = [m * i // n for i in range(n + 1)]
     blocks = [(X, ids, a, b) for a, b in zip(cuts[1:], cuts[2:])]
-    with _forked(ctx, _format_rows, blocks) as children, _atomic_file(path) as fh:
+    with _forked(ctx, _format_rows, blocks) as children:
         if header:
-            head = ",".join(dataset.feature_names)
-            if rownames:
-                head = "," + head  # empty corner cell above the rowname column
-            fh.write((head + "\n").encode())
+            corner = "," if rownames else ""  # empty, above the rowname column
+            fh.write((corner + ",".join(dataset.feature_names) + "\n").encode())
         fh.write(_format_rows(X, ids, 0, cuts[1]))
         for child in children:
             fh.write(child.result())
@@ -427,29 +437,44 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def _atomic_write(path, text: str) -> None:
-    with _atomic_file(path) as fh:
+    with _atomic_file(path) as (fh,):
         fh.write(text.encode())
 
 
 @contextlib.contextmanager
-def _atomic_file(path):
-    """A binary file that replaces ``path`` when the ``with`` block succeeds.
+def _atomic_file(*paths):
+    """Binary files that replace ``paths`` together when the ``with`` block succeeds.
 
-    Never leaves a partial or stray file behind on failure; a unique name in
-    the target's directory keeps the final rename on one file system.
+    Each is staged under a unique name in its target's directory, keeping its
+    rename on one file system.  A directory target is refused on entry and
+    before the first rename; any failure removes every staging file, so the
+    targets keep what they held and no stray file is left.
     """
+    _refuse_directories(paths)
     umask = os.umask(0)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    staged = {}
     try:
-        with open(fd, "wb") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            yield fh
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path in paths:
+                fd, staged[path] = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+                files.append(stack.enter_context(open(fd, "wb")))
+                # mkstemp creates the file 0600; give it the mode open() would
+                os.fchmod(fd, 0o666 & ~umask)
+            yield files
+        _refuse_directories(paths)
+        for path in paths:
+            os.replace(staged.pop(path), path)
     except BaseException:
-        os.unlink(tmp)
+        for tmp in staged.values():
+            os.unlink(tmp)
         raise
+
+
+def _refuse_directories(paths) -> None:
+    for path in filter(os.path.isdir, paths):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 # CSV work is split over forked processes (core._forked) only from two

@@ -497,7 +497,8 @@ def _loop(design, labels, mu, W0, n_iters, eta, gamma, accelerated):
         full_gradients += 1
         # same product as X.T @ R; for C-ordered X, OpenBLAS runs this layout faster
         G = (R.T @ X).T
-        V = W - gamma * G
+        # Fortran order, as G is: W is C-ordered where _shrink returned a copy
+        V = np.subtract(W, gamma * G, order="F")
         W_proj, tau = _shrink(V, eta, lo)
         rows = _candidates(V, tau)
         if rows is not None:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -116,7 +118,10 @@ class TestSynth:
         assert "error:" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
-    @pytest.mark.parametrize("fault", ["labels_write", "labels_directory", "informative_write"])
+    @pytest.mark.parametrize("fault", [
+        "labels_write", "labels_directory", "informative_write",
+        "matrix_directory", "informative_directory",
+    ])
     def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch, capsys, fault):
         from ksparse import cli, dataio
 
@@ -127,25 +132,61 @@ class TestSynth:
             ])
 
         assert synth("1") == 0
-        if fault == "labels_directory":
-            (tmp_path / "x_labels.txt").unlink()
-            (tmp_path / "x_labels.txt").mkdir()
+        target, _, failure = fault.partition("_")
+        suffix = {"matrix": "_matrix.csv", "labels": "_labels.txt",
+                  "informative": "_informative.txt"}[target]
+        if failure == "directory":
+            (tmp_path / f"x{suffix}").unlink()
+            (tmp_path / f"x{suffix}").mkdir()
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
 
-        def fail(path, data):
-            raise OSError("disk full")
+        # the labels and then the informative indices go through one formatter;
+        # a write fault hits the file named, after the files before it are staged
+        integer_lines, calls = dataio._integer_lines, []
 
-        if fault == "labels_write":
-            monkeypatch.setattr(dataio, "save_labels", fail)
-        elif fault == "informative_write":
-            monkeypatch.setattr(dataio, "_atomic_write", fail)
+        def fail(values):
+            calls.append(values)
+            if len(calls) == ("labels", "informative").index(target) + 1:
+                raise OSError("disk full")
+            return integer_lines(values)
+
+        # a directory target fails before anything is generated or formatted
+        format_rows, generate = dataio._format_rows, dataio.generate_synthetic
+        work = []
+        monkeypatch.setattr(dataio, "_format_rows",
+                            lambda *a: work.append("format") or format_rows(*a))
+        monkeypatch.setattr(dataio, "generate_synthetic",
+                            lambda spec: work.append("generate") or generate(spec))
+        if failure == "write":
+            monkeypatch.setattr(dataio, "_integer_lines", fail)
         # another seed: a replaced file would not keep its bytes
         assert synth("2") == 1
         assert "error:" in capsys.readouterr().err
+        if failure == "directory":
+            assert work == []
+        else:
+            assert work == ["generate", "format"]
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
         assert after == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["x_matrix.csv", "x_labels.txt", "x_informative.txt"])
+
+    def test_one_staging_file_and_rename_per_file(self, tmp_path, monkeypatch):
+        from ksparse import cli
+
+        made, renamed = [], []
+        mkstemp, replace = tempfile.mkstemp, os.replace
+        monkeypatch.setattr(tempfile, "mkstemp",
+                            lambda **kw: made.append(kw) or mkstemp(**kw))
+        monkeypatch.setattr(os, "replace",
+                            lambda a, b: renamed.append(os.path.basename(b)) or replace(a, b))
+        assert cli.main([
+            "synth", "--m", "10", "--d", "8", "--k", "2", "--informative", "2",
+            "--out", str(tmp_path / "x"),
+        ]) == 0
+        assert len(made) == 3
+        assert renamed == ["x_matrix.csv", "x_labels.txt", "x_informative.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(renamed)
 
 
 class TestCluster:

@@ -446,6 +446,31 @@ def test_split_runs_in_one_block_in_a_daemonic_process(tmp_path, monkeypatch):
     assert inside[1:] == here[1:]
 
 
+class TestAtomicFiles:
+    def test_directory_made_meanwhile_replaces_nothing(self, tmp_path):
+        # the group checks its targets again before its first rename
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.write_bytes(b"old")
+        with pytest.raises(IsADirectoryError, match=re.escape(str(b))):
+            with dataio._atomic_file(a, b) as (fa, fb):
+                fa.write(b"new")
+                fb.write(b"new")
+                b.mkdir()
+        assert a.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_failure_removes_every_staging_file(self, tmp_path):
+        a = tmp_path / "a"
+        a.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with dataio._atomic_file(a, tmp_path / "b") as files:
+                for fh in files:
+                    fh.write(b"new")
+                raise RuntimeError
+        assert a.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["a"]
+
+
 class TestLabelsFiles:
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "labels.txt"

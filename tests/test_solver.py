@@ -396,6 +396,24 @@ class TestWorkingSet:
         assert max(full) > 1
         assert checked > 1000
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_full_steps_take_a_fortran_ordered_V(self, monkeypatch, order):
+        # a start inside the ball comes back from _shrink as a C-ordered copy;
+        # every V of a full step is still in the Fortran order _candidates reads fast
+        candidates = ksparse.solver._candidates
+        layouts = []
+
+        def spy(V, tau):
+            layouts.append(V.flags.f_contiguous)
+            return candidates(V, tau)
+
+        monkeypatch.setattr(ksparse.solver, "_candidates", spy)
+        X, labels, mu = _screening_instance(0)
+        W0 = np.asarray(default_weight_init(400, 3, 1.0), order=order)
+        rep = solve_weights_fista(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
+        assert len(layouts) == rep.full_gradients > 1
+        assert all(layouts)
+
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_certificate_near_fit(self, monkeypatch, accelerated):
         # the set's gradient H_C P - b_C cancels to under 1e-4 of ||b_C||, so
