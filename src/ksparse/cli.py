@@ -3,12 +3,13 @@
 Numerical libraries are imported lazily so that BLAS threading can be
 pinned before they load: all in-process linear algebra runs single-threaded,
 which makes outputs byte-identical for any ``--threads`` value.  The
-``--threads`` flag instead sizes the processes: the sweep shares its
-budgets out over that many, this one and forked workers, and ``cluster``,
-``sweep`` and ``synth`` split the load or write of a CSV above a size
-threshold (two blocks of 4 MiB) into that many blocks of whole rows.  The
-records, the matrix, the files written and every error message are the
-same for any value.
+``--threads`` flag instead sizes the processes: ``cluster`` shares the
+k-means replicates of its start out over that many, this one and forked
+workers; the sweep shares its budgets out over them, and each budget's
+replicates over what is left; and ``cluster``, ``sweep`` and ``synth``
+split the load or write of a CSV above a size threshold (two blocks of 4
+MiB) into that many blocks of whole rows.  The records, the matrix, the
+files written and every error message are the same for any value.
 
 Summary lines are stable and tab-separated:
 
@@ -99,9 +100,10 @@ def _threads(text: str) -> int:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_threads, default=_usable_cpus(),
-                   help="processes: sweep budgets are shared out over that many, and "
-                        "a large CSV is read or written in that many blocks; results "
-                        "do not depend on it (default: usable CPUs, %(default)s here)")
+                   help="processes: k-means replicates and sweep budgets are shared "
+                        "out over that many, and a large CSV is read or written in that "
+                        "many blocks; results do not depend on it (default: usable "
+                        "CPUs, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,7 +277,8 @@ def _cmd_cluster(parser, args) -> int:
     from . import dataio
     from .driver import k_sparse
 
-    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true)
+    result = k_sparse(dataset.matrix, args.k, eta, cfg, labels_true=dataset.labels_true,
+                      n_jobs=args.threads)
     phases.mark("cluster")
 
     dataio.write_result(result, dataset, args.out)

@@ -8,7 +8,8 @@ Labels are kept as an index vector; products with ``Y`` are realized as
 row gathers (``mu[labels]``) and per-cluster reductions.
 
 The module also holds the one way ksparse runs work in other processes:
-:func:`_forked`, used by the budget sweep and the split CSV load and write.
+:func:`_forked`, used by the k-means replicates, the budget sweep and the
+split CSV load and write.
 """
 
 from __future__ import annotations

@@ -3,15 +3,11 @@
 Each outer loop solves the weight subproblem for the current labels
 (accelerated projected gradient), then re-clusters the projected samples.
 The re-clustering step keeps the better of a Lloyd run warm-started from
-the previous labels and the previous labels themselves.  The first loop
-also scores a fresh best-of-replicates k-means++ run, since its previous
-labels come from the start's few high-variance columns rather than from
-``X W``.  Later loops start from labels already fitted to ``X W``, where a
-fresh run costs a whole replicate set and rarely wins.  The candidates are
-scored by the same wcss on one shared set of k-means samples, and ties go
-to the warm start, then the fresh run, then the previous labels.  Together
-with a matching guard on the weight step, this makes the reported
-Frobenius trace non-increasing loop over loop.
+the previous labels and the previous labels themselves, scored by the same
+wcss on one shared set of k-means samples, with ties to the warm start.
+Together with a matching guard on the weight step, this makes the reported
+Frobenius trace non-increasing loop over loop.  The one replicated
+k-means++ run of a call is the start's.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ import numpy as np
 from . import kmeans as _kmeans
 from . import metrics as _metrics
 from .core import _forked, _split, centroids, check_data_matrix, check_labels, spectral_norm
-from .kmeans import best_of_replicates, lloyd
+from .kmeans import KmeansOutcome, best_of_replicates, lloyd
 from .solver import _Design, default_weight_init, solve_weights_fista
 
 __all__ = [
@@ -34,12 +30,6 @@ __all__ = [
     "selected_features",
     "sweep_eta",
 ]
-
-# offset of the first loop's fresh k-means seed block from the run seed; the
-# start's replicates use seed .. seed+replicates-1, and this prime, far larger
-# than any sensible replicate count, keeps the two blocks apart
-_LOOP_SEED_STRIDE = 100003
-
 
 @dataclass
 class SolverConfig:
@@ -139,6 +129,7 @@ def k_sparse(
     eta: float,
     cfg: SolverConfig | None = None,
     labels_true: np.ndarray | None = None,
+    n_jobs: int = 1,
 ) -> ClusteringResult:
     """Cluster X into k groups while selecting a sparse feature subset.
 
@@ -149,9 +140,10 @@ def k_sparse(
     with the weights and ``eta`` divided by ``sigma_max``, which is the same
     problem up to rounding.  Otherwise the run works on the data's own
     scale.  When ``labels_true`` is given the result carries accuracy/ARI/NMI
-    against it.  Each call runs
-    best-of-replicates k-means twice, for the start and in the first loop
-    (module docstring), and once when ``cfg.outer_loops`` is 0.
+    against it.  Each call runs best-of-replicates k-means once, for the
+    start, with its replicates shared out over up to ``n_jobs`` processes
+    (:func:`~ksparse.kmeans.best_of_replicates`); the result does not
+    depend on ``n_jobs``.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -187,14 +179,14 @@ def k_sparse(
     Z0 = X[:, init_cols] / scale  # the columns of X / scale, bit for bit
     if Z0.shape[1] < dbar:
         Z0 = np.hstack([Z0, np.zeros((m, dbar - Z0.shape[1]))])
-    best = best_of_replicates(Z0, k, cfg.replicates, cfg.seed)
+    best = best_of_replicates(Z0, k, cfg.replicates, cfg.seed, n_jobs)
 
     W = default_weight_init(d, dbar, eta)
     Z = X @ (W / scale)
     res0 = best.centers[best.labels] - Z
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
-    for loop in range(cfg.outer_loops):
+    for _ in range(cfg.outer_loops):
         report = solve_weights_fista(
             design, best.labels, best.centers, W / scale, cfg.inner_iters, eta / scale,
             sigma_max=sigma_max,
@@ -204,15 +196,12 @@ def k_sparse(
             W = report.final_weights * scale
         Z = X @ (W / scale)
 
-        # candidates in tie order: the warm start, the fresh run, the previous labels
+        # the warm start, or the previous labels where they score strictly lower
         S = _kmeans._samples(Z)
         prev_mu = centroids(best.labels, Z, k)
         prev_wcss = _kmeans._wcss(S, best.labels, prev_mu)
-        candidates = [lloyd(S, prev_mu), _kmeans.KmeansOutcome(best.labels, prev_mu, prev_wcss, 0)]
-        if loop == 0:
-            fresh = best_of_replicates(S, k, cfg.replicates, cfg.seed + _LOOP_SEED_STRIDE)
-            candidates.insert(1, fresh)
-        best = min(candidates, key=lambda c: c.wcss)
+        best = min(lloyd(S, prev_mu), KmeansOutcome(best.labels, prev_mu, prev_wcss, 0),
+                   key=lambda c: c.wcss)
         trace.append(np.sqrt(2.0 * best.wcss))
 
     selected = selected_features(W, 1e-10 * eta)
@@ -230,11 +219,12 @@ def k_sparse(
     )
 
 
-def _sweep_records(X, k, etas, labels_true, cfg) -> list[SweepRecord]:
-    """The sweep's records for ``etas``, run one after another in this process."""
+def _sweep_records(X, k, etas, labels_true, cfg, n_jobs) -> list[SweepRecord]:
+    """The sweep's records for ``etas``, run one after another in this process,
+    each run's replicates shared out over ``n_jobs`` processes."""
     records = []
     for eta in etas:
-        res = k_sparse(X, k, eta, cfg, labels_true=labels_true)
+        res = k_sparse(X, k, eta, cfg, labels_true=labels_true, n_jobs=n_jobs)
         records.append(SweepRecord(
             eta=float(eta),
             selected_count=int(res.selected_features.size),
@@ -257,8 +247,10 @@ def sweep_eta(
     Records are returned in the order of ``etas``; each is exactly what
     :func:`k_sparse` returns for its budget.  ``n_jobs > 1`` shares the
     budgets out over up to that many processes: this one and forked
-    children, process ``i`` running ``etas[i::n]``.  Results do not depend
-    on the process count.
+    children, process ``i`` running ``etas[i::n]``, and each of the ``n``
+    shares its runs' k-means replicates out over ``n_jobs // n`` processes,
+    so no more than ``n_jobs`` run at once.  Results do not depend on the
+    process count.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     cfg.validate()
@@ -270,7 +262,7 @@ def sweep_eta(
     X = check_data_matrix(X)
 
     ctx, n = _split(n_jobs, len(etas))
-    shares = [(X, k, etas[i::n], labels_true, cfg) for i in range(n)]
+    shares = [(X, k, etas[i::n], labels_true, cfg, n_jobs // n) for i in range(n)]
     with _forked(ctx, _sweep_records, shares[1:]) as children:
         parts = [_sweep_records(*shares[0])] + [child.result() for child in children]
     return [parts[i % n][i // n] for i in range(len(etas))]

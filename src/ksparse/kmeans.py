@@ -4,7 +4,7 @@ empty-cluster repair, and best-of-replicates selection.
 Determinism rules used throughout: assignment ties break toward the lower
 cluster index, replicate ties toward the lower replicate index, and every
 random draw comes from a generator seeded per replicate, so any replicate
-is reproducible in isolation.
+is reproducible in isolation, in any process.
 
 Assignment: a sample goes to its nearest center, ties to the lower index,
 exactly where ``np.argmin`` over the broadcast distances of
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import centroids, check_labels
+from .core import _forked, _split, centroids, check_labels
 
 __all__ = [
     "KmeansOutcome",
@@ -226,18 +226,42 @@ def lloyd(Z: np.ndarray, init_centers: np.ndarray, max_iter: int = 100) -> Kmean
     return KmeansOutcome(labels, centers, _wcss(S, labels, centers), it)
 
 
-def best_of_replicates(Z: np.ndarray, k: int, replicates: int, seed: int) -> KmeansOutcome:
+def best_of_replicates(
+    Z: np.ndarray, k: int, replicates: int, seed: int, n_jobs: int = 1
+) -> KmeansOutcome:
     """Best (lowest-wcss) of ``replicates`` seeded k-means++ runs.
 
     Replicate ``r`` uses seed ``seed + r``; ties keep the lowest replicate
-    index.  ``Z`` must be finite.
+    index.  ``Z`` must be finite.  ``n_jobs > 1`` shares the replicates out
+    over up to that many processes, this one and forked children, process
+    ``i`` of ``n`` running the replicates ``r`` with ``r % n == i``.  Each
+    process returns its best replicate with its index, or its first failure,
+    and the lowest ``(wcss, r)``, or the failure of the lowest ``r``, is
+    taken; the outcome, its iteration count and every error are those of a
+    one-process run.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     S = _samples(Z)
+    ctx, n = _split(n_jobs, replicates)
+    shares = [(S, k, seed, range(i, replicates, n)) for i in range(n)]
+    with _forked(ctx, _best_replicate, shares[1:]) as children:
+        bests = [_best_replicate(*shares[0])] + [child.result() for child in children]
+    failures = [(r, exc) for r, exc in bests if isinstance(exc, ValueError)]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return min(bests, key=lambda b: (b[1].wcss, b[0]))[1]
+
+
+def _best_replicate(S: _Samples, k: int, seed: int, rs: range):
+    """``(r, outcome)`` for the lowest-wcss replicate of ``rs``, the first on
+    ties, or ``(r, error)`` for the first replicate that fails."""
     best = None
-    for r in range(replicates):
-        outcome = lloyd(S, kmeanspp_seed(S, k, seed + r))
-        if best is None or outcome.wcss < best.wcss:
-            best = outcome
+    for r in rs:
+        try:
+            outcome = lloyd(S, kmeanspp_seed(S, k, seed + r))
+        except ValueError as exc:
+            return r, exc
+        if best is None or outcome.wcss < best[1].wcss:
+            best = r, outcome
     return best

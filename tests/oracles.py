@@ -260,10 +260,9 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
     largest ``X.var``.  Each weight solve is :func:`projected_gradient_reference`
     with FISTA at step ``1 / ||X||^2`` of the data solved on, and its endpoint
     is kept only if it ends no worse than it started.  Each loop then keeps
-    the lowest-wcss of the warm Lloyd run, the fresh best-of-replicates run
-    (first loop only) and the previous labels, the first of them on ties.
-    Returns the labels, ``W``, the selected features and the trace of
-    Frobenius residual norms.
+    the lower-wcss of the warm Lloyd run and the previous labels, the warm
+    run on ties.  Returns the labels, ``W``, the selected features and the
+    trace of Frobenius residual norms.
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
@@ -276,7 +275,7 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
     W = np.zeros((d, dbar))
     W[np.arange(dbar), np.arange(dbar)] = eta / dbar
     trace = [np.linalg.norm(mu[labels] - X @ W)]
-    for loop in range(outer_loops):
+    for _ in range(outer_loops):
         W_proj, inner = projected_gradient_reference(
             X, labels, mu, W, inner_iters, gamma, eta, accelerated=True)
         if inner[-1] <= inner[0]:
@@ -285,8 +284,6 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
         prev_mu = np.array([Z[labels == j].mean(axis=0) for j in range(k)])
         R = Z - prev_mu[labels]
         candidates = [lloyd_reference(Z, prev_mu), (labels, prev_mu, 0.5 * np.sum(R * R), 0)]
-        if loop == 0:
-            candidates.insert(1, best_of_replicates_reference(Z, k, replicates, seed + 100003))
         labels, mu, wcss, _ = min(candidates, key=lambda c: c[2])
         trace.append(np.sqrt(2.0 * wcss))
     selected = np.flatnonzero(np.linalg.norm(W, axis=1) > 1e-10 * eta)

@@ -41,6 +41,20 @@ def large_synth_files(tmp_path_factory):
     return prefix
 
 
+def run_cli_to_files(tmp_path, *args):
+    """``run_cli`` with stdout and stderr in files under ``tmp_path``.
+
+    It returns when the run's own process exits.  A process that the run
+    leaves behind inherits its output; were that a pipe, ``run_cli`` would
+    wait for the stray to close it, and a test could not see the stray.
+    """
+    out, err = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out, "w") as out_fh, open(err, "w") as err_fh:
+        code = subprocess.run([sys.executable, "-m", "ksparse", *args],
+                              stdout=out_fh, stderr=err_fh, timeout=600).returncode
+    return subprocess.CompletedProcess(args, code, out.read_text(), err.read_text())
+
+
 def processes_naming(text: str) -> list[str]:
     """Ids of the running processes whose command line holds ``text``."""
     proc_root = Path("/proc")
@@ -243,14 +257,15 @@ class TestCluster:
         assert outs[0] == outs[1]
 
     def test_no_process_outlives_the_run(self, large_synth_files, tmp_path):
-        # the load forks a CSV block worker, whose command line is the run's own
+        # the load forks a CSV block worker and the start's k-means replicates
+        # fork another, at any input size; each has the run's own command line
         from ksparse import dataio
 
         matrix = Path(f"{large_synth_files}_matrix.csv")
         assert matrix.stat().st_size >= 2 * dataio._SPLIT_BLOCK_BYTES
         out = tmp_path / "worker-run.json"
-        proc = run_cli(
-            "cluster", "--input", str(matrix),
+        proc = run_cli_to_files(
+            tmp_path, "cluster", "--input", str(matrix),
             "--k", "4", "--eta", "3", *FAST_FLAGS, "--threads", "2", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
@@ -467,8 +482,8 @@ class TestSweep:
     def test_no_process_outlives_the_run(self, synth_files, tmp_path):
         # two budgets over two processes fork one worker at any input size
         out = tmp_path / "worker-run.tsv"
-        proc = run_cli(
-            "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",
+        proc = run_cli_to_files(
+            tmp_path, "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",
             "--eta-list", "0.3,0.5", *FAST_FLAGS, "--threads", "2", "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr

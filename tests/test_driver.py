@@ -147,20 +147,20 @@ class TestKSparse:
         assert res.metrics["accuracy"] == 1.0
 
     @pytest.mark.parametrize("loops", [0, 1, 5])
-    def test_fresh_k_means_in_the_first_loop_only(self, two_cluster_ds, monkeypatch, loops):
+    def test_one_replicate_set_per_run(self, two_cluster_ds, monkeypatch, loops):
         real = driver.best_of_replicates
         seeds = []
 
-        def spy(Z, k, replicates, seed):
+        def spy(Z, k, replicates, seed, n_jobs):
             seeds.append(seed)
-            return real(Z, k, replicates, seed)
+            return real(Z, k, replicates, seed, n_jobs)
 
         monkeypatch.setattr(driver, "best_of_replicates", spy)
         cfg = dataclasses.replace(FAST, outer_loops=loops, seed=7)
         res = k_sparse(two_cluster_ds.matrix, 2, 0.3, cfg)
         assert res.objective_trace.shape == (loops + 1,)
-        # the start, then the first loop's fresh run in a block of its own
-        assert seeds == [7, 7 + driver._LOOP_SEED_STRIDE][: 1 + min(loops, 1)]
+        # the start's replicate set; every loop re-clusters from its labels
+        assert seeds == [7]
 
     def test_loop_won_by_previous_labels(self, two_cluster_ds, monkeypatch):
         cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=6)
@@ -384,8 +384,8 @@ class TestSharedDesign:
 class TestSharedSamples:
     def test_one_sample_set_per_clustering_step(self, two_cluster_ds, monkeypatch):
         # the start and each outer loop prepare their k-means samples once,
-        # shared by the warm start, the previous labels and, in the first loop,
-        # the fresh replicates
+        # shared by the start's replicates, and in a loop by the warm start
+        # and the previous labels
         real = kmeans._samples
         built = []
 
@@ -398,6 +398,51 @@ class TestSharedSamples:
         cfg = SolverConfig(replicates=4, inner_iters=60, outer_loops=10)
         k_sparse(two_cluster_ds.matrix, 2, 1.0, cfg)
         assert len(built) == cfg.outer_loops + 1
+
+
+class TestSharedReplicates:
+    """The start's replicates are shared out over ``n_jobs`` processes, and a
+    sweep's budgets and replicates together use no more than ``n_jobs``."""
+
+    # 40 x 60 is wide; 150 x 20 is tall
+    @pytest.mark.parametrize("m, d", [(40, 60), (150, 20)])
+    def test_bitwise_equal_for_any_process_count(self, m, d):
+        ds = generate_synthetic(
+            SyntheticSpec(m=m, d=d, k=3, n_informative=4, shift=2.5, noise_sd=1.0, seed=0)
+        )
+        cfg = SolverConfig(replicates=5, inner_iters=60, outer_loops=4)
+        one, two = (k_sparse(ds.matrix, 3, 0.5, cfg, labels_true=ds.labels_true, n_jobs=n)
+                    for n in (1, 2))
+        for field in dataclasses.fields(one):
+            a, b = getattr(one, field.name), getattr(two, field.name)
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            else:
+                assert a == b
+
+    # (budgets, n_jobs, processes started): 3 budgets on 2 processes leave one
+    # process per run; a single budget shares its replicates as cluster does;
+    # 2 budgets on 4 processes give each run 2, one fork in each process
+    @pytest.mark.parametrize("etas, n_jobs, started", [
+        ([0.1, 0.2, 0.4], 2, 1),
+        ([0.2], 2, 1),
+        ([0.1, 0.2], 4, 3),
+    ])
+    def test_sweep_starts_no_more_than_n_jobs(self, two_cluster_ds, monkeypatch, tmp_path,
+                                              etas, n_jobs, started):
+        # one line per process started, here or in any child, which inherit the patch
+        log = tmp_path / "starts"
+        log.touch()
+        real = multiprocessing.process.BaseProcess.start
+
+        def start(proc):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            real(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        sweep_eta(two_cluster_ds.matrix, 2, etas, cfg=FAST, n_jobs=n_jobs)
+        assert len(log.read_text().split()) == started
 
 
 class TestSweep:

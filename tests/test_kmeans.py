@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,54 @@ class TestReplicates:
         b = best_of_replicates(Z, 4, 10, seed=3)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.wcss == b.wcss
+
+
+class TestSharedReplicates:
+    """Replicates shared out over processes give the one-process outcome and errors."""
+
+    @pytest.mark.parametrize("replicates", [1, 2, 5])
+    def test_same_outcome_for_any_process_count(self, replicates):
+        Z = np.random.default_rng(11).standard_normal((60, 3))
+        serial = best_of_replicates(Z, 4, replicates, seed=2)
+        for n_jobs in (2, 3):
+            shared = best_of_replicates(Z, 4, replicates, 2, n_jobs)
+            _assert_same_outcome(shared, dataclasses.astuple(serial))
+
+    def test_tie_across_shares_keeps_the_lowest_replicate(self):
+        # replicates 1 and 2 reach the lowest wcss in 1 and 2 Lloyd iterations;
+        # over two processes, 2 is this process's best and 1 the child's
+        Z = np.random.default_rng(1).standard_normal((12, 2))
+        runs = [lloyd(Z, kmeanspp_seed(Z, 3, 17 + r)) for r in range(3)]
+        assert runs[0].wcss > runs[1].wcss == runs[2].wcss
+        assert (runs[1].iterations, runs[2].iterations) == (1, 2)
+        for n_jobs in (1, 2, 3):
+            shared = best_of_replicates(Z, 3, 3, 17, n_jobs)
+            _assert_same_outcome(shared, dataclasses.astuple(runs[1]))
+
+    def test_too_few_distinct_rows_same_error(self):
+        Z = np.repeat(np.eye(2), 5, axis=0)
+        messages = []
+        for n_jobs in (1, 2):
+            with pytest.raises(ValueError) as info:
+                best_of_replicates(Z, 3, 4, 0, n_jobs)
+            messages.append(str(info.value))
+        assert messages == ["need at least 3 distinct rows to seed, found 2"] * 2
+
+    def test_first_failing_replicate_sets_the_error(self, monkeypatch):
+        # replicates 1 and 2 fail, 1 in the child and 2 in this process; the
+        # one-process loop stops at 1
+        real = kmeans.kmeanspp_seed
+
+        def seed_fails_from(Z, k, rng_seed):
+            if rng_seed >= 1:
+                raise ValueError(f"no seed {rng_seed}")
+            return real(Z, k, rng_seed)
+
+        monkeypatch.setattr(kmeans, "kmeanspp_seed", seed_fails_from)
+        Z = np.random.default_rng(3).standard_normal((20, 2))
+        for n_jobs in (1, 2, 3):
+            with pytest.raises(ValueError, match="^no seed 1$"):
+                best_of_replicates(Z, 2, 4, 0, n_jobs)
 
 
 def _layouts(Z):
