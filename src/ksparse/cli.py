@@ -3,13 +3,14 @@
 Numerical libraries are imported lazily so that BLAS threading can be
 pinned before they load: all in-process linear algebra runs single-threaded,
 which makes outputs byte-identical for any ``--threads`` value.  The
-``--threads`` flag instead sizes the processes: ``cluster`` shares the
-k-means replicates of its start out over that many, this one and forked
-workers; the sweep shares its budgets out over them, and each budget's
-replicates over what is left; and ``cluster``, ``sweep`` and ``synth``
-split the load or write of a CSV above a size threshold (two blocks of 4
-MiB) into that many blocks of whole rows.  The records, the matrix, the
-files written and every error message are the same for any value.
+``--threads`` flag instead sizes the processes, this one and children
+forked from it with a pipe each (none where there is no ``os.fork``):
+``cluster`` shares the k-means replicates of its start out over that many;
+the sweep shares its budgets out over them, and each budget's replicates
+over what is left; and ``cluster``, ``sweep`` and ``synth`` split the load
+or write of a CSV above a size threshold (two blocks of 4 MiB) into that
+many blocks of whole rows.  The records, the matrix, the files written and
+every error message are the same for any value.
 
 Summary lines are stable and tab-separated:
 
@@ -100,10 +101,10 @@ def _threads(text: str) -> int:
 
 def _add_threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_threads, default=_usable_cpus(),
-                   help="processes: k-means replicates and sweep budgets are shared "
-                        "out over that many, and a large CSV is read or written in that "
-                        "many blocks; results do not depend on it (default: usable "
-                        "CPUs, %(default)s here)")
+                   help="processes, this one and forked children: k-means replicates "
+                        "and sweep budgets are shared out over that many, and a large "
+                        "CSV is read or written in that many blocks; results do not "
+                        "depend on it (default: usable CPUs, %(default)s here)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,6 +202,7 @@ def _validate_cluster_args(parser, args) -> None:
 def _load_and_preprocess(args, stages, phases):
     from . import dataio
 
+    phases.mark("import")  # numpy and ksparse: not part of the load's time
     delim = {"comma": ",", "tab": "\t"}.get(args.delimiter)
     dataset = dataio.load_matrix_csv(
         args.input, has_header=args.header, has_rownames=args.rownames, delimiter=delim,
@@ -359,6 +361,7 @@ def _cmd_synth(parser, args) -> int:
     phases = _Phases(args.time)
     from . import dataio
 
+    phases.mark("import")
     try:
         spec = dataio.SyntheticSpec(
             m=args.m, d=args.d, k=args.k, n_informative=args.informative,

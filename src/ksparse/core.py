@@ -8,14 +8,16 @@ Labels are kept as an index vector; products with ``Y`` are realized as
 row gathers (``mu[labels]``) and per-cluster reductions.
 
 The module also holds the one way ksparse runs work in other processes:
-:func:`_forked`, used by the k-means replicates, the budget sweep and the
-split CSV load and write.
+:func:`_forked`, a fork and a pipe for each block but the first, used by
+the k-means replicates, the budget sweep and the split CSV load and write.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
+import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -173,85 +175,81 @@ def _gram_norm(G: np.ndarray) -> float:
     return float(np.sqrt(np.linalg.eigvalsh(G)[-1]))
 
 
-def _fork_context():
-    """The ``fork`` start method, or None where this process cannot fork workers.
-
-    ksparse forks rather than spawns: its workers need the caller's arrays
-    without a re-import or a copy, and it forks only where no thread of its
-    own is running.
-    """
-    if multiprocessing.current_process().daemon:
-        return None  # a daemonic process may not have children
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
-def _split(n_jobs: int, limit: int):
-    """The fork context and process count for work in at most ``limit`` parts.
-
-    ``(None, 1)`` where the work stays in this process: fewer than two jobs
-    or parts, a daemonic process, or no ``fork`` start method.
-    """
+def _split(n_jobs: int, limit: int) -> int:
+    """How many processes work of at most ``limit`` parts runs in: 1 where it
+    stays in this one (fewer than two jobs or parts, or no ``os.fork``)."""
     n = min(n_jobs, limit)
-    ctx = _fork_context() if n > 1 else None
-    return (ctx, n) if ctx is not None else (None, 1)
+    return n if n > 1 and hasattr(os, "fork") else 1
 
 
 @contextlib.contextmanager
-def _forked(ctx, work, blocks):
-    """Run ``work(*block)`` in one forked child per block; yield a :class:`_Child` each.
+def _forked(work, blocks):
+    """Run ``work(*block)`` for every block; yield an iterator over the results
+    in block order.
 
-    A child sends what ``work`` returns, or the exception it raises, as one
-    pickled message through a pipe.  Leaving the ``with`` block kills and
-    reaps every child, on every path.
+    Each block but the first runs in a forked child, which pickles
+    ``(True, result)`` or ``(False, exception)`` to a pipe and leaves through
+    ``os._exit``, never returning into its caller.  Block 0 runs in this
+    process when the iterator reaches it, after every child has started.
+    The iterator raises what a block raised, or ChildProcessError where a
+    child's message is missing or cut short.  Leaving the ``with`` block kills
+    and reaps every child, on every path.  ksparse forks rather than spawns:
+    its workers need the caller's arrays without a re-import or a copy, and it
+    forks only where no thread of its own is running.
     """
-    procs, conns = [], []
+    pids, reads = [], []
     try:
-        for block in blocks:
-            conn, child_end = ctx.Pipe(duplex=False)
-            conns.append(conn)
+        for block in blocks[1:]:
+            read, write = os.pipe()
+            reads.append(read)
             try:
-                proc = ctx.Process(target=_run_block, args=(child_end, work, block))
-                proc.start()
+                pid = os.fork()
+                if pid == 0:
+                    _child(write, work, block)
             finally:
-                child_end.close()  # so that a dead child reads as EOF here
-            procs.append(proc)
-        yield [_Child(proc, conn) for proc, conn in zip(procs, conns)]
+                os.close(write)  # so that a dead child reads as EOF here
+            pids.append(pid)
+        yield _results(work, blocks[0], pids, reads)
     finally:
-        for proc in procs:
-            proc.kill()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
 
 
-def _run_block(conn, work, block) -> None:
-    """Child side of :func:`_forked`: send ``(True, result)`` or ``(False, exception)``."""
+def _child(write, work, block) -> None:
+    """Child side of :func:`_forked`: send the block's reply, then exit."""
+    code = 1
     try:
-        reply = True, work(*block)
-    except Exception as exc:
-        reply = False, exc
-    conn.send(reply)
-
-
-class _Child:
-    """The parent's end of one forked block."""
-
-    def __init__(self, proc, conn):
-        self._proc, self._conn = proc, conn
-
-    def result(self):
-        """What the block's ``work`` returned; raises the exception it raised."""
         try:
-            ok, value = self._conn.recv()
-        except (EOFError, OSError):  # no message, or one cut short by the child's death
-            self._proc.join()
+            reply = True, work(*block)
+        except Exception as exc:
+            reply = False, exc
+        with open(write, "wb") as pipe:
+            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _results(work, block, pids, reads):
+    """Block 0's result, then each child's, read from its pipe to EOF."""
+    yield work(*block)
+    for pid, read in zip(pids, reads):
+        with open(read, "rb", closefd=False) as pipe:
+            try:
+                ok, value = pickle.load(pipe)
+                whole = not pipe.read()
+            except (EOFError, pickle.UnpicklingError):
+                whole = False
+        if not whole:
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)  # reaped: not to be killed
             raise ChildProcessError(
-                f"a worker process exited with code {self._proc.exitcode}"
-            ) from None
+                f"a worker process exited with code {os.waitstatus_to_exitcode(status)}"
+            )
         if not ok:
             raise value
-        return value
+        yield value

@@ -146,16 +146,12 @@ def load_matrix_csv(
         start = sum(len(line.encode()) for line in itertools.islice(fh, first_row - 1))
     with open(path, "rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
-        ctx, n = _split(n_jobs, size // _SPLIT_BLOCK_BYTES)
+        n = _split(n_jobs, size // _SPLIT_BLOCK_BYTES)
         cuts = [max(cut, start) for cut in _line_cuts(raw, size, n)]
-    blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts[1:], cuts[2:])]
+    blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts, cuts[1:])]
     X, sample_ids = None, [] if has_rownames else None
-    with _forked(ctx, _parse_block, blocks) as children:
+    with _forked(_parse_block, blocks) as parts:
         try:
-            parts = itertools.chain(
-                [_parse_block(path, cuts[0], cuts[1], has_rownames, delimiter)],
-                (child.result() for child in children),
-            )
             for part, ids in parts:
                 if len(part):  # the first part with rows starts the matrix
                     X = part if X is None else _append_rows(X, part)
@@ -331,16 +327,13 @@ def _write_matrix(fh, dataset: Dataset, header: bool, rownames: bool, n_jobs: in
     X = np.asarray(dataset.matrix, dtype=float)
     ids = dataset.sample_ids if rownames else None
     m = X.shape[0]
-    ctx, n = _split(n_jobs, min(m, X.nbytes // _SPLIT_BLOCK_BYTES))
+    n = _split(n_jobs, min(m, X.nbytes // _SPLIT_BLOCK_BYTES))
     cuts = [m * i // n for i in range(n + 1)]
-    blocks = [(X, ids, a, b) for a, b in zip(cuts[1:], cuts[2:])]
-    with _forked(ctx, _format_rows, blocks) as children:
+    with _forked(_format_rows, [(X, ids, a, b) for a, b in zip(cuts, cuts[1:])]) as parts:
         if header:
             corner = "," if rownames else ""  # empty, above the rowname column
             fh.write((corner + ",".join(dataset.feature_names) + "\n").encode())
-        fh.write(_format_rows(X, ids, 0, cuts[1]))
-        for child in children:
-            fh.write(child.result())
+        fh.writelines(parts)
 
 
 def _format_rows(X, ids, start, stop) -> bytes:
@@ -480,8 +473,9 @@ def _refuse_directories(paths) -> None:
 # CSV work is split over forked processes (core._forked) only from two
 # blocks of this size up: of the file, header included, for a load, and of
 # the matrix's doubles for a write.  A 4 MiB block of text parses in about
-# 0.1 s, which a fork and its pipe would eat much of.  The 3.25 MB counts-tall
-# CSV stays in one process; the 59 MB paper-size CSV and its 24 MB matrix split.
+# 0.05 s, and a fork and its pipe, sending the parsed block back, take 5 ms
+# (2-core Xeon, paper-size process).  The 3.25 MB counts-tall CSV stays in
+# one process; the 59 MB paper-size CSV and its 24 MB matrix split.
 _SPLIT_BLOCK_BYTES = 4 << 20
 
 

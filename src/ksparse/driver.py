@@ -261,8 +261,8 @@ def sweep_eta(
         raise ValueError("all eta values must be positive and finite")
     X = check_data_matrix(X)
 
-    ctx, n = _split(n_jobs, len(etas))
+    n = _split(n_jobs, len(etas))
     shares = [(X, k, etas[i::n], labels_true, cfg, n_jobs // n) for i in range(n)]
-    with _forked(ctx, _sweep_records, shares[1:]) as children:
-        parts = [_sweep_records(*shares[0])] + [child.result() for child in children]
+    with _forked(_sweep_records, shares) as results:
+        parts = list(results)
     return [parts[i % n][i // n] for i in range(len(etas))]

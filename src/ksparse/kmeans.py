@@ -243,10 +243,10 @@ def best_of_replicates(
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     S = _samples(Z)
-    ctx, n = _split(n_jobs, replicates)
+    n = _split(n_jobs, replicates)
     shares = [(S, k, seed, range(i, replicates, n)) for i in range(n)]
-    with _forked(ctx, _best_replicate, shares[1:]) as children:
-        bests = [_best_replicate(*shares[0])] + [child.result() for child in children]
+    with _forked(_best_replicate, shares) as results:
+        bests = list(results)
     failures = [(r, exc) for r, exc in bests if isinstance(exc, ValueError)]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

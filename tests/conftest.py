@@ -7,9 +7,10 @@ fixed for the whole session.  Every test must leave no child process of the
 session running.
 """
 
-import multiprocessing
 import os
+import signal
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,15 +24,39 @@ if "numpy" not in sys.modules:
         os.environ.setdefault(_var, "1")
 
 
+def kill_children() -> list[int]:
+    """Kill and reap every child process of this one; the ids of those found.
+
+    Children are listed from /proc, so a forked worker is seen however it was
+    started, and so is one that exited without being reaped.  Skips where
+    there is no /proc to list them.
+    """
+    proc_root = Path("/proc")
+    if not proc_root.is_dir():
+        pytest.skip("no /proc to list processes")
+    children = []
+    for entry in proc_root.iterdir():
+        try:
+            stat = (entry / "stat").read_text() if entry.name.isdigit() else ""
+        except OSError:  # gone meanwhile
+            continue
+        # the parent id is the second field after the parenthesized command name
+        if stat and int(stat.rpartition(")")[2].split()[1]) == os.getpid():
+            children.append(int(entry.name))
+    for pid in children:
+        os.kill(pid, signal.SIGKILL)
+    for pid in children:
+        os.waitpid(pid, 0)
+    return children
+
+
 @pytest.fixture(autouse=True)
 def no_stray_processes():
-    """Fail a test that leaves a worker process running, and stop the worker."""
+    """Fail a test that leaves a child process running or unreaped, and stop it."""
     yield
-    stray = multiprocessing.active_children()
-    for proc in stray:
-        proc.kill()
-        proc.join()
-    assert not stray, f"the test left processes running: {stray}"
+    if Path("/proc").is_dir():
+        stray = kill_children()
+        assert not stray, f"the test left processes running: {stray}"
 
 
 @pytest.fixture
@@ -43,9 +68,9 @@ def split_blocks(monkeypatch):
     forked = []
     original = dataio._forked
 
-    def spy(ctx, work, blocks):
-        forked.append(len(blocks))
-        return original(ctx, work, blocks)
+    def spy(work, blocks):
+        forked.append(len(blocks) - 1)  # block 0 runs in this process
+        return original(work, blocks)
 
     monkeypatch.setattr(dataio, "_forked", spy)
     return forked

@@ -675,6 +675,55 @@ class TestTiming:
         assert "[time] load:" in proc.stderr
         assert "[time] cluster:" in proc.stderr
 
+    def test_imports_are_a_phase_of_their_own(self, synth_files, tmp_path):
+        # numpy and ksparse load before the first timed step, not inside it
+        runs = {
+            ("import", "load", "cluster", "write"): (
+                "cluster", "--input", f"{synth_files}_matrix.csv", "--k", "2",
+                "--eta", "0.5", *FAST_FLAGS, "--out", str(tmp_path / "r.json")),
+            ("import", "generate", "write"): (
+                "synth", "--m", "10", "--d", "8", "--k", "2", "--informative", "2",
+                "--out", str(tmp_path / "s")),
+        }
+        for phases, args in runs.items():
+            proc = run_cli(*args, "--time")
+            assert proc.returncode == 0, proc.stderr
+            reported = [line.split(":")[0] for line in proc.stderr.splitlines()]
+            assert reported == [f"[time] {phase}" for phase in phases]
+
+
+# runs the CLI, then exits 3 naming any multiprocessing module it imported
+_WITHOUT_MULTIPROCESSING = """\
+import sys
+from ksparse.cli import main
+code = main(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "multiprocessing")
+if loaded:
+    sys.exit(f"imported {loaded}")
+sys.exit(code)
+"""
+
+
+class TestForkedWorkers:
+    def test_no_multiprocessing_import(self, large_synth_files, tmp_path):
+        # the cluster run forks for its load and for its k-means replicates,
+        # and synth forks for its write
+        from ksparse import dataio
+
+        matrix = Path(f"{large_synth_files}_matrix.csv")
+        assert matrix.stat().st_size >= 2 * dataio._SPLIT_BLOCK_BYTES
+        assert 300 * 5000 * 8 >= 2 * dataio._SPLIT_BLOCK_BYTES
+        for args in (
+            ["cluster", "--input", str(matrix), "--k", "4", "--eta", "3", *FAST_FLAGS,
+             "--out", str(tmp_path / "r.json")],
+            ["synth", "--m", "300", "--d", "5000", "--out", str(tmp_path / "s")],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", _WITHOUT_MULTIPROCESSING, *args, "--threads", "2"],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+
 
 class TestHelp:
     @pytest.mark.parametrize("command", ["cluster", "sweep"])

@@ -1,6 +1,12 @@
+import contextlib
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
+from ksparse import core
 from ksparse.core import (
     centroids,
     check_data_matrix,
@@ -10,6 +16,8 @@ from ksparse.core import (
     spectral_norm,
 )
 from ksparse.dataio import SyntheticSpec, generate_synthetic
+
+from conftest import kill_children
 
 
 def _random_instance(rng, m=5, d=3, dbar=2, k=2):
@@ -185,3 +193,136 @@ class TestValidators:
             check_labels(np.array([0, -1]))
         with pytest.raises(ValueError):
             check_labels(np.array([0.5, 1.0]))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the ``with`` block, rather than hang, if it runs past ``seconds``."""
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ids of the children that ``os.fork`` starts in this process."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _in_child(parent, work):
+    """``work`` in a forked child, ``None`` in the process ``parent``."""
+    def run(i):
+        return None if os.getpid() == parent else work(i)
+    return run
+
+
+class TestForked:
+    def test_results_in_block_order(self, forks):
+        parent = os.getpid()
+        with core._forked(lambda i: (i, os.getpid()), [(0,), (1,), (2,)]) as results:
+            out = list(results)
+        assert [i for i, _ in out] == [0, 1, 2]
+        assert [pid for _, pid in out] == [parent, *forks]
+        assert kill_children() == []
+
+    def test_block_0_runs_after_the_children_start(self, forks):
+        with core._forked(lambda i: len(forks), [(0,), (1,), (2,)]) as results:
+            assert next(results) == 2
+
+    def test_one_block_forks_nothing(self, forks):
+        with core._forked(lambda i: i + 1, [(4,)]) as results:
+            assert list(results) == [5]
+        assert forks == []
+
+    @pytest.mark.parametrize("n_jobs, limit, n", [
+        (1, 5, 1), (2, 0, 1), (2, 1, 1), (2, 5, 2), (4, 3, 3),
+    ])
+    def test_split_count(self, n_jobs, limit, n):
+        assert core._split(n_jobs, limit) == n
+
+    def test_no_fork_no_split(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert core._split(4, 4) == 1
+
+    def test_error_in_a_child_reaches_the_caller(self):
+        def work(i):
+            if i:
+                raise KeyError(f"block {i}")
+            return i
+
+        with pytest.raises(KeyError) as info:
+            with core._forked(work, [(0,), (1,)]) as results:
+                list(results)
+        assert info.value.args == ("block 1",)
+
+    def test_killed_child_names_its_signal(self):
+        work = _in_child(os.getpid(), lambda i: os.kill(os.getpid(), signal.SIGKILL))
+        with _deadline(30), pytest.raises(ChildProcessError,
+                                          match=r"exited with code -9$"):
+            with core._forked(work, [(0,), (1,)]) as results:
+                list(results)
+        assert kill_children() == []
+
+    def test_unpicklable_result_is_an_error(self):
+        work = _in_child(os.getpid(), lambda i: lambda: i)  # a local function
+        with _deadline(30), pytest.raises(ChildProcessError,
+                                          match=r"exited with code 1$"):
+            with core._forked(work, [(0,), (1,)]) as results:
+                list(results)
+        assert kill_children() == []
+
+    def test_error_in_block_0_kills_the_children(self, forks):
+        parent = os.getpid()
+
+        def work(i):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise ValueError("block 0 failed")
+
+        start = time.monotonic()
+        with _deadline(30), pytest.raises(ValueError, match="^block 0 failed$"):
+            with core._forked(work, [(0,), (1,), (2,)]) as results:
+                list(results)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 2
+        assert kill_children() == []
+
+    def test_result_larger_than_a_pipe_buffer_arrives_whole(self):
+        rng = np.random.default_rng(3)
+        big = [None, rng.standard_normal(1 << 17), rng.bytes(1 << 20)]  # 1 MiB each
+        with core._forked(lambda i: big[i], [(0,), (1,), (2,)]) as results:
+            out = list(results)
+        assert out[1].tobytes() == big[1].tobytes()
+        assert out[2] == big[2]
+
+    def test_a_child_never_returns_into_its_caller(self, forks, tmp_path):
+        # a child that unwound into this frame would leave a mark and stop here
+        if not hasattr(os, "waitid"):
+            pytest.skip("no os.waitid to wait for a child without reaping it")
+        test, mark = os.getpid(), tmp_path / "unwound"
+        try:
+            with _deadline(30), core._forked(lambda i: i, [(0,), (1,)]) as results:
+                assert list(results) == [0, 1]
+                # let the child end on its own before the with block kills it
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        finally:
+            if os.getpid() != test:
+                mark.touch()
+                os._exit(0)
+        assert not mark.exists()

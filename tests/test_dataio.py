@@ -2,8 +2,8 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -26,10 +26,13 @@ from ksparse.dataio import (
 )
 from ksparse.driver import ClusteringResult
 
+from conftest import kill_children
 
-def _die_mid_message(conn, work, block):
-    """A forked child that sends the length header of a 1 MiB message, 100 bytes, and dies."""
-    os.write(conn.fileno(), struct.pack("!i", 1 << 20) + bytes(100))
+
+def _die_mid_message(write, work, block):
+    """A forked child that sends the first half of its reply's message and dies."""
+    message = pickle.dumps((True, work(*block)), pickle.HIGHEST_PROTOCOL)
+    os.write(write, message[:len(message) // 2])
     os._exit(3)
 
 
@@ -347,16 +350,16 @@ class TestSplitLoad:
         p.write_text(_rows(20))
         with pytest.raises(ChildProcessError, match="exited with code 3"):
             load_matrix_csv(p, n_jobs=2)
-        assert multiprocessing.active_children() == []
+        assert kill_children() == []
 
     def test_child_dead_mid_payload_is_an_error(self, tmp_path, split_blocks, monkeypatch):
-        monkeypatch.setattr(core, "_run_block", _die_mid_message)
+        monkeypatch.setattr(core, "_child", _die_mid_message)
         p = tmp_path / "m.csv"
         p.write_text(_rows(200))
         with pytest.raises(ChildProcessError, match="exited with code 3"):
             load_matrix_csv(p, n_jobs=2)
         assert split_blocks == [1]
-        assert multiprocessing.active_children() == []
+        assert kill_children() == []
 
 
 class TestSplitWrite:
@@ -405,24 +408,24 @@ class TestSplitWrite:
             return format_rows(*args)
 
         if halfway:
-            monkeypatch.setattr(core, "_run_block", _die_mid_message)
+            monkeypatch.setattr(core, "_child", _die_mid_message)
         else:
             monkeypatch.setattr(dataio, "_format_rows", die)
         ds = generate_synthetic(SyntheticSpec(m=40, d=30, k=2, n_informative=3))
         with pytest.raises(ChildProcessError, match="exited with code 3"):
             write_matrix_csv(tmp_path / "out.csv", ds, n_jobs=2)
         assert not any(tmp_path.iterdir())
-        assert multiprocessing.active_children() == []
+        assert kill_children() == []
 
 
 def _split_in_this_process(path):
-    """Load and write with ``n_jobs=2``; the block counts forked, and the outputs."""
+    """Load and write with ``n_jobs=2``; the children forked, and the outputs."""
     forked = []
     original = dataio._forked
 
-    def spy(ctx, work, blocks):
-        forked.append(len(blocks))
-        return original(ctx, work, blocks)
+    def spy(work, blocks):
+        forked.append(len(blocks) - 1)
+        return original(work, blocks)
 
     dataio._forked = spy
     try:
@@ -434,15 +437,16 @@ def _split_in_this_process(path):
         return forked, ds.matrix.tobytes(), fh.read()
 
 
-def test_split_runs_in_one_block_in_a_daemonic_process(tmp_path, monkeypatch):
+def test_split_forks_in_a_daemonic_process(tmp_path, monkeypatch):
+    # a pool worker is daemonic, which multiprocessing forbids to have
+    # children; a fork of ksparse's own splits the work there too
     monkeypatch.setattr(dataio, "_SPLIT_BLOCK_BYTES", 1)
     p = tmp_path / "m.csv"
     p.write_text(_rows(20))
     with multiprocessing.get_context("fork").Pool(1) as pool:
         inside = pool.apply(_split_in_this_process, (str(p),))
     here = _split_in_this_process(str(p))
-    assert inside[0] == [0, 0]  # no child forked
-    assert here[0] == [1, 1]
+    assert inside[0] == here[0] == [1, 1]
     assert inside[1:] == here[1:]
 
 

@@ -16,6 +16,7 @@ from ksparse.metrics import ari
 from ksparse.projection import project_l1_ball
 from ksparse.solver import default_weight_init, solve_weights_fista, solve_weights_ista
 
+from conftest import kill_children
 from oracles import k_sparse_reference
 
 FAST = SolverConfig(replicates=8, inner_iters=120, outer_loops=5)
@@ -430,17 +431,17 @@ class TestSharedReplicates:
     ])
     def test_sweep_starts_no_more_than_n_jobs(self, two_cluster_ds, monkeypatch, tmp_path,
                                               etas, n_jobs, started):
-        # one line per process started, here or in any child, which inherit the patch
-        log = tmp_path / "starts"
+        # one line per fork, here or in any child, which inherit the patch
+        log = tmp_path / "forks"
         log.touch()
-        real = multiprocessing.process.BaseProcess.start
+        real = os.fork
 
-        def start(proc):
+        def fork():
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()}\n")
-            real(proc)
+            return real()
 
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+        monkeypatch.setattr(os, "fork", fork)
         sweep_eta(two_cluster_ds.matrix, 2, etas, cfg=FAST, n_jobs=n_jobs)
         assert len(log.read_text().split()) == started
 
@@ -480,8 +481,9 @@ class TestSweep:
             (r.eta, r.selected_count, r.frobenius_objective) for r in par
         ]
 
-    def test_runs_sequentially_in_a_daemonic_process(self, two_cluster_ds):
-        # a pool worker is daemonic, and a daemonic process may not have children
+    def test_forks_in_a_daemonic_process(self, two_cluster_ds):
+        # a pool worker is daemonic, which multiprocessing forbids to have
+        # children; the sweep forks its own there, with the same records
         X, etas = two_cluster_ds.matrix, [0.1, 0.3]
         with multiprocessing.get_context("fork").Pool(1) as pool:
             inside = pool.apply(sweep_eta, (X, 2, etas), {"cfg": FAST, "n_jobs": 2})
@@ -515,7 +517,7 @@ class TestSweep:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
+        assert kill_children() == []
 
     def test_error_in_a_child_reaches_the_caller(self, two_cluster_ds, monkeypatch):
         parent, run = os.getpid(), driver.k_sparse
@@ -530,7 +532,7 @@ class TestSweep:
             sweep_eta(two_cluster_ds.matrix, 2, [0.1, 0.3], cfg=FAST, n_jobs=2)
         assert type(info.value) is ValueError
         assert info.value.args == ("no run at eta=0.3",)
-        assert multiprocessing.active_children() == []
+        assert kill_children() == []
 
     def test_validation(self, two_cluster_ds):
         with pytest.raises(ValueError):
