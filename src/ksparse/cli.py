@@ -81,8 +81,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="projected-space dimension (default: k+4)")
     p.add_argument("--loops", type=int, default=10,
                    help="outer alternating loops (default: %(default)s)")
-    p.add_argument("--inner-iters", type=int, default=300,
-                   help="projected-gradient iterations per loop (default: %(default)s)")
+    p.add_argument("--inner-iters", type=int, default=300, metavar="N",
+                   help="at most N projected-gradient steps per weight solve "
+                        "(default: %(default)s)")
     p.add_argument("--replicates", type=int, default=40,
                    help="k-means++ replicates per clustering step (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="run seed (default: %(default)s)")

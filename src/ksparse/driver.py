@@ -1,7 +1,8 @@
 """Outer alternating minimization and the l1-budget sweep.
 
 Each outer loop solves the weight subproblem for the current labels
-(accelerated projected gradient), then re-clusters the projected samples.
+(accelerated projected gradient on working sets, stopped by its
+Frank-Wolfe gap), then re-clusters the projected samples.
 The re-clustering step keeps the better of a Lloyd run warm-started from
 the previous labels and the previous labels themselves, scored by the same
 wcss on one shared set of k-means samples, with ties to the warm start.
@@ -20,7 +21,7 @@ from . import kmeans as _kmeans
 from . import metrics as _metrics
 from .core import _forked, _split, centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import KmeansOutcome, best_of_replicates, lloyd
-from .solver import _Design, default_weight_init, solve_weights_fista
+from .solver import _Design, _solve_to_gap, default_weight_init
 
 __all__ = [
     "SolverConfig",
@@ -35,12 +36,15 @@ __all__ = [
 class SolverConfig:
     """Tuning knobs for :func:`k_sparse`.
 
-    ``dbar`` is the projected-space dimensionality and defaults to ``k + 4``.
+    ``inner_iters`` allows at most that many projected-gradient steps per
+    weight solve; a solve stops sooner once its Frank-Wolfe gap is within
+    1e-2 of its objective (:mod:`ksparse.solver`).  ``dbar`` is the
+    projected-space dimensionality and defaults to ``k + 4``.
     ``normalize`` runs on the data divided by its spectral norm
     ``sigma_max``: the weights and ``eta`` are on that scale.  The gradient
-    step is not a setting: the weight solves step at ``1/sigma_max^2`` of
-    the data they solve on.  A feature counts as selected when its weight
-    row norm exceeds ``1e-10 * eta``.
+    step is not a setting: the weight solves step at one over the Lipschitz
+    constant of the columns they step on.  A feature counts as selected when
+    its weight row norm exceeds ``1e-10 * eta``.
     """
 
     inner_iters: int = 300
@@ -134,14 +138,16 @@ def k_sparse(
     """Cluster X into k groups while selecting a sparse feature subset.
 
     Measures the spectral norm ``sigma_max`` of X and passes it to the
-    weight solves, which step at ``1/sigma_max^2``.  With ``cfg.normalize``
-    (the default) the run is that on ``X / sigma_max``, and the weights are
-    on its scale; no copy of X is made for it: each solve runs on X itself
-    with the weights and ``eta`` divided by ``sigma_max``, which is the same
-    problem up to rounding.  Otherwise the run works on the data's own
-    scale.  When ``labels_true`` is given the result carries accuracy/ARI/NMI
-    against it.  Each call runs best-of-replicates k-means once, for the
-    start, with its replicates shared out over up to ``n_jobs`` processes
+    weight solves, which step at ``1/sigma_max^2`` on all of X and at one
+    over a working set's own Lipschitz constant on its columns.  With
+    ``cfg.normalize`` (the default) the run is that on ``X / sigma_max``,
+    and the weights are on its scale; no copy of X is made for it: each
+    solve runs on X itself with the weights and ``eta`` divided by
+    ``sigma_max``, which is the same problem up to rounding.  Otherwise the
+    run works on the data's own scale.  When ``labels_true`` is given the
+    result carries accuracy/ARI/NMI against it.  Each call runs
+    best-of-replicates k-means once, for the start, with its replicates
+    shared out over up to ``n_jobs`` processes
     (:func:`~ksparse.kmeans.best_of_replicates`); the result does not
     depend on ``n_jobs``.
     """
@@ -187,11 +193,11 @@ def k_sparse(
     trace = [np.sqrt(float(np.vdot(res0, res0)))]
 
     for _ in range(cfg.outer_loops):
-        report = solve_weights_fista(
+        report = _solve_to_gap(
             design, best.labels, best.centers, W / scale, cfg.inner_iters, eta / scale,
             sigma_max=sigma_max,
         )
-        # the accelerated solver is not monotone; never accept a worse endpoint
+        # never accept a worse endpoint; the solve keeps no round that raises it
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights * scale
         Z = X @ (W / scale)

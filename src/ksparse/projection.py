@@ -4,7 +4,7 @@ The threshold search is an active-set filtering scan in the style of
 Michelot (1986), which runs in expected linear time on typical inputs.  It
 computes the unique threshold ``tau`` such that ``w = max(v - tau, 0)``
 sums to ``eta``.  ``_shrink``, the l1-ball projection without the public
-checks, also returns ``tau``, which the weight solver's certificate reads.
+checks, also returns ``tau``, from which the weight solver's next scan starts.
 Where the scan finds no usable threshold, or one beyond ``eta`` in
 magnitude, a scan on the gaps below the largest entry gives the output
 instead.  No usable threshold means finite input whose sums overflow, or an

@@ -153,7 +153,8 @@ def best_two_cluster_wcss(Z: np.ndarray) -> float:
     return best
 
 
-def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, accelerated):
+def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, accelerated,
+                                 stop=None):
     """The inner weight solve written out as in the textbook.
 
     Every iteration recomputes the residual ``X @ W - Y @ mu`` and the
@@ -161,7 +162,10 @@ def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, acceler
     :func:`l1_projection_oracle`, and relaxes with
     ``W = (1 - lambda) W + lambda P(V)``, where ``t_n = (n + 5) / 4`` and
     ``lambda = 1 + (t_{n-1} - 1) / t_n`` (``lambda = 1`` without acceleration).
-    Returns the last projected point and the objective at every projected point.
+    With a ``stop``, the loop ends after any step that is a multiple of 10
+    at which the Frank-Wolfe gap :func:`fw_gap` of the projected point is at
+    most ``stop``.  Returns the last projected point and the objective at
+    every projected point.
     """
     Ymu = mu[labels]
 
@@ -185,7 +189,63 @@ def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, acceler
             lam = 1.0 + (t - 1.0) / t_new
             t = t_new
         W = (1.0 - lam) * W + lam * W_proj
+        if stop is not None and (n + 1) % 10 == 0 and fw_gap(X, Ymu, W_proj, eta) <= stop:
+            break
     return W_proj, np.asarray(trace)
+
+
+def fw_gap(X, Ymu, W, eta):
+    """The Frank-Wolfe gap ``<G, W> + eta max|G|`` with ``G = X.T (X W - Y mu)``."""
+    G = X.T @ (X @ W - Ymu)
+    return float(np.sum(G * W) + eta * np.abs(G).max())
+
+
+def gap_solve_reference(X, labels, mu, W0, n_iters, eta):
+    """The gap-stopped weight solve written out plainly; returns its weights.
+
+    Each round ends the solve when the Frank-Wolfe gap is at most ``1e-2 f``.
+    Otherwise it takes the support of ``W`` plus the ``max(2 |supp|, 64)``
+    other rows of largest ``max_j |G_ij|`` (every row when ``d + dbar <=
+    m``), and runs :func:`projected_gradient_reference` with FISTA on those
+    columns of ``X``, at one over their squared largest singular value from
+    an SVD, until its gap is at most 0.2 times the full gap.  The round is
+    kept when the objective does not rise, and the solve ends otherwise.
+    ``n_iters`` caps the steps of all rounds together.
+    """
+    Ymu = mu[labels]
+    (m, d), dbar = X.shape, W0.shape[1]
+
+    def objective(W):
+        R = X @ W - Ymu
+        return 0.5 * float(np.sum(R * R))
+
+    W = l1_projection_oracle(W0.ravel(), eta).reshape(W0.shape)
+    f = objective(W)
+    steps = 0
+    while steps < n_iters:
+        gap = fw_gap(X, Ymu, W, eta)
+        if gap <= 1e-2 * f:
+            break
+        G = X.T @ (X @ W - Ymu)
+        rows = np.arange(d)
+        if d + dbar > m:
+            supp = np.flatnonzero(np.any(W != 0.0, axis=1))
+            order = np.argsort(-np.abs(G).max(axis=1), kind="stable")
+            others = order[~np.isin(order, supp)][: max(2 * supp.size, 64)]
+            rows = np.sort(np.concatenate([supp, others]))
+        X_C = X[:, rows]
+        gamma = 1.0 / np.linalg.svd(X_C, compute_uv=False)[0] ** 2
+        P, inner = projected_gradient_reference(
+            X_C, labels, mu, W[rows], n_iters - steps, gamma, eta, True, stop=0.2 * gap
+        )
+        steps += inner.size - 1
+        W_new = np.zeros_like(W)
+        W_new[rows] = P
+        f_new = objective(W_new)
+        if f_new > f:
+            break
+        W, f = W_new, f_new
+    return W
 
 
 def _broadcast_sq_distances(Z, centers):
@@ -257,12 +317,12 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
     with ``normalize`` and on ``X`` otherwise.
 
     ``sigma`` comes from an SVD.  The start clusters the ``k + 4`` columns of
-    largest ``X.var``.  Each weight solve is :func:`projected_gradient_reference`
-    with FISTA at step ``1 / ||X||^2`` of the data solved on, and its endpoint
-    is kept only if it ends no worse than it started.  Each loop then keeps
-    the lower-wcss of the warm Lloyd run and the previous labels, the warm
-    run on ties.  Returns the labels, ``W``, the selected features and the
-    trace of Frobenius residual norms.
+    largest ``X.var``.  Each weight solve is :func:`gap_solve_reference` on
+    the data solved on, with at most ``inner_iters`` steps; its rounds never
+    raise the objective, so its endpoint is always kept.  Each loop then
+    keeps the lower-wcss of the warm Lloyd run and the previous labels, the
+    warm run on ties.  Returns the labels, ``W``, the selected features and
+    the trace of Frobenius residual norms.
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[1]
@@ -270,16 +330,12 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
     cols = np.argsort(-X.var(axis=0), kind="stable")[:dbar]
     if normalize:
         X = X / np.linalg.svd(X, compute_uv=False)[0]
-    gamma = 1.0 / np.linalg.svd(X, compute_uv=False)[0] ** 2
     labels, mu, _, _ = best_of_replicates_reference(X[:, cols], k, replicates, seed)
     W = np.zeros((d, dbar))
     W[np.arange(dbar), np.arange(dbar)] = eta / dbar
     trace = [np.linalg.norm(mu[labels] - X @ W)]
     for _ in range(outer_loops):
-        W_proj, inner = projected_gradient_reference(
-            X, labels, mu, W, inner_iters, gamma, eta, accelerated=True)
-        if inner[-1] <= inner[0]:
-            W = W_proj
+        W = gap_solve_reference(X, labels, mu, W, inner_iters, eta)
         Z = X @ W
         prev_mu = np.array([Z[labels == j].mean(axis=0) for j in range(k)])
         R = Z - prev_mu[labels]

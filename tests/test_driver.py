@@ -175,14 +175,14 @@ class TestKSparse:
             return dataclasses.replace(out, wcss=np.inf) if len(warm_runs) == 4 else out
 
         solves = []
-        real_solve = driver.solve_weights_fista
+        real_solve = driver._solve_to_gap
 
         def solve(X, labels, *args, **kwargs):
             solves.append(np.array(labels))
             return real_solve(X, labels, *args, **kwargs)
 
         monkeypatch.setattr(driver, "lloyd", lloyd)
-        monkeypatch.setattr(driver, "solve_weights_fista", solve)
+        monkeypatch.setattr(driver, "_solve_to_gap", solve)
         res = k_sparse(two_cluster_ds.matrix, 2, 0.3, cfg)
         assert len(warm_runs) == len(solves) == cfg.outer_loops
         np.testing.assert_array_equal(solves[4], solves[3])  # loop 3 kept its labels
@@ -193,8 +193,8 @@ class TestReferenceRun:
     """A whole run agrees with the plain alternating run of ``oracles``.
 
     Labels and selection are equal.  On these 24 runs the traces agreed to
-    1.9e-11 relative and ``W`` to 8.3e-12 of its largest entry; the bounds
-    leave at least fifty times that.
+    8.9e-13 relative and ``W`` to 4.0e-11 of its largest entry; the bounds
+    leave at least 25 times that.
     """
 
     @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
@@ -219,19 +219,19 @@ class TestReferenceRun:
 
 
 class TestStep:
-    """k_sparse passes the accelerated solver sigma_max of the data it solves on."""
+    """k_sparse passes the gap-stopped solve sigma_max of the data it solves on."""
 
     @staticmethod
     def _spy(monkeypatch):
         """Record each solve's ``(X, eta, sigma_max)``."""
-        real = driver.solve_weights_fista
+        real = driver._solve_to_gap
         calls = []
 
         def spy(X, labels, mu, W0, n_iters, eta, *, sigma_max=None):
             calls.append((X.X, eta, sigma_max))
             return real(X, labels, mu, W0, n_iters, eta, sigma_max=sigma_max)
 
-        monkeypatch.setattr(driver, "solve_weights_fista", spy)
+        monkeypatch.setattr(driver, "_solve_to_gap", spy)
         return calls
 
     def test_unit_step_after_normalization(self, two_cluster_ds, monkeypatch):
@@ -263,7 +263,7 @@ class TestStep:
         labels = np.arange(X.shape[0]) % 2
         mu = np.zeros((2, 3))
         W0 = default_weight_init(X.shape[1], 3, 1.0)
-        for solve in (solve_weights_ista, solve_weights_fista):
+        for solve in (solve_weights_ista, solve_weights_fista, driver._solve_to_gap):
             with pytest.raises(TypeError):
                 solve(X, labels, mu, W0, 5, 1.0, gamma=1.0)
             # the old (..., n_iters, gamma, eta) call must not read gamma as eta
@@ -312,7 +312,7 @@ class TestSharedDesign:
 
         With ``fresh`` every solve gets the bare matrix, so it prepares a design of its own.
         """
-        real = driver.solve_weights_fista
+        real = driver._solve_to_gap
         gram = ksparse.core._gram
         seen, grams = [], []
 
@@ -324,7 +324,7 @@ class TestSharedDesign:
             grams.append(A.shape)
             return gram(A)
 
-        monkeypatch.setattr(driver, "solve_weights_fista", solve)
+        monkeypatch.setattr(driver, "_solve_to_gap", solve)
         monkeypatch.setattr(ksparse.core, "_gram", spy_gram)
         return seen, grams
 
@@ -350,13 +350,13 @@ class TestSharedDesign:
         # k_sparse passes that very value to every solve, from one Gram
         _, grams = self._spy(monkeypatch, fresh=False)
         sigmas = []
-        real = driver.solve_weights_fista
+        real = driver._solve_to_gap
 
         def spy(*args, sigma_max=None):
             sigmas.append(sigma_max)
             return real(*args, sigma_max=sigma_max)
 
-        monkeypatch.setattr(driver, "solve_weights_fista", spy)
+        monkeypatch.setattr(driver, "_solve_to_gap", spy)
         k_sparse(X, 2, 0.5, FAST)
         assert sigmas == [sigma] * FAST.outer_loops
         assert grams == [(m, d)]

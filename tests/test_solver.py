@@ -6,8 +6,10 @@ import pytest
 
 import ksparse.solver
 from ksparse.core import centroids, objective, spectral_norm
-from oracles import projected_gradient_reference
+from ksparse.projection import project_l1_ball
+from oracles import fw_gap, projected_gradient_reference
 from ksparse.solver import (
+    _solve_to_gap,
     default_weight_init,
     momentum_schedule,
     solve_weights_fista,
@@ -183,8 +185,8 @@ class TestStep:
         assert str(bare) == "(X, labels, mu, W0, n_iters, eta, *, sigma_max=None)"
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # eta=0.1 opens a working set on the wide 30 x 40 instance; eta=3 runs the
-    # tall 40 x 30 one on X.T X, where every step counts as full-width
+    # eta=0.1 runs the wide 30 x 40 instance through X; eta=3 runs the tall
+    # 40 x 30 one on X.T X
     @pytest.mark.parametrize("eta", [0.1, 3.0])
     def test_raw_scale_matches_reference(self, accelerated, eta):
         m, d = (30, 40) if eta < 1.0 else (40, 30)
@@ -199,7 +201,6 @@ class TestStep:
         )
         for sigma_max in (sigma, None):
             rep = solve(X, labels, mu, W0, 80, eta, sigma_max=sigma_max)
-            assert (rep.full_gradients < 80) == (eta < 1.0)
             np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
             np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
 
@@ -227,13 +228,13 @@ class TestStep:
 
 
 class TestTextbookForm:
-    """The solver's product layouts and residual recombination change rounding only."""
+    """The solver's product layouts and gradient recombination change rounding only."""
 
     @pytest.mark.parametrize("accelerated", [False, True])
-    # eta=0.3 opens working sets of some rows on the wide 30 x 40 instance;
-    # eta=10 runs the tall 40 x 30 one on X.T X, as the set of every row
+    # eta=0.3 runs the wide 30 x 40 instance through X; eta=10 runs the tall
+    # 40 x 30 one on X.T X
     @pytest.mark.parametrize("eta", [0.3, 10.0])
-    def test_matches_reference_loop(self, monkeypatch, accelerated, eta):
+    def test_matches_reference_loop(self, accelerated, eta):
         m, d = (30, 40) if eta < 1.0 else (40, 30)
         X, labels, mu = _instance(16, m=m, d=d, dbar=4, k=3)
         W0 = default_weight_init(d, 4, eta)
@@ -241,18 +242,11 @@ class TestTextbookForm:
         ref_W, ref_trace = projected_gradient_reference(
             X, labels, mu, W0, 60, 1.0, eta, accelerated
         )
-        log = _set_log(monkeypatch)
         reports = [
             solve(Xo, labels, mu, W0, 60, eta, sigma_max=1.0)
             for Xo in (np.ascontiguousarray(X), np.asfortranarray(X))
         ]
-        if eta < 1.0:
-            opened = [event for event in log if event[0] == "open"]
-            assert opened and not any(full for _, full, _ in opened)
-        else:
-            assert log == 2 * _every_row_log(d, 60)
         for rep in reports:
-            assert (rep.full_gradients < 60) == (eta < 1.0)
             np.testing.assert_allclose(rep.final_weights, ref_W, rtol=1e-12)
             np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
         # a Fortran-ordered X is copied to C order, so both runs are one computation
@@ -272,20 +266,6 @@ def _screening_instance(seed, m=30, d=400, dbar=3, k=3):
     return X, labels, mu
 
 
-def _near_fit_instance(seed, m=30, d=400, k=3):
-    """Wide data whose first three columns are Y mu up to noise of 1e-4, with
-    an l1 budget of 0.999 times their least-squares fit: the solves end with
-    a residual near 1e-3 of ``||Y mu||``."""
-    rng = np.random.default_rng(seed)
-    labels = np.arange(m) % k
-    mu = 10.0 * rng.standard_normal((k, 3))
-    X = rng.standard_normal((m, d))
-    X[:, :3] = mu[labels] + 1e-4 * rng.standard_normal((m, 3))
-    X /= spectral_norm(X)
-    fit = np.linalg.lstsq(X[:, :3], mu[labels], rcond=None)[0]
-    return X, labels, mu, 0.999 * np.abs(fit).sum()
-
-
 def _assert_matches_reference(rep, X, labels, mu, W0, n_iters, eta, accelerated):
     ref_W, ref_trace = projected_gradient_reference(
         X, labels, mu, W0, n_iters, 1.0, eta, accelerated
@@ -297,382 +277,6 @@ def _assert_matches_reference(rep, X, labels, mu, W0, n_iters, eta, accelerated)
         rep.final_weights, ref_W, rtol=1e-12, atol=1e-12 * np.abs(ref_W).max()
     )
     np.testing.assert_allclose(rep.objective_trace, ref_trace, rtol=1e-12)
-
-
-def _check_certified_steps(patch, X, labels, mu):
-    """Check every certified step of the wide loop against its full step rebuilt on X.
-
-    The residual at the extrapolated point is recomputed as ``X W - Y mu``.
-    The set's drift bound must cover the part of ``D = R - R_ref`` off
-    ``R_ref``, and the full ``V`` must be within the threshold outside the
-    set.  Returns a list that gets one entry per checked step.
-    """
-    Ymu = mu[labels]
-    shape = (X.shape[1], mu.shape[1])
-    certifies = ksparse.solver._WorkingSet.certifies
-    checked = []
-
-    def spy(self, tau):
-        ok = certifies(self, tau)
-        if ok:
-            W = self.extrapolated_point()
-            R = X @ W - Ymu
-            beta, delta = self.drift()
-            off = R - (1.0 + beta) * self.ref  # D - beta R_ref
-            assert np.all(delta >= np.linalg.norm(off, axis=0))
-            V = W - self.gamma * (X.T @ R)
-            excluded = np.ones(shape[0], dtype=bool)
-            excluded[self.rows] = False
-            assert np.abs(V[excluded]).max() <= tau * (1.0 + ksparse.solver._CERTIFICATE_SLACK)
-            checked.append(self.rows.size)
-        return ok
-
-    patch.setattr(ksparse.solver._WorkingSet, "certifies", spy)
-    return checked
-
-
-def _weighted_excluded(ws):
-    """The excluded rows of a set that carry weight at its extrapolated point."""
-    W = ws.extrapolated_point()
-    return ws.excluded[np.any(W[ws.excluded] != 0.0, axis=1)]
-
-
-def _set_log(patch):
-    """Log what every working set does; returns the log.
-
-    An opening logs ``("open", full, rows held)``, a step that is taken logs
-    ``"step"``, and each call of ``certifies``, ``drift`` and ``residual``
-    (which a set's close calls) logs its name.
-    """
-    log = []
-    cls = ksparse.solver._WorkingSet
-
-    def spy(name):
-        real = getattr(cls, name)
-
-        def call(self, *args):
-            out = real(self, *args)
-            if name == "__init__":
-                log.append(("open", self.full, self.W.shape[0]))
-            elif name != "step":
-                log.append(name)
-            elif out:
-                log.append("step")
-            return out
-
-        patch.setattr(cls, name, call)
-
-    for name in ("__init__", "step", "certifies", "drift", "residual"):
-        spy(name)
-    return log
-
-
-def _every_row_log(d, n_iters):
-    """The log of a tall solve: the set of all d rows opens before the first
-    step and takes every step, with no certificate and no close."""
-    return [("open", True, d)] + ["step"] * n_iters
-
-
-class TestWorkingSet:
-    """Steps on a certified working set give the full-width loop's iterates."""
-
-    @pytest.mark.parametrize("accelerated", [False, True])
-    @pytest.mark.parametrize("eta", [0.2, 1.0])
-    def test_certificate_stress(self, monkeypatch, accelerated, eta):
-        solve = solve_weights_fista if accelerated else solve_weights_ista
-        full, checked = [], 0
-        for seed in range(60):
-            X, labels, mu = _screening_instance(seed)
-            W0 = default_weight_init(400, 3, eta)
-            with monkeypatch.context() as patch:
-                steps = _check_certified_steps(patch, X, labels, mu)
-                rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
-            _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
-            assert len(steps) == 60 - rep.full_gradients
-            full.append(rep.full_gradients)
-            checked += len(steps)
-        # the set both engages and fails its certificate across these seeds
-        assert sum(full) < 60 * 60
-        assert max(full) > 1
-        assert checked > 1000
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_full_steps_take_a_fortran_ordered_V(self, monkeypatch, order):
-        # a start inside the ball comes back from _shrink as a C-ordered copy;
-        # every V of a full step is still in the Fortran order _candidates reads fast
-        candidates = ksparse.solver._candidates
-        layouts = []
-
-        def spy(V, tau):
-            layouts.append(V.flags.f_contiguous)
-            return candidates(V, tau)
-
-        monkeypatch.setattr(ksparse.solver, "_candidates", spy)
-        X, labels, mu = _screening_instance(0)
-        W0 = np.asarray(default_weight_init(400, 3, 1.0), order=order)
-        rep = solve_weights_fista(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
-        assert len(layouts) == rep.full_gradients > 1
-        assert all(layouts)
-
-    @pytest.mark.parametrize("accelerated", [False, True])
-    def test_certificate_near_fit(self, monkeypatch, accelerated):
-        # the set's gradient H_C P - b_C cancels to under 1e-4 of ||b_C||, so
-        # the drift's rounding margin must scale with H_C P and b_C, not G
-        solve = solve_weights_fista if accelerated else solve_weights_ista
-        product = ksparse.solver._WorkingSet._product
-        ratios = []
-
-        def spy(self, P):
-            G, entry = product(self, P)
-            ratios.append(np.linalg.norm(G) / np.linalg.norm(self.b))
-            return G, entry
-
-        checked = 0
-        for seed in range(12):
-            X, labels, mu, eta = _near_fit_instance(seed)
-            W0 = default_weight_init(400, 3, eta)
-            with monkeypatch.context() as patch:
-                patch.setattr(ksparse.solver._WorkingSet, "_product", spy)
-                steps = _check_certified_steps(patch, X, labels, mu)
-                rep = solve(X, labels, mu, W0, 200, eta, sigma_max=1.0)
-            assert len(steps) == 200 - rep.full_gradients
-            Ymu = mu[labels]
-            assert objective(X, rep.final_weights, labels, mu) < 1e-6 * np.vdot(Ymu, Ymu)
-            checked += len(steps)
-        assert checked > 2000
-        assert min(ratios) < 1e-4
-
-    @pytest.mark.parametrize("accelerated", [False, True])
-    @pytest.mark.parametrize("eta", [0.2, 1.0])
-    def test_certificate_stress_tall(self, monkeypatch, accelerated, eta):
-        # m = 2d runs the loop on X.T X as the set of every row, which needs
-        # no certificate: no set of some rows opens, though these solves keep
-        # few rows
-        solve = solve_weights_fista if accelerated else solve_weights_ista
-        for seed in range(60):
-            X, labels, mu = _screening_instance(seed, m=120, d=60)
-            W0 = default_weight_init(60, 3, eta)
-            with monkeypatch.context() as patch:
-                log = _set_log(patch)
-                rep = solve(X, labels, mu, W0, 60, eta, sigma_max=1.0)
-            _assert_matches_reference(rep, X, labels, mu, W0, 60, eta, accelerated)
-            assert log == _every_row_log(60, 60)
-            assert rep.full_gradients == rep.iterations_run == 60
-
-    def test_engages_when_d_much_larger_than_m(self):
-        X, labels, mu = _screening_instance(3)
-        rep = solve_weights_fista(
-            X, labels, mu, default_weight_init(400, 3, 1.0), 200, 1.0, sigma_max=1.0
-        )
-        assert rep.full_gradients < 200
-
-    @pytest.mark.parametrize("accelerated", [False, True])
-    def test_failing_certificate_takes_full_steps(self, monkeypatch, accelerated):
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "certifies", lambda self, tau: False)
-        solve = solve_weights_fista if accelerated else solve_weights_ista
-        X, labels, mu = _screening_instance(4)
-        W0 = default_weight_init(400, 3, 1.0)
-        rep = solve(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
-        assert rep.full_gradients == 60
-        _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
-
-    @staticmethod
-    def _decaying_instance():
-        """Decaying column scales: FISTA's extrapolation leaves weight on every
-        row outside the candidates when the set reopens."""
-        rng = np.random.default_rng(1)
-        m, d, dbar, k = 70, 80, 6, 3  # wide, so the loop runs on X
-        X = rng.standard_normal((m, d)) / np.arange(1, d + 1)
-        X /= spectral_norm(X)
-        labels = rng.integers(0, k, m)
-        labels[:k] = np.arange(k)
-        mu = centroids(labels, rng.standard_normal((m, dbar)), k)
-        return X, labels, mu
-
-    def test_every_excluded_row_carries_weight(self, monkeypatch):
-        X, labels, mu = self._decaying_instance()
-        d, dbar = X.shape[1], mu.shape[1]
-        opened = []
-        init = ksparse.solver._WorkingSet.__init__
-
-        def spy(self, *args):
-            init(self, *args)
-            opened.append((self.rows.size, _weighted_excluded(self).size))
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", spy)
-        steps = _check_certified_steps(monkeypatch, X, labels, mu)
-        W0 = default_weight_init(d, dbar, 20.0)
-        rep = solve_weights_fista(X, labels, mu, W0, 100, 20.0, sigma_max=1.0)
-        assert (16, d - 16) in opened
-        assert rep.full_gradients < 100
-        assert len(steps) == 100 - rep.full_gradients
-        _assert_matches_reference(rep, X, labels, mu, W0, 100, 20.0, True)
-
-    def test_drift_along_the_reference_residual(self):
-        # a set opened at W_ref whose weights then move the residual to exactly
-        # 2 R_ref: every excluded entry of the full V is W - 2 gamma G_ref, and
-        # the certificate must see the drift along R_ref at full size
-        X, labels, mu = _screening_instance(0)
-        m, d = X.shape
-        Ymu = mu[labels]
-        rows = np.arange(2 * m)  # X[:, rows] spans every residual
-        W_ref = np.zeros((d, 3))
-        W_ref[rows] = 0.01 * np.random.default_rng(0).standard_normal((2 * m, 3))
-        W_ref[300:305] = 0.01  # excluded rows that carry weight
-        R_ref = X @ W_ref - Ymu
-        G_ref = X.T @ R_ref
-        # lambda = 0 opens the set at W_ref itself, with c = 1
-        design = ksparse.solver._Design(X)
-        ws = ksparse.solver._WorkingSet(design, W_ref, Ymu, 1.0, 0.0, rows, W_ref, G_ref, R_ref)
-        assert _weighted_excluded(ws).tolist() == list(range(300, 305))
-        ws.W = ws.W + np.linalg.lstsq(X[:, rows], R_ref, rcond=None)[0]
-        ws.G = 2.0 * ws.G
-        beta, delta = ws.drift()
-        np.testing.assert_allclose(beta, 1.0, rtol=1e-9)
-        assert np.all(delta <= 1e-4 * np.linalg.norm(R_ref, axis=0))
-        excluded = np.setdiff1d(np.arange(d), rows)
-        top = np.abs(W_ref - 2.0 * G_ref)[excluded].max()
-        # the bound without the drift along R_ref would pass a threshold below top
-        assert np.abs(W_ref - G_ref)[excluded].max() < 0.9 * top
-        assert not ws.certifies(0.99 * top)
-        assert ws.certifies(1.01 * top)
-
-    def test_floor_covers_the_reference_residual_rounding(self):
-        # the loop carries R_ref by recombination, so R_ref misses X W_ref - Y mu
-        # by rounding, which the Gram-form drift sees only as (c - 1) times
-        # itself; with no drift on the set's rows and a residual near 1e-3 of
-        # ||Y mu||, only the bound's floor covers the rest
-        X, labels, mu, _ = _near_fit_instance(0)
-        m, d = X.shape
-        Ymu = mu[labels]
-        rows = np.arange(2 * m)
-        W_ref = np.zeros((d, 3))
-        W_ref[:3] = 0.999 * np.linalg.lstsq(X[:, :3], Ymu, rcond=None)[0]
-        err = np.random.default_rng(0).standard_normal((m, 3))
-        err /= np.linalg.norm(err, axis=0)
-        err *= (m + rows.size) * np.finfo(float).eps * np.linalg.norm(Ymu, axis=0)
-        R_ref = X @ W_ref - Ymu + err
-        G_ref = X.T @ R_ref
-        design = ksparse.solver._Design(X)
-        # lambda = 0.75 leaves the excluded rows c = 0.25 of their weights
-        ws = ksparse.solver._WorkingSet(design, W_ref, Ymu, 1.0, 0.75, rows, W_ref, G_ref, R_ref)
-        assert _weighted_excluded(ws).size == 0
-        ws.W = ws.W_ref.copy()
-        beta, delta = ws.drift()
-        R = X @ ws.extrapolated_point() - Ymu
-        assert np.linalg.norm(R_ref, axis=0).max() < 2e-3 * np.linalg.norm(Ymu, axis=0).min()
-        assert np.all(delta >= np.linalg.norm(R - (1.0 + beta) * R_ref, axis=0))
-
-    @pytest.mark.parametrize(
-        "lam, weights",
-        [
-            (0.5, "some"),  # c > 0
-            (1.5, "some"),  # c < 0
-            (1.0, "some"),  # c = 0: the excluded weights are gone
-            (0.5, "zero_column"),
-            (1.5, "every"),
-            (0.5, 77),  # one heavy row, which alone exceeds the threshold
-            (1.5, 399),
-            (0.5, "behind"),
-        ],
-    )
-    def test_certifies_matches_the_exact_bound(self, lam, weights):
-        # certifies must decide as the exact bound over every excluded entry
-        # does, both ways, whichever rows its caps flag; the thresholds lie a
-        # relative 1e-9 above and below the largest bound
-        X, labels, mu = _screening_instance(0)
-        d = X.shape[1]
-        rng = np.random.default_rng(1)
-        rows = np.arange(40)
-        excluded = np.arange(40, d)
-        if weights == "zero_column":
-            mu[:, 2] = 0.0
-        Ymu = mu[labels]
-        W_ref = np.zeros((d, 3))
-        W_ref[rows] = 0.01 * rng.standard_normal((40, 3))
-        if weights == "every":
-            W_ref[excluded] = 0.05 * rng.standard_normal((d - 40, 3))
-        elif isinstance(weights, int):
-            W_ref[weights, 1] = 2.0
-        else:
-            W_ref[300:310] = 0.05 * rng.standard_normal((10, 3))
-        P = np.zeros((d, 3))
-        P[rows] = W_ref[rows] + 0.01 * rng.standard_normal((40, 3))
-        if weights == "zero_column":
-            W_ref[:, 2] = P[:, 2] = 0.0
-        R_ref = X @ W_ref - Ymu
-        G_ref = X.T @ R_ref
-        if weights == "behind":
-            # row 40's weight and gradient lie in different columns, so its cap
-            # adds them and exceeds the largest bound, row 399's: the caps flag
-            # row 40 ahead of the row that decides
-            W_ref[40], G_ref[40] = [0.0, 1.0, 0.0], [0.4, 0.0, 0.0]
-            W_ref[399], G_ref[399] = [0.0, 1.4, 0.0], 0.0
-        design = ksparse.solver._Design(X)
-        ws = ksparse.solver._WorkingSet(design, P, Ymu, 1.0, lam, rows, W_ref, G_ref, R_ref)
-        assert ws.c == 1.0 - lam
-        beta, delta = ws.drift()
-        if weights == "zero_column":
-            assert np.all(R_ref[:, 2] == 0.0) and beta[2] == 0.0
-        a = np.linalg.norm(X[:, excluded], axis=0)
-        W = ws.c * W_ref[excluded]
-        bound = np.abs(W - (1.0 + beta) * G_ref[excluded]) + a[:, None] * delta
-        top = bound.max()
-        slack = 1.0 - ksparse.solver._CERTIFICATE_SLACK
-        assert ws.certifies(top * (1.0 + 1e-9) / slack)
-        assert not ws.certifies(top * (1.0 - 1e-9) / slack)
-        # the module docstring's caps: each row whose cap exceeds the limit is
-        # flagged, and only there is the exact bound taken
-        caps = abs(ws.c) * np.abs(W_ref[excluded]).max(axis=1)
-        caps += np.abs(1.0 + beta).max() * np.abs(G_ref[excluded]).max(axis=1)
-        caps += a * delta.max()
-        flagged = np.count_nonzero(caps > top * (1.0 - 1e-9))
-        if isinstance(weights, int):
-            assert np.argmax(bound.max(axis=1)) == weights - 40
-            assert 1 <= flagged <= 3
-        elif weights == "behind":
-            assert np.argmax(bound.max(axis=1)) == 399 - 40
-            assert caps[0] > top and bound[0].max() < top and flagged <= 3
-        # above every cap the caps settle alone, reading no reference row
-        ws.W_all = ws.G_all = None
-        assert ws.certifies(caps.max() * (1.0 + 1e-9) / slack)
-
-    @pytest.mark.parametrize("accelerated", [False, True])
-    def test_zero_reference_column(self, monkeypatch, accelerated):
-        # a zero column of mu and of W0 keeps that column of every residual at
-        # exactly zero, so the drift's share along R_ref is 0 there, with no
-        # 0 / 0 (pytest turns its warning into an error)
-        X, labels, mu = _screening_instance(4)
-        mu[:, 2] = 0.0
-        W0 = default_weight_init(400, 3, 1.0)
-        W0[:, 2] = 0.0
-        betas = []
-        drift = ksparse.solver._WorkingSet.drift
-
-        def spy(self):
-            beta, delta = drift(self)
-            assert np.all(self.ref[:, 2] == 0.0)
-            betas.append(beta[2])
-            return beta, delta
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "drift", spy)
-        solve = solve_weights_fista if accelerated else solve_weights_ista
-        rep = solve(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
-        assert betas and all(beta == 0.0 for beta in betas)
-        assert np.all(rep.final_weights[:, 2] == 0.0)
-        _assert_matches_reference(rep, X, labels, mu, W0, 60, 1.0, accelerated)
-
-    def test_zero_iterations(self):
-        # wide, then tall, where the set of every row opens and takes no step
-        for m, d in ((30, 400), (120, 60)):
-            X, labels, mu = _screening_instance(5, m=m, d=d)
-            W0 = default_weight_init(d, 3, 1.0)
-            rep = solve_weights_fista(X, labels, mu, W0, 0, 1.0, sigma_max=1.0)
-            assert rep.iterations_run == 0
-            assert rep.full_gradients == 0
-            np.testing.assert_array_equal(rep.final_weights, W0)
-            assert rep.objective_trace.shape == (1,)
-            assert rep.objective_trace[0] == pytest.approx(objective(X, W0, labels, mu), rel=1e-12)
 
 
 class _Counted(np.ndarray):
@@ -688,65 +292,162 @@ class _Counted(np.ndarray):
         return getattr(ufunc, method)(*inputs, **kwargs)
 
 
-class TestSetProducts:
-    """A set forms its Gram once per opening, and only with at most 2 m rows.
+def _gap_solves():
+    """Wide screening instances and tall ones, at two budgets each."""
+    for seed in range(4):
+        for eta in (0.2, 1.0):
+            yield _screening_instance(seed) + (eta,)
+            yield _screening_instance(seed, m=120, d=60) + (eta,)
 
-    A certified step then makes one product on that Gram, on the rows in the
-    projected point's support when they are under half of them; a larger
-    set takes the same product through ``X[:, rows]`` twice.
-    """
 
-    @pytest.mark.parametrize("accelerated", [False, True])
-    def test_very_wide(self, monkeypatch, accelerated):
-        # m = 40 and d = 2000 at eta = 0.5: both solvers take certified steps on
-        # sets on both sides of 2 m
-        X, labels, mu = _screening_instance(0, m=40, d=2000)
-        m = X.shape[0]
+def _set_spy(patch):
+    """Record the rows of every working set the gap-stopped solve takes; returns the list."""
+    sets = []
+    working_set = ksparse.solver._working_set
+
+    def spy(W, G):
+        sets.append(working_set(W, G))
+        return sets[-1]
+
+    patch.setattr(ksparse.solver, "_working_set", spy)
+    return sets
+
+
+class TestWorkingSet:
+    """The gap-stopped solve: rounds on working sets chosen by the gradient."""
+
+    @pytest.mark.parametrize("n_iters", [300, 5000])
+    def test_stops_at_the_gap(self, n_iters):
+        # the endpoint is within the gap of 1e-2 f, or the cap ended the solve;
+        # with room to spare, every solve stops by its gap
+        for X, labels, mu, eta in _gap_solves():
+            W0 = default_weight_init(X.shape[1], 3, eta)
+            rep = _solve_to_gap(X, labels, mu, W0, n_iters, eta)
+            f = objective(X, rep.final_weights, labels, mu)
+            gap = fw_gap(X, mu[labels], rep.final_weights, eta)
+            assert rep.iterations_run <= n_iters
+            assert gap <= 1e-2 * f * (1.0 + 1e-9) or rep.iterations_run == n_iters
+            if n_iters == 5000:
+                assert rep.iterations_run < n_iters
+            assert np.abs(rep.final_weights).sum() <= eta * (1.0 + 1e-12)
+
+    # a wide instance through X, and a tall one on X.T X
+    @pytest.mark.parametrize("m, d", [(30, 40), (60, 12)])
+    def test_frank_wolfe_bound(self, m, d):
+        # the gap at the endpoint bounds its distance to the optimum, which a
+        # long ISTA run approaches from above
+        for seed in range(3):
+            X, labels, mu = _instance(40 + seed, m=m, d=d, dbar=3, k=3)
+            for eta in (0.3, 1.0):
+                W0 = default_weight_init(d, 3, eta)
+                rep = _solve_to_gap(X, labels, mu, W0, 300, eta)
+                long = solve_weights_ista(X, labels, mu, W0, 20000, eta, sigma_max=1.0)
+                f = objective(X, rep.final_weights, labels, mu)
+                gap = fw_gap(X, mu[labels], rep.final_weights, eta)
+                f_star = objective(X, long.final_weights, labels, mu)
+                assert rep.objective_trace[-1] == pytest.approx(f, rel=1e-12)
+                # less the rounding of two objectives that agree to about 1e-14
+                assert f - f_star <= gap + 1e-12 * f
+                assert gap <= 1e-2 * f * (1.0 + 1e-9)
+
+    def test_rows_outside_the_last_set_are_zero(self, monkeypatch):
+        for seed in range(4):
+            X, labels, mu = _screening_instance(seed)
+            d = X.shape[1]
+            with monkeypatch.context() as patch:
+                sets = _set_spy(patch)
+                rep = _solve_to_gap(X, labels, mu, default_weight_init(d, 3, 1.0), 300, 1.0)
+            assert sets and sets[-1].size < d
+            outside = np.setdiff1d(np.arange(d), sets[-1])
+            assert np.all(rep.final_weights[outside] == 0.0)
+            # the start's gradient, and one per round on a set
+            assert rep.full_gradients == len(sets) + 1
+
+    def test_zero_iterations(self):
+        # a cap of 0 returns the projected start: wide, then tall
+        for m, d in ((30, 400), (120, 60)):
+            X, labels, mu = _screening_instance(5, m=m, d=d)
+            for W0 in (default_weight_init(d, 3, 1.0), np.full((d, 3), 0.01)):
+                rep = _solve_to_gap(X, labels, mu, W0, 0, 1.0)
+                assert rep.iterations_run == 0
+                np.testing.assert_array_equal(rep.final_weights, project_l1_ball(W0, 1.0))
+                assert rep.objective_trace.shape == (1,)
+                f = objective(X, project_l1_ball(W0, 1.0), labels, mu)
+                assert rep.objective_trace[0] == pytest.approx(f, rel=1e-12)
+
+    def test_round_trace_never_rises(self):
+        rounds = []
+        for X, labels, mu, eta in _gap_solves():
+            rep = _solve_to_gap(X, labels, mu, default_weight_init(X.shape[1], 3, eta), 300, eta)
+            assert np.all(np.diff(rep.objective_trace) <= 0.0)
+            rounds.append(rep.objective_trace.size)
+        assert max(rounds) >= 3
+
+    def test_engages_when_d_much_larger_than_m(self, monkeypatch):
+        X, labels, mu = _screening_instance(3)
+        sets = _set_spy(monkeypatch)
+        rep = _solve_to_gap(X, labels, mu, default_weight_init(400, 3, 1.0), 300, 1.0)
+        assert sets and max(rows.size for rows in sets) < 400
+        assert rep.iterations_run > 0
+
+    # 30 x 900: every set, at least 64 rows, is above 2 m; 60 x 400 at a small
+    # budget keeps its sets within 2 m
+    @pytest.mark.parametrize("m, d, eta", [(30, 900, 1.0), (60, 400, 0.2)])
+    def test_set_products(self, monkeypatch, m, d, eta):
+        # a set of at most 2 m rows steps on its own Gram, one product per step
+        # and none on X_C; a larger one forms no Gram and steps through X_C
+        # twice, which bounds its memory by that of X_C
+        X, labels, mu = _screening_instance(1, m=m, d=d)
         design = ksparse.solver._Design(X)
         log = []
         design.X = design.X.view(_Counted)
         design.X.log = log
-        events = []
-        init = ksparse.solver._WorkingSet.__init__
-        step = ksparse.solver._WorkingSet.step
+        fista = ksparse.solver._fista
+        rounds = []
 
-        def init_spy(self, *args):
+        def spy(product, W, *args):
             start = len(log)
-            init(self, *args)
-            events.append(("open", self.rows.size, log[start:]))
-            if self.H is not None:
-                self.H = self.H.view(_Counted)
-                self.H.log = log
+            P, G, trace = fista(product, W, *args)
+            rounds.append((W.shape[0], len(trace), log[start:]))
+            return P, G, trace
 
-        def step_spy(self, *args):
-            start = len(log)
-            certified = step(self, *args)
-            if certified:
-                events.append(("step", self.rows.size, log[start:]))
-            return certified
-
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", init_spy)
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "step", step_spy)
-        W0 = default_weight_init(2000, 3, 0.5)
-        solve = solve_weights_fista if accelerated else solve_weights_ista
-        rep = solve(design, labels, mu, W0, 60, 0.5, sigma_max=1.0)
-        _assert_matches_reference(rep, X, labels, mu, W0, 60, 0.5, accelerated)
-        sizes = {n for kind, n, _ in events if kind == "step"}
-        assert min(sizes) <= 2 * m < max(sizes)
-        on_support = 0
-        for kind, n, products in events:
-            if kind == "open":
-                grams = [p for p in products if p == ("matmul", (n, m), (m, n))]
-                assert len(grams) == (n <= 2 * m)
-            elif n <= 2 * m:
-                # (P_S.T @ H_C[S]).T on the support S of P, or on all n rows
-                [(kind, (dbar, s), (rows, cols))] = products
-                assert kind == "matmul" and dbar == 3 and s == rows <= n == cols
-                on_support += s < n
+        monkeypatch.setattr(ksparse.solver, "_fista", spy)
+        _solve_to_gap(design, labels, mu, default_weight_init(d, 3, eta), 300, eta)
+        assert rounds
+        for n, points, products in rounds:
+            if n <= 2 * m:
+                assert products == []
             else:
-                assert len(products) == 2
-                assert all(p[0] == "matmul" and (m, n) in p[1:] for p in products)
-        assert on_support > 0
+                # the residual through X_C, then the gradient, at every point
+                assert products == [
+                    ("matmul", (3, n), (n, m)), ("matmul", (3, m), (m, n))
+                ] * points
+        sizes = [n for n, _, _ in rounds]
+        assert (min(sizes) > 2 * m) == (m == 30)
+        grams = [p for p in log if p[1:] == ((p[1][0], m), (m, p[1][0]))]
+        assert all(p[1][0] <= 2 * m for p in grams)
+        assert len(grams) == sum(n <= 2 * m for n in sizes)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_full_steps_take_a_fortran_ordered_V(self, monkeypatch, order):
+        # a start inside the ball comes back from _shrink as a C-ordered copy;
+        # every step's V, of the full-width loop and of the gap-stopped solve's
+        # sets, is still in the Fortran order that _shrink reads fast
+        shrink = ksparse.solver._shrink
+        layouts = []
+
+        def spy(V, eta, lo=0.0):
+            layouts.append(V.flags.f_contiguous)
+            return shrink(V, eta, lo)
+
+        monkeypatch.setattr(ksparse.solver, "_shrink", spy)
+        X, labels, mu = _screening_instance(0)
+        W0 = np.asarray(default_weight_init(400, 3, 1.0), order=order)
+        solve_weights_fista(X, labels, mu, W0, 60, 1.0, sigma_max=1.0)
+        rep = _solve_to_gap(X, labels, mu, W0, 60, 1.0)
+        # all but the two starts' projections
+        assert len(layouts) == 60 + 1 + rep.iterations_run + 1
+        assert all(layouts[1:61]) and all(layouts[62:])
 
 
 class TestThresholdGuess:
@@ -828,9 +529,9 @@ class TestTallReduction:
     """On tall X the loop runs on H = X.T X and gives the same iterates.
 
     The solve forms ``H`` once and no m x d temporary; ``b = X.T Y mu``
-    comes from the m x dbar ``Y mu``.  Every step is one of the set of every
-    row, counts as full-width and makes one product on ``H`` and none on
-    ``X``.  The trace's first and last entries are computed on ``X`` itself.
+    comes from the m x dbar ``Y mu``.  Every step counts as full-width and
+    makes one product on ``H`` and none on ``X``.  The trace's first and last
+    entries are computed on ``X`` itself.
     """
 
     @pytest.mark.parametrize("accelerated", [False, True])
@@ -865,13 +566,16 @@ class TestTallReduction:
         mu = rng.standard_normal((k, dbar))
         design = ksparse.solver._Design(X)
         W0 = default_weight_init(d, dbar, 1.5)
-        tracemalloc.start()
-        try:
-            solve_weights_fista(design, labels, mu, W0, 20, 1.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < m * d * 8
+        # the reference solve and the gap-stopped one, whose set is every row
+        for solve in (solve_weights_fista, _solve_to_gap):
+            tracemalloc.start()
+            try:
+                rep = solve(design, labels, mu, W0, 20, 1.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.iterations_run > 0
+            assert peak < m * d * 8
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_one_product_per_step(self, monkeypatch, accelerated):
@@ -887,25 +591,16 @@ class TestTallReduction:
         design.X.log = x_log
         starts = []
         shrink = ksparse.solver._shrink
-        init = ksparse.solver._WorkingSet.__init__
-        held = []
 
         def spy(*args):
             starts.append((len(log), len(x_log)))
             return shrink(*args)
 
-        def init_spy(self, *args):
-            init(self, *args)
-            held.append((self.X is design.X, self.H is design.gram))
-
         monkeypatch.setattr(ksparse.solver, "_shrink", spy)
-        monkeypatch.setattr(ksparse.solver._WorkingSet, "__init__", init_spy)
         W0 = default_weight_init(d, 3, 8.0)
         solve = solve_weights_fista if accelerated else solve_weights_ista
         rep = solve(design, labels, mu, W0, 80, 8.0, sigma_max=1.0)
         _assert_matches_reference(rep, X, labels, mu, W0, 80, 8.0, accelerated)
-        # one set, on the design's own X and H: no gather and no Gram of its own
-        assert held == [(True, True)]
         # the start's projection, then one per step; each is followed by one product
         assert len(starts) == 81
         ends = starts[1:] + [(len(log), len(x_log))]
@@ -934,16 +629,13 @@ class TestTallReduction:
 
     @pytest.mark.parametrize("solve", [solve_weights_ista, solve_weights_fista])
     @pytest.mark.parametrize("case", ["full_rank", "rank_deficient", "dbar_below_k"])
-    def test_every_step_full_width(self, monkeypatch, solve, case):
+    def test_every_step_full_width(self, solve, case):
         X, solves = TestDesignReuse._instance(case)
         d, dbar = X.shape[1], solves[0][1].shape[1]
         assert d + dbar <= X.shape[0]
         for labels, mu in solves:
             W0 = default_weight_init(d, dbar, 0.2)
-            with monkeypatch.context() as patch:
-                log = _set_log(patch)
-                rep = solve(X, labels, mu, W0, 60, 0.2, sigma_max=1.0)
-            assert log == _every_row_log(d, 60)
+            rep = solve(X, labels, mu, W0, 60, 0.2, sigma_max=1.0)
             assert rep.full_gradients == rep.iterations_run == 60
 
     def test_objective_on_original_x_near_interpolation(self):
