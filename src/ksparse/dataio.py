@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import io
 import itertools
 import json
 import os
@@ -126,28 +125,26 @@ def load_matrix_csv(
     unless given.  ``np.loadtxt`` parses every value.  Ragged rows,
     non-numeric cells, NaN/Inf, rows without data and empty files raise
     with the offending 1-based row/column position; rows are numbered by
-    file line, blank lines and the header included.  The delimiter, the
-    header and the first data row are read once, before the file is cut,
-    and the blocks start at that row.  With ``n_jobs`` above 1, a large file
-    is parsed in up to that many blocks of whole lines, all but the first in
-    forked processes; one function parses every block.  The matrix, the
-    names and every error are the same as with ``n_jobs=1``.
+    file line, blank lines and the header included.  One reader decodes
+    every line, as UTF-8 with its line end as written, and gives its byte
+    offset.  The delimiter, the header and the first data row's offset are
+    read once, before the file is cut, and the blocks start at that row.
+    With ``n_jobs`` above 1, a large file is parsed in up to that many blocks
+    of whole lines, all but the first in forked processes; one function
+    parses every block.  The matrix, the names and every error are the same
+    as with ``n_jobs=1``.
     """
     if delimiter is not None and len(delimiter) != 1:
         raise ValueError(f"delimiter must be one character, got {delimiter!r}")
-    # newline="" keeps the line ends as written, so the lines' bytes add up to
-    # the offset of the first data row; blocks start there
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with contextlib.closing(_lines(path)) as lines:
         delimiter, feature_names, rows = _matrix_lines(
-            path, fh, has_header, has_rownames, delimiter
+            path, lines, has_header, has_rownames, delimiter
         )
-        first_row = next(rows)[0]
-        fh.seek(0)
-        start = sum(len(line.encode()) for line in itertools.islice(fh, first_row - 1))
-    with open(path, "rb", buffering=0) as raw:
-        size = os.fstat(raw.fileno()).st_size
+        start = next(rows)[1]
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         n = _split(n_jobs, size // _SPLIT_BLOCK_BYTES)
-        cuts = [max(cut, start) for cut in _line_cuts(raw, size, n)]
+        cuts = [max(cut, start) for cut in _line_cuts(fh, size, n)]
     blocks = [(path, a, b, has_rownames, delimiter) for a, b in zip(cuts, cuts[1:])]
     X, sample_ids = None, [] if has_rownames else None
     with _forked(_parse_block, blocks) as parts:
@@ -199,8 +196,8 @@ def _parse_block(path, start, stop, has_rownames, delimiter):
     a line holds a rowname alone.
     """
     sample_ids = [] if has_rownames else None
-    with open(path, "rb", buffering=0) as raw, _text_block(raw, start, stop) as fh:
-        lines = (line for line in fh if not line.isspace())
+    with contextlib.closing(_lines(path, start, stop)) as block:
+        lines = (line for _, line in block if not line.isspace())
         first = next(lines, None)
         if first is None:  # np.loadtxt warns on no data
             return np.empty((0, 0)), sample_ids
@@ -218,22 +215,38 @@ def _parse_block(path, start, stop, has_rownames, delimiter):
     return X, sample_ids
 
 
-def _matrix_lines(path, fh, has_header, has_rownames, delimiter):
+def _lines(path, start=0, stop=None):
+    """``(byte offset, line)`` for each line of the file starting in ``[start, stop)``.
+
+    The one reader of a matrix file, from the line start ``start``.  Lines
+    are UTF-8 with their ends as written (``newline=""``), split at ``\\n``,
+    ``\\r\\n`` and a lone ``\\r``, so their encoded lengths add up to offsets.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        fh.buffer.seek(start)  # the text layer has read nothing yet
+        for line in fh:
+            if stop is not None and start >= stop:
+                return
+            yield start, line
+            start += len(line) if line.isascii() else len(line.encode())
+
+
+def _matrix_lines(path, lines, has_header, has_rownames, delimiter):
     """Front end of :func:`load_matrix_csv` and of its error locator.
 
-    Returns ``(delimiter, feature names or None, data lines)``; the data
-    lines are ``(file line number, line)`` for every non-blank line after
-    the header.
+    Reads :func:`_lines` of the whole file and returns ``(delimiter, feature
+    names or None, data lines)``; the data lines are ``(file line number,
+    byte offset, line)`` for every non-blank line after the header.
     """
-    lines = ((n, ln) for n, ln in enumerate(fh, start=1) if not ln.isspace())
+    lines = ((n, at, ln) for n, (at, ln) in enumerate(lines, 1) if not ln.isspace())
     first = next(lines, None)
     if first is None:
         raise ValueError(f"{path}: empty file")
     if delimiter is None:
-        delimiter = "\t" if "\t" in first[1] else ","
+        delimiter = "\t" if "\t" in first[2] else ","
     feature_names = None
     if has_header:
-        header = first[1].rstrip("\n").split(delimiter)
+        header = first[2].split(delimiter)
         feature_names = [h.strip() for h in header[1 if has_rownames else 0:]]
         first = next(lines, None)
         if first is None:
@@ -243,11 +256,11 @@ def _matrix_lines(path, fh, has_header, has_rownames, delimiter):
 
 def _locate_error(path, has_header, has_rownames, delimiter):
     """Raise the first fault, in file order, of a matrix np.loadtxt refused."""
-    with open(path, "r", encoding="utf-8") as fh:
-        _, _, rows = _matrix_lines(path, fh, has_header, has_rownames, delimiter)
+    with contextlib.closing(_lines(path)) as lines:
+        _, _, rows = _matrix_lines(path, lines, has_header, has_rownames, delimiter)
         width = None
-        for lineno, line in rows:
-            cells = line.rstrip("\n").split(delimiter)[1 if has_rownames else 0:]
+        for lineno, _, line in rows:
+            cells = line.rstrip("\r\n").split(delimiter)[1 if has_rownames else 0:]
             if width is None:
                 width = len(cells)
                 if width == 0:
@@ -479,7 +492,7 @@ def _refuse_directories(paths) -> None:
 _SPLIT_BLOCK_BYTES = 4 << 20
 
 
-def _line_cuts(raw, size: int, n: int) -> list[int]:
+def _line_cuts(fh, size: int, n: int) -> list[int]:
     """Offsets ``[0, ..., size]`` cutting a binary file into about ``n`` blocks.
 
     Each inner cut is the start of the first line at or after ``size * i // n``.
@@ -489,42 +502,14 @@ def _line_cuts(raw, size: int, n: int) -> list[int]:
     cuts = [0]
     for i in range(1, n):
         pos = max(size * i // n, cuts[-1])
-        raw.seek(pos - 1)  # from the byte before: a line starting at pos is cut at pos
-        while pos < size:
-            chunk = raw.read(1 << 16)
-            newline = chunk.find(b"\n")
-            if newline >= 0:
-                pos += newline
-                break
-            pos = pos + len(chunk) if chunk else size
+        fh.seek(pos - 1)  # from the byte before: a line starting at pos is cut at pos
+        pos += len(fh.readline()) - 1
         if pos >= size:
             break  # no line starts after this cut's target, nor after the next's
         if pos > cuts[-1]:
             cuts.append(pos)
     cuts.append(size)
     return cuts
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes ``start:stop`` of an open binary file, read as a file of their own."""
-
-    def __init__(self, raw, start: int, stop: int):
-        raw.seek(start)
-        self._raw, self._left = raw, stop - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(memoryview(buffer)[: self._left])
-        self._left -= n
-        return n
-
-
-def _text_block(raw, start: int, stop: int):
-    """Bytes ``start:stop`` of ``raw`` as text, decoded as ``open(path)`` decodes."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(raw, start, stop)),
-                            encoding="utf-8")
 
 
 def write_result(result, dataset: Dataset, path) -> None:

@@ -71,10 +71,21 @@ def project_simplex(v: np.ndarray, eta: float) -> np.ndarray:
     # a scan whose sums overflow, to inf, -inf or nan, gives no threshold; an
     # excluded entry's v - tau may overflow to -inf, which clips to 0
     with np.errstate(over="ignore", invalid="ignore"):
-        tau = _tau_scan(v, eta)
-        if tau is None or abs(tau) > eta:
-            return _gap_projection(v, eta)
-        return np.maximum(v - tau, 0.0)
+        return _threshold(v, eta)[0]
+
+
+def _threshold(v: np.ndarray, eta: float, lo: float = 0.0) -> tuple[np.ndarray, float]:
+    """``(max(v - tau, 0), tau)`` summing to ``eta``, by the scan or the gap scan.
+
+    ``lo`` is passed to :func:`_tau_scan`.  Where the scan gives no threshold
+    or one beyond ``eta`` in magnitude, :func:`_gap_projection` gives the
+    output, and ``tau`` is a kept entry's ``v - out``, to rounding.
+    """
+    tau = _tau_scan(v, eta, lo)
+    if tau is None or abs(tau) > eta:
+        out = _gap_projection(v, eta)
+        return out, float(v.max() - out.max())
+    return np.maximum(v - tau, 0.0), tau
 
 
 def project_l1_ball(W: np.ndarray, eta: float) -> np.ndarray:
@@ -145,11 +156,6 @@ def _shrink(W: np.ndarray, eta: float, lo: float = 0.0) -> tuple[np.ndarray, flo
     # no-op despite rounding in the norm sum
     if total <= eta * (1.0 + 1e-12):
         return W.copy(), 0.0
-    tau = _tau_scan(a, eta, lo)
-    if tau is None or tau > eta:
-        shrunk = _gap_projection(a, eta)
-        tau = float(a.max() - shrunk.max())  # a kept entry's a - out, to rounding
-    else:
-        shrunk = np.maximum(a - tau, 0.0)
+    shrunk, tau = _threshold(a, eta, lo)
     out = np.sign(flat) * shrunk
     return (out.reshape(W.shape, order="F") if W.ndim > 1 else out), tau

@@ -251,11 +251,18 @@ class TestSplitLoad:
             (("\n" * 20 + "a,b\n" + _rows(6)).replace("\n", "\r\n"), {"has_header": True}, 1),
             (",".join(f"\u00e9\u4e2d{j}" for j in range(12)) + "\n" + _rows(3, width=12),
              {"has_header": True}, 1),  # the header is over half the file's bytes
+            # rows longer than the 8 KiB text read chunk, named in 2- and 3-byte
+            # characters, so the byte offsets run across chunks and differ from
+            # character counts
+            (("," + _rows(1, width=2000)
+              + "".join(f"{c}{i}," + _rows(1, width=2000, start=i)
+                        for i, c in enumerate("\u00e9\u4e2d" * 6))).replace("\n", "\r\n"),
+             {"has_header": True, "has_rownames": True}, 1),
         ],
         ids=["tab-header-rownames", "crlf", "blank-lines-at-cut", "blank-second-block",
              "cut-at-last-line", "cut-inside-last-line", "no-final-newline", "non-ascii",
              "blank-lines-before-header", "crlf-blank-lines-before-header",
-             "non-ascii-long-header"],
+             "non-ascii-long-header", "crlf-long-rows-multibyte-names"],
     )
     def test_same_as_one_block(self, tmp_path, split_blocks, text, kwargs, children):
         p = tmp_path / "m.csv"
@@ -263,10 +270,13 @@ class TestSplitLoad:
         one = load_matrix_csv(p, **kwargs)
         two = load_matrix_csv(p, n_jobs=2, **kwargs)
         assert split_blocks == [0, children]
-        assert two.matrix.shape == one.matrix.shape
-        assert two.matrix.tobytes() == one.matrix.tobytes()
-        assert two.matrix.flags.c_contiguous
-        assert (two.feature_names, two.sample_ids) == (one.feature_names, one.sample_ids)
+        three = load_matrix_csv(p, n_jobs=3, **kwargs)
+        for split in (two, three):
+            assert split.matrix.shape == one.matrix.shape
+            assert split.matrix.tobytes() == one.matrix.tobytes()
+            assert split.matrix.flags.c_contiguous
+            assert (split.feature_names, split.sample_ids) == (one.feature_names,
+                                                                one.sample_ids)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_cuts_are_first_line_starts(self, n):

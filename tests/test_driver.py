@@ -218,6 +218,41 @@ class TestReferenceRun:
         np.testing.assert_allclose(res.weights, W, rtol=0, atol=1e-9 * np.abs(W).max())
 
 
+class TestMetamorphic:
+    """Whole runs on data changed in ways the problem does not see.
+
+    Scaling ``X`` by a power of two is exact in floating point, and the run
+    works on ``X / sigma_max``, so every result keeps its bits.  An all-zero
+    column has a zero gradient row, so it never enters the weights.
+    """
+
+    CFG = SolverConfig(inner_iters=150, outer_loops=5, replicates=8)
+
+    @pytest.fixture(scope="class", params=[1, 2, 3], ids=lambda seed: f"seed{seed}")
+    def plain(self, request):
+        X = generate_synthetic(SyntheticSpec(m=120, d=900, n_informative=30,
+                                             seed=request.param)).matrix
+        return X, k_sparse(X, 4, 2.0, self.CFG)
+
+    @pytest.mark.parametrize("scale", [2.0**10, 2.0**-7], ids=["2^10", "2^-7"])
+    def test_power_of_two_scale(self, plain, scale):
+        X, base = plain
+        res = k_sparse(X * scale, 4, 2.0, self.CFG)
+        np.testing.assert_array_equal(res.labels, base.labels)
+        np.testing.assert_array_equal(res.weights, base.weights)
+        np.testing.assert_array_equal(res.objective_trace, base.objective_trace)
+
+    def test_zero_columns(self, plain):
+        X, base = plain
+        res = k_sparse(np.hstack([X, np.zeros((len(X), 50))]), 4, 2.0, self.CFG)
+        np.testing.assert_array_equal(res.labels, base.labels)
+        np.testing.assert_array_equal(res.selected_features, base.selected_features)
+        np.testing.assert_array_equal(res.weights[:X.shape[1]], base.weights)
+        assert not res.weights[X.shape[1]:].any()
+        np.testing.assert_allclose(res.objective_trace, base.objective_trace,
+                                   rtol=1e-12, atol=0)
+
+
 class TestStep:
     """k_sparse passes the gap-stopped solve sigma_max of the data it solves on."""
 
