@@ -21,7 +21,7 @@ from . import kmeans as _kmeans
 from . import metrics as _metrics
 from .core import _forked, _split, centroids, check_data_matrix, check_labels, spectral_norm
 from .kmeans import KmeansOutcome, best_of_replicates, lloyd
-from .solver import _Design, _solve_to_gap, default_weight_init
+from .solver import _Design, _on_support, _solve_to_gap, default_weight_init
 
 __all__ = [
     "SolverConfig",
@@ -200,7 +200,8 @@ def k_sparse(
         # never accept a worse endpoint; the solve keeps no round that raises it
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights * scale
-        Z = X @ (W / scale)
+        # X @ (W / scale), on the columns of X in the support of W when that is small
+        Z = np.matmul(*_on_support(X, W / scale))
 
         # the warm start, or the previous labels where they score strictly lower
         S = _kmeans._samples(Z)

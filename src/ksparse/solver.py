@@ -32,13 +32,19 @@ ICML 2013) ``gap = <G, W> + eta max|G|``, an upper bound on ``f(W) - f*``
 over the ball.  Each round forms the full gradient ``G`` and the gap at
 ``W``, and the solve ends when ``gap <= 1e-2 f``.  Otherwise the round
 takes a working set ``C``, in the style of Blitz (Johnson & Guestrin, ICML
-2015): the support of ``W`` plus the ``max(2 |supp|, 64)`` other rows with
-the largest ``max_j |G_ij|``.  It runs FISTA on those rows alone until the
-restricted gap, tested every 10 steps, is at most 0.2 times the full gap.
-Rows outside the set stay exactly zero, so the result is a point of the
-full problem, whose gap the next round tests.  FISTA is not monotone, so a
-round is kept only when ``f`` does not rise, and otherwise the solve ends.
-``n_iters`` caps the steps of all rounds together.
+2015): the support of ``W`` plus the 64 other rows with the largest
+``max_j |G_ij|`` (fewer where ``d`` runs out).  It runs FISTA on those rows
+alone until the restricted gap, tested every 10 steps, is at most 0.2 times
+the full gap.  Rows outside the set stay exactly zero, so the result is a
+point of the full problem, whose gap the next round tests.  FISTA is not
+monotone, so a round is kept only when ``f`` does not rise, and otherwise
+the solve ends.  ``n_iters`` caps the steps of all rounds together.  A set
+grows by 64 rows and not in proportion to its support: with ``2 |supp|``
+more rows, paper-size sets reached up to 903 rows, whose eigenvalues and
+Gram cost more than they saved, and paper seeds 1-20 ended at a higher
+objective on all 20.  The start's full gradient on wide data reads only the
+columns of ``X`` in the support of ``W`` when that is under half of its
+rows (:func:`_on_support`).
 
 A set steps at one over its own Lipschitz constant ``lambda_max(H_C)``,
 with ``H_C = X_C.T X_C`` and ``X_C = X[:, C]``; at ``1/sigma_max^2``
@@ -75,8 +81,8 @@ _GAP_RTOL = 1e-2
 _ROUND_GAP_FRACTION = 0.2
 # a round's restricted solve tests its gap after every this many steps
 _GAP_TEST_STEPS = 10
-# a working set adds to the support at least this many rows, and at least twice its size
-_MIN_NEW_ROWS = 64
+# a working set adds this many rows to the support, fewer where d runs out
+_NEW_ROWS = 64
 # each threshold scan starts from this fraction of the last step's threshold
 _TAU_HINT = 0.9
 
@@ -241,12 +247,27 @@ def _gram_gradient(H, b, half_ymu, P):
     support of ``P`` when that is under half of them.  ``(P.T @ H).T`` is
     ``H @ P`` in the layout OpenBLAS runs faster for the Fortran-ordered ``P``.
     """
-    supp = np.flatnonzero(P.any(axis=1))
-    if 2 * supp.size < P.shape[0]:
-        G = (P[supp].T @ H[supp]).T - b
-    else:
+    supp = _sparse_support(P)
+    if supp is None:
         G = (P.T @ H).T - b
+    else:
+        G = (P[supp].T @ H[supp]).T - b
     return G, half_ymu + 0.5 * _fdot(P, G - b)
+
+
+def _sparse_support(W):
+    """The rows of ``W``'s support when they are under half of its rows, else
+    ``None``: a product with ``W`` reads only the rows of its support then."""
+    supp = np.flatnonzero(W.any(axis=1))
+    return supp if 2 * supp.size < W.shape[0] else None
+
+
+def _on_support(X, W):
+    """``(X_S, W_S)`` with ``X_S @ W_S`` equal to ``X @ W`` up to rounding:
+    the columns of ``X`` and rows of ``W`` in the support of ``W`` where
+    :func:`_sparse_support` finds it small, else ``(X, W)``."""
+    supp = _sparse_support(W)
+    return (X, W) if supp is None else (X[:, supp], W[supp])
 
 
 def _product(X, Ymu, H=None):
@@ -305,13 +326,13 @@ def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
 
 
 def _working_set(W, G):
-    """A round's rows: the support of ``W`` and the ``max(2 |supp|, 64)``
-    other rows with the largest ``max_j |G_ij|``, ascending."""
+    """A round's rows: the support of ``W`` and the ``_NEW_ROWS`` other
+    rows with the largest ``max_j |G_ij|`` (all of them where fewer are left),
+    ascending."""
     score = np.abs(G).max(axis=1)
     supp = W.any(axis=1)
     score[supp] = np.inf
-    n_supp = int(np.count_nonzero(supp))
-    n = min(W.shape[0], n_supp + max(2 * n_supp, _MIN_NEW_ROWS))
+    n = min(W.shape[0], int(np.count_nonzero(supp)) + _NEW_ROWS)
     return np.sort(np.argpartition(-score, n - 1)[:n])
 
 
@@ -327,7 +348,11 @@ def _solve_to_gap(X, labels, mu, W0, n_iters, eta, *, sigma_max=None):
     tall = X.shape[1] + Ymu.shape[1] <= m
     # a tall solve's one set is every row, on the design's Gram
     every_row = _product(X, Ymu, design.gram) if tall else None
-    G, f = every_row(W) if tall else _through(X, X, Ymu, W)
+    if tall:
+        G, f = every_row(W)
+    else:
+        X_S, W_S = _on_support(X, W)
+        G, f = _through(X_S, X, Ymu, W_S)
     trace, steps, rounds = [f], 0, 1
     while steps < n_iters:
         gap = _gap(W, G, eta)

@@ -204,13 +204,13 @@ def gap_solve_reference(X, labels, mu, W0, n_iters, eta):
     """The gap-stopped weight solve written out plainly; returns its weights.
 
     Each round ends the solve when the Frank-Wolfe gap is at most ``1e-2 f``.
-    Otherwise it takes the support of ``W`` plus the ``max(2 |supp|, 64)``
-    other rows of largest ``max_j |G_ij|`` (every row when ``d + dbar <=
-    m``), and runs :func:`projected_gradient_reference` with FISTA on those
-    columns of ``X``, at one over their squared largest singular value from
-    an SVD, until its gap is at most 0.2 times the full gap.  The round is
-    kept when the objective does not rise, and the solve ends otherwise.
-    ``n_iters`` caps the steps of all rounds together.
+    Otherwise it takes the support of ``W`` plus the 64 other rows of
+    largest ``max_j |G_ij|``, or all of them where fewer are left (every row
+    when ``d + dbar <= m``), and runs :func:`projected_gradient_reference`
+    with FISTA on those columns of ``X``, at one over their squared largest
+    singular value from an SVD, until its gap is at most 0.2 times the full
+    gap.  The round is kept when the objective does not rise, and the solve
+    ends otherwise.  ``n_iters`` caps the steps of all rounds together.
     """
     Ymu = mu[labels]
     (m, d), dbar = X.shape, W0.shape[1]
@@ -231,7 +231,7 @@ def gap_solve_reference(X, labels, mu, W0, n_iters, eta):
         if d + dbar > m:
             supp = np.flatnonzero(np.any(W != 0.0, axis=1))
             order = np.argsort(-np.abs(G).max(axis=1), kind="stable")
-            others = order[~np.isin(order, supp)][: max(2 * supp.size, 64)]
+            others = order[~np.isin(order, supp)][:64]
             rows = np.sort(np.concatenate([supp, others]))
         X_C = X[:, rows]
         gamma = 1.0 / np.linalg.svd(X_C, compute_uv=False)[0] ** 2

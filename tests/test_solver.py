@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import ksparse.solver
+import ksparse.driver
 from ksparse.core import centroids, objective, spectral_norm
+from ksparse.driver import SolverConfig, k_sparse
 from ksparse.projection import project_l1_ball
 from oracles import fw_gap, projected_gradient_reference
 from ksparse.solver import (
@@ -448,6 +450,96 @@ class TestWorkingSet:
         # all but the two starts' projections
         assert len(layouts) == 60 + 1 + rep.iterations_run + 1
         assert all(layouts[1:61]) and all(layouts[62:])
+
+    # an empty support, two small ones, and one within 64 rows of d
+    @pytest.mark.parametrize("n_supp", [0, 5, 40, 150])
+    def test_set_rule(self, n_supp):
+        # the support plus the min(64, d - |supp|) other rows of largest
+        # max_j |G_ij|, ascending, however small the support's own gradient
+        rng = np.random.default_rng(n_supp)
+        d = 200
+        G = rng.standard_normal((d, 3))
+        supp = rng.choice(d, n_supp, replace=False)
+        W = np.zeros((d, 3), order="F")
+        W[supp, rng.integers(0, 3, n_supp)] = rng.uniform(0.1, 1.0, n_supp)
+        G[supp] *= 1e-6
+        order = np.argsort(-np.abs(G).max(axis=1), kind="stable")
+        others = order[~np.isin(order, supp)][: min(64, d - n_supp)]
+        rows = ksparse.solver._working_set(W, G)
+        np.testing.assert_array_equal(rows, np.sort(np.concatenate([supp, others])))
+        assert rows.size == n_supp + min(64, d - n_supp)
+
+
+def _through_spy(patch):
+    """Record the arguments of every ``_through`` call of the solver; returns the list."""
+    calls = []
+    through = ksparse.solver._through
+
+    def spy(A, B, Ymu, P):
+        calls.append((A, B, Ymu, P))
+        return through(A, B, Ymu, P)
+
+    patch.setattr(ksparse.solver, "_through", spy)
+    return calls
+
+
+class TestSupportProducts:
+    """Products with ``W`` read only the columns of ``X`` in its support, when that is small."""
+
+    def test_match_dense_products(self, monkeypatch):
+        # on a wide instance, the start's residual and gradient, and the
+        # driver's Z = X @ W of every loop, equal the dense products to rounding
+        X, labels, mu = _screening_instance(4)
+        d = X.shape[1]
+        rng = np.random.default_rng(0)
+        W0 = np.zeros((d, 3))
+        W0[rng.choice(d, 60, replace=False)] = rng.uniform(-0.01, 0.01, (60, 3))
+        with monkeypatch.context() as patch:
+            calls = _through_spy(patch)
+            _solve_to_gap(X, labels, mu, W0, 0, 1.0)
+        (A, B, Ymu, P), = calls
+        assert A.shape == (30, 60) and B.shape == (30, d)
+        G, f = ksparse.solver._through(A, B, Ymu, P)
+        R = X @ W0 - Ymu
+        G_dense = X.T @ R
+        np.testing.assert_allclose(G, G_dense, rtol=0, atol=1e-12 * np.abs(G_dense).max())
+        assert f == pytest.approx(0.5 * float(np.sum(R * R)), rel=1e-12)
+
+        supports, products = [], []
+        on_support, centroids = ksparse.driver._on_support, ksparse.driver.centroids
+
+        def support_spy(X, W):
+            X_S, W_S = on_support(X, W)
+            supports.append((W, X_S.shape[1]))
+            return X_S, W_S
+
+        def centroids_spy(labels, Z, k):
+            products.append(Z)
+            return centroids(labels, Z, k)
+
+        monkeypatch.setattr(ksparse.driver, "_on_support", support_spy)
+        monkeypatch.setattr(ksparse.driver, "centroids", centroids_spy)
+        k_sparse(X, 3, 1.0, SolverConfig(inner_iters=100, outer_loops=4, replicates=4))
+        assert len(supports) == len(products) == 4
+        for (W, n_columns), Z in zip(supports, products):
+            assert n_columns == np.count_nonzero(W.any(axis=1)) < d // 2
+            Z_dense = X @ W
+            np.testing.assert_allclose(Z, Z_dense, rtol=0, atol=1e-12 * np.abs(Z_dense).max())
+
+    # exactly half the rows, one more, and every row
+    @pytest.mark.parametrize("n_supp", [200, 201, 400])
+    def test_dense_from_half_the_rows(self, monkeypatch, n_supp):
+        # a support of at least half the rows keeps the dense product: the
+        # start's residual multiplies all of X, and so does the driver's Z
+        X, labels, mu = _screening_instance(4)
+        W0 = np.zeros((400, 3))
+        W0[:n_supp] = 1e-3
+        design = ksparse.solver._Design(X)
+        calls = _through_spy(monkeypatch)
+        _solve_to_gap(design, labels, mu, W0, 0, 1.0)
+        assert calls[0][0] is design.X and calls[0][1] is design.X
+        X_S, W_S = ksparse.driver._on_support(X, W0)
+        assert X_S is X and W_S is W0
 
 
 class TestThresholdGuess:
