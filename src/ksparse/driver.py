@@ -197,7 +197,8 @@ def k_sparse(
             design, best.labels, best.centers, W / scale, cfg.inner_iters, eta / scale,
             sigma_max=sigma_max,
         )
-        # never accept a worse endpoint; the solve keeps no round that raises it
+        # never accept a worse endpoint: a wide solve keeps no round that raises
+        # it, but a tall one is a single FISTA run, which is not monotone
         if report.objective_trace[-1] <= report.objective_trace[0]:
             W = report.final_weights * scale
         # X @ (W / scale), on the columns of X in the support of W when that is small

@@ -36,6 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# numpy imports numpy.random on first use; importing it here, before any fork,
+# lets forked replicate and sweep workers inherit it instead of each importing it
+from numpy.random import default_rng
+
 from .core import _forked, _split, centroids, check_labels
 
 __all__ = [
@@ -141,7 +145,7 @@ def kmeanspp_seed(Z: np.ndarray, k: int, rng_seed: int) -> np.ndarray:
     if m < k:
         raise ValueError(f"cannot seed {k} clusters from {m} samples")
 
-    rng = np.random.default_rng(rng_seed)
+    rng = default_rng(rng_seed)
     centers = np.empty((k, Z.shape[1]))
     centers[0] = Z[rng.integers(m)]
     d2 = np.sum((Z - centers[0]) ** 2, axis=1)

@@ -29,22 +29,25 @@ of a cold scan (:func:`ksparse.projection._tau_scan`).
 The gap-stopped solve.  :func:`ksparse.driver.k_sparse` runs
 :func:`_solve_to_gap`, which stops on the Frank-Wolfe duality gap (Jaggi,
 ICML 2013) ``gap = <G, W> + eta max|G|``, an upper bound on ``f(W) - f*``
-over the ball.  Each round forms the full gradient ``G`` and the gap at
-``W``, and the solve ends when ``gap <= 1e-2 f``.  Otherwise the round
-takes a working set ``C``, in the style of Blitz (Johnson & Guestrin, ICML
-2015): the support of ``W`` plus the 64 other rows with the largest
-``max_j |G_ij|`` (fewer where ``d`` runs out).  It runs FISTA on those rows
-alone until the restricted gap, tested every 10 steps, is at most 0.2 times
-the full gap.  Rows outside the set stay exactly zero, so the result is a
-point of the full problem, whose gap the next round tests.  FISTA is not
-monotone, so a round is kept only when ``f`` does not rise, and otherwise
-the solve ends.  ``n_iters`` caps the steps of all rounds together.  A set
-grows by 64 rows and not in proportion to its support: with ``2 |supp|``
-more rows, paper-size sets reached up to 903 rows, whose eigenvalues and
-Gram cost more than they saved, and paper seeds 1-20 ended at a higher
-objective on all 20.  The start's full gradient on wide data reads only the
-columns of ``X`` in the support of ``W`` when that is under half of its
-rows (:func:`_on_support`).
+over the ball, once ``gap <= 1e-2 f``.  On tall data it is the loop above,
+one FISTA run on all of ``X``, which tests the gap at its projected point
+after every 10th step; FISTA is not monotone, so the run may end above its
+start, and the driver then keeps the start.  On wide data it runs in
+rounds, each of which forms the full gradient ``G`` and the gap at ``W``
+and ends the solve at ``gap <= 1e-2 f``.  Otherwise the round takes a
+working set ``C``, in the style of Blitz (Johnson & Guestrin, ICML 2015):
+the support of ``W`` plus the 64 other rows with the largest ``max_j
+|G_ij|`` (fewer where ``d`` runs out).  It runs FISTA on those rows alone
+until the restricted gap, tested every 10 steps, is at most 0.2 times the
+full gap.  Rows outside the set stay exactly zero, so the result is a point
+of the full problem, whose gap the next round tests.  A round is kept only
+when ``f`` does not rise, and otherwise the solve ends.  ``n_iters`` caps
+the steps of all rounds together.  A set grows by 64 rows and not in
+proportion to its support: with ``2 |supp|`` more rows, paper-size sets
+reached up to 903 rows, whose eigenvalues and Gram cost more than they
+saved, and paper seeds 1-20 ended at a higher objective on all 20.  The
+start's full gradient reads only the columns of ``X`` in the support of
+``W`` when that is under half of its rows (:func:`_on_support`).
 
 A set steps at one over its own Lipschitz constant ``lambda_max(H_C)``,
 with ``H_C = X_C.T X_C`` and ``X_C = X[:, C]``; at ``1/sigma_max^2``
@@ -52,8 +55,7 @@ instead, paper-size runs ended at a higher objective on all of seeds 1-20.
 A set of at most ``2 m`` rows steps on ``H_C``: below ``2 m`` rows one |C|
 x |C| x dbar product costs fewer flops than two m x |C| x dbar ones, and
 ``H_C`` is at most twice the size of ``X_C``.  A larger set takes its
-products through ``X_C`` twice, which bounds its memory by that of
-``X_C``.  A tall solve's set is every row, on ``H``.
+products through ``X_C`` twice, bounding its memory by that of ``X_C``.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ __all__ = [
 _GAP_RTOL = 1e-2
 # a round's restricted solve ends when its own gap is at most this fraction of the full gap
 _ROUND_GAP_FRACTION = 0.2
-# a round's restricted solve tests its gap after every this many steps
+# a stopped FISTA run tests its gap after every this many steps
 _GAP_TEST_STEPS = 10
 # a working set adds this many rows to the support, fewer where d runs out
 _NEW_ROWS = 64
@@ -106,10 +108,12 @@ class InnerSolveReport:
     the range of ``X``.
 
     The gap-stopped solve (module docstring) may stop before ``n_iters``.
-    Its ``objective_trace`` holds the objective at the projected start and
-    after each kept round, so it never rises, all in Gram form on tall data.
-    Its ``full_gradients`` counts its rounds, each of which forms the full
-    gradient once, for its gap.
+    On tall data it is the loop above, stopped by its gap: its trace has an
+    entry per step, with the first and last on ``X``, ``full_gradients``
+    counts its steps, and it may end above its start.  On wide data its
+    ``objective_trace`` holds the objective at the projected start and after
+    each kept round, so it never rises, and ``full_gradients`` counts its
+    rounds, each of which forms the full gradient once, for its gap.
     """
 
     final_weights: np.ndarray
@@ -284,10 +288,11 @@ def _product(X, Ymu, H=None):
 def _fista(product, W, eta, gamma, n_steps, accelerated, stop=None):
     """Up to ``n_steps`` projected-gradient steps from a feasible ``W``.
 
-    ``product(P)`` gives the gradient and the objective at a projected point.
-    With a ``stop``, the loop ends after any tenth step whose gap
-    (:func:`_gap`) is at most ``stop``.  Returns the last projected point,
-    the gradient there and the objectives at ``W`` and at every projected point.
+    ``product(P)`` gives the gradient and the objective ``f`` at a projected
+    point.  With a ``stop = (a, r)``, the loop ends after any tenth step whose
+    gap (:func:`_gap`) is at most ``a + r f``.  Returns the last projected
+    point, the gradient there and the objectives at ``W`` and at every
+    projected point.
     """
     P = W
     G_P, f = product(P)
@@ -306,23 +311,24 @@ def _fista(product, W, eta, gamma, n_steps, accelerated, stop=None):
         trace.append(f)
         W = _relax(W, P, lam)
         G = _relax(G, G_P, lam)
-        if stop is not None and (n + 1) % _GAP_TEST_STEPS == 0 and _gap(P, G_P, eta) <= stop:
-            break
+        if stop is not None and (n + 1) % _GAP_TEST_STEPS == 0:
+            if _gap(P, G_P, eta) <= stop[0] + stop[1] * f:
+                break
     return P, G_P, trace
 
 
-def _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated):
-    design, Ymu, P, gamma = _prepare(X, labels, mu, W0, n_iters, eta, sigma_max)
+def _solve(design, Ymu, P, gamma, n_iters, eta, accelerated, stop=None):
+    """The loop on all of ``X`` from :func:`_prepare`'s outputs; ``stop`` as in :func:`_fista`."""
     X = design.X
     tall = X.shape[1] + Ymu.shape[1] <= X.shape[0]
     # Gram-form entries lose digits where Y mu lies near the range of X, so a
     # tall solve takes its first and last entries on X itself
     first = _half_sq(_residual(X, P, Ymu)) if tall else None
     product = _product(X, Ymu, design.gram if tall else None)
-    P, _, trace = _fista(product, P, eta, gamma, n_iters, accelerated)
+    P, _, trace = _fista(product, P, eta, gamma, n_iters, accelerated, stop)
     if tall:
         trace[0], trace[-1] = first, _half_sq(_residual(X, P, Ymu))
-    return InnerSolveReport(P, np.asarray(trace), n_iters, n_iters)
+    return InnerSolveReport(P, np.asarray(trace), len(trace) - 1, len(trace) - 1)
 
 
 def _working_set(W, G):
@@ -337,45 +343,38 @@ def _working_set(W, G):
 
 
 def _solve_to_gap(X, labels, mu, W0, n_iters, eta, *, sigma_max=None):
-    """FISTA by rounds on working sets, stopped by the Frank-Wolfe gap (module docstring).
+    """FISTA stopped by the Frank-Wolfe gap, in one run on tall data (module docstring).
 
     Takes the arguments of :func:`solve_weights_fista` and checks them as it
-    does; ``n_iters`` caps the steps of all rounds together.
+    does; ``n_iters`` caps the steps of the run, or of all rounds together.
     """
     design, Ymu, W, gamma = _prepare(X, labels, mu, W0, n_iters, eta, sigma_max)
     X = design.X
     m = X.shape[0]
-    tall = X.shape[1] + Ymu.shape[1] <= m
-    # a tall solve's one set is every row, on the design's Gram
-    every_row = _product(X, Ymu, design.gram) if tall else None
-    if tall:
-        G, f = every_row(W)
-    else:
-        X_S, W_S = _on_support(X, W)
-        G, f = _through(X_S, X, Ymu, W_S)
+    if X.shape[1] + Ymu.shape[1] <= m:
+        # a working set would be every row, so rounds would only restart the momentum
+        return _solve(design, Ymu, W, gamma, n_iters, eta, True, stop=(0.0, _GAP_RTOL))
+    X_S, W_S = _on_support(X, W)
+    G, f = _through(X_S, X, Ymu, W_S)
     trace, steps, rounds = [f], 0, 1
     while steps < n_iters:
         gap = _gap(W, G, eta)
         if gap <= _GAP_RTOL * f:
             break
-        stop = _ROUND_GAP_FRACTION * gap
-        if tall:
-            W_new, G_new, inner = _fista(every_row, W, eta, gamma, n_iters - steps, True, stop)
-            f_new = inner[-1]
-        else:
-            rows = _working_set(W, G)
-            X_C = X[:, rows]
-            H_C = X_C.T @ X_C if rows.size <= 2 * m else None
-            # the set's own Lipschitz constant, lambda_max(H_C), from the Gram at hand
-            gamma_C = 1.0 / _core._gram_norm(X_C @ X_C.T if H_C is None else H_C) ** 2
-            product = _product(X_C, Ymu, H_C)
-            P, _, inner = _fista(product, W[rows], eta, gamma_C, n_iters - steps, True, stop)
-            W_new = np.zeros(W.shape, order="F")
-            W_new[rows] = P
-            G_new, f_new = _through(X_C, X, Ymu, P)
+        rows = _working_set(W, G)
+        X_C = X[:, rows]
+        H_C = X_C.T @ X_C if rows.size <= 2 * m else None
+        # the set's own Lipschitz constant, lambda_max(H_C), from the Gram at hand
+        gamma_C = 1.0 / _core._gram_norm(X_C @ X_C.T if H_C is None else H_C) ** 2
+        product = _product(X_C, Ymu, H_C)
+        stop = (_ROUND_GAP_FRACTION * gap, 0.0)
+        P, _, inner = _fista(product, W[rows], eta, gamma_C, n_iters - steps, True, stop)
+        W_new = np.zeros(W.shape, order="F")
+        W_new[rows] = P
+        G_new, f_new = _through(X_C, X, Ymu, P)
         steps += len(inner) - 1
         rounds += 1
-        # the next round would repeat this one from the same point
+        # FISTA is not monotone; the next round would repeat this one from the same point
         if f_new > f:
             break
         W, G, f = W_new, G_new, f_new
@@ -402,7 +401,7 @@ def solve_weights_ista(
     not already feasible.  ``objective_trace[0]`` is the objective at the
     (projected) start point, followed by one entry per iteration.
     """
-    return _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated=False)
+    return _solve(*_prepare(X, labels, mu, W0, n_iters, eta, sigma_max), n_iters, eta, False)
 
 
 def solve_weights_fista(
@@ -422,4 +421,4 @@ def solve_weights_fista(
     leave the l1 ball transiently; the reported weights and trace are taken
     at the projected points, which are always feasible.
     """
-    return _solve(X, labels, mu, W0, n_iters, eta, sigma_max, accelerated=True)
+    return _solve(*_prepare(X, labels, mu, W0, n_iters, eta, sigma_max), n_iters, eta, True)

@@ -164,8 +164,8 @@ def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, acceler
     ``lambda = 1 + (t_{n-1} - 1) / t_n`` (``lambda = 1`` without acceleration).
     With a ``stop``, the loop ends after any step that is a multiple of 10
     at which the Frank-Wolfe gap :func:`fw_gap` of the projected point is at
-    most ``stop``.  Returns the last projected point and the objective at
-    every projected point.
+    most ``stop(f)``, with ``f`` the objective there.  Returns the last
+    projected point and the objective at every projected point.
     """
     Ymu = mu[labels]
 
@@ -189,8 +189,9 @@ def projected_gradient_reference(X, labels, mu, W0, n_iters, gamma, eta, acceler
             lam = 1.0 + (t - 1.0) / t_new
             t = t_new
         W = (1.0 - lam) * W + lam * W_proj
-        if stop is not None and (n + 1) % 10 == 0 and fw_gap(X, Ymu, W_proj, eta) <= stop:
-            break
+        if stop is not None and (n + 1) % 10 == 0:
+            if fw_gap(X, Ymu, W_proj, eta) <= stop(trace[-1]):
+                break
     return W_proj, np.asarray(trace)
 
 
@@ -203,17 +204,26 @@ def fw_gap(X, Ymu, W, eta):
 def gap_solve_reference(X, labels, mu, W0, n_iters, eta):
     """The gap-stopped weight solve written out plainly; returns its weights.
 
-    Each round ends the solve when the Frank-Wolfe gap is at most ``1e-2 f``.
-    Otherwise it takes the support of ``W`` plus the 64 other rows of
-    largest ``max_j |G_ij|``, or all of them where fewer are left (every row
-    when ``d + dbar <= m``), and runs :func:`projected_gradient_reference`
-    with FISTA on those columns of ``X``, at one over their squared largest
-    singular value from an SVD, until its gap is at most 0.2 times the full
-    gap.  The round is kept when the objective does not rise, and the solve
-    ends otherwise.  ``n_iters`` caps the steps of all rounds together.
+    When ``d + dbar <= m`` it is one :func:`projected_gradient_reference`
+    run with FISTA on all of ``X``, at one over its squared largest singular
+    value from an SVD, stopped once the Frank-Wolfe gap is at most ``1e-2
+    f`` at the tested point, or after ``n_iters`` steps; it may end above its
+    start.  Otherwise it runs in rounds.  Each ends the solve when the gap is
+    at most ``1e-2 f``.  Otherwise it takes the support of ``W`` plus the 64
+    other rows of largest ``max_j |G_ij|``, or all of them where fewer are
+    left, and runs :func:`projected_gradient_reference` with FISTA on those
+    columns of ``X``, at their own SVD step, until its gap is at most 0.2
+    times the full gap.  The round is kept when the objective does not rise,
+    and the solve ends otherwise.  ``n_iters`` caps the steps of all rounds
+    together.
     """
     Ymu = mu[labels]
     (m, d), dbar = X.shape, W0.shape[1]
+    if d + dbar <= m:
+        gamma = 1.0 / np.linalg.svd(X, compute_uv=False)[0] ** 2
+        return projected_gradient_reference(
+            X, labels, mu, W0, n_iters, gamma, eta, True, stop=lambda f: 1e-2 * f
+        )[0]
 
     def objective(W):
         R = X @ W - Ymu
@@ -227,16 +237,15 @@ def gap_solve_reference(X, labels, mu, W0, n_iters, eta):
         if gap <= 1e-2 * f:
             break
         G = X.T @ (X @ W - Ymu)
-        rows = np.arange(d)
-        if d + dbar > m:
-            supp = np.flatnonzero(np.any(W != 0.0, axis=1))
-            order = np.argsort(-np.abs(G).max(axis=1), kind="stable")
-            others = order[~np.isin(order, supp)][:64]
-            rows = np.sort(np.concatenate([supp, others]))
+        supp = np.flatnonzero(np.any(W != 0.0, axis=1))
+        order = np.argsort(-np.abs(G).max(axis=1), kind="stable")
+        others = order[~np.isin(order, supp)][:64]
+        rows = np.sort(np.concatenate([supp, others]))
         X_C = X[:, rows]
         gamma = 1.0 / np.linalg.svd(X_C, compute_uv=False)[0] ** 2
+        bound = 0.2 * gap
         P, inner = projected_gradient_reference(
-            X_C, labels, mu, W[rows], n_iters - steps, gamma, eta, True, stop=0.2 * gap
+            X_C, labels, mu, W[rows], n_iters - steps, gamma, eta, True, stop=lambda f: bound
         )
         steps += inner.size - 1
         W_new = np.zeros_like(W)
@@ -318,8 +327,9 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
 
     ``sigma`` comes from an SVD.  The start clusters the ``k + 4`` columns of
     largest ``X.var``.  Each weight solve is :func:`gap_solve_reference` on
-    the data solved on, with at most ``inner_iters`` steps; its rounds never
-    raise the objective, so its endpoint is always kept.  Each loop then
+    the data solved on, with at most ``inner_iters`` steps; its endpoint is
+    kept unless its objective is above the start's, which only a tall
+    solve's one FISTA run can give.  Each loop then
     keeps the lower-wcss of the warm Lloyd run and the previous labels, the
     warm run on ties.  Returns the labels, ``W``, the selected features and
     the trace of Frobenius residual norms.
@@ -335,7 +345,10 @@ def k_sparse_reference(X, k, eta, inner_iters, outer_loops, replicates, seed=0, 
     W[np.arange(dbar), np.arange(dbar)] = eta / dbar
     trace = [np.linalg.norm(mu[labels] - X @ W)]
     for _ in range(outer_loops):
-        W = gap_solve_reference(X, labels, mu, W, inner_iters, eta)
+        W_new = gap_solve_reference(X, labels, mu, W, inner_iters, eta)
+        start, end = (np.linalg.norm(X @ V - mu[labels]) for V in (W, W_new))
+        if end <= start:
+            W = W_new
         Z = X @ W
         prev_mu = np.array([Z[labels == j].mean(axis=0) for j in range(k)])
         R = Z - prev_mu[labels]

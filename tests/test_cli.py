@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -91,6 +93,21 @@ class TestSynth:
             assert proc.returncode == 0
         assert Path(f"{a}_matrix.csv").read_text() == Path(f"{b}_matrix.csv").read_text()
         assert Path(f"{a}_labels.txt").read_text() == Path(f"{b}_labels.txt").read_text()
+
+    def test_noise_sd(self, tmp_path):
+        # the matrix parses back to the generator's at that noise level
+        from ksparse.dataio import SyntheticSpec, generate_synthetic, load_matrix_csv
+
+        prefix = str(tmp_path / "n")
+        proc = run_cli(
+            "synth", "--m", "40", "--d", "30", "--k", "2", "--informative", "3",
+            "--noise-sd", "0.5", "--seed", "3", "--out", prefix,
+        )
+        assert proc.returncode == 0, proc.stderr
+        spec = SyntheticSpec(m=40, d=30, k=2, n_informative=3, noise_sd=0.5, seed=3)
+        expected = generate_synthetic(spec)
+        written = load_matrix_csv(f"{prefix}_matrix.csv").matrix
+        np.testing.assert_array_equal(written, expected.matrix)
 
     def test_invalid_spec_is_usage_error(self, tmp_path):
         proc = run_cli("synth", "--m", "4", "--k", "9", "--out", str(tmp_path / "x"))
@@ -218,6 +235,28 @@ class TestCluster:
         doc = json.loads(out.read_text())
         assert doc["format"] == "ksparse-result"
         assert len(doc["labels"]) == 40
+
+    def test_tab_delimiter(self, synth_files, tmp_path):
+        # a tab-separated copy gives the comma file's result, with the
+        # delimiter named and with it detected
+        tabbed = tmp_path / "tabbed.tsv"
+        tabbed.write_text(Path(f"{synth_files}_matrix.csv").read_text().replace(",", "\t"))
+        docs, stdouts = [], []
+        for name, matrix, flags in (
+            ("comma.json", f"{synth_files}_matrix.csv", []),
+            ("named.json", str(tabbed), ["--delimiter", "tab"]),
+            ("detected.json", str(tabbed), []),
+        ):
+            out = tmp_path / name
+            proc = run_cli(
+                "cluster", "--input", matrix, *flags, "--labels", f"{synth_files}_labels.txt",
+                "--k", "2", "--eta", "0.5", *FAST_FLAGS, "--out", str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+            docs.append(out.read_bytes())
+            stdouts.append(proc.stdout)
+        assert docs[1] == docs[0] and docs[2] == docs[0]
+        assert stdouts[1] == stdouts[0] and stdouts[2] == stdouts[0]
 
     def test_without_labels_three_fields(self, synth_files, tmp_path):
         out = tmp_path / "r.json"
@@ -489,6 +528,21 @@ class TestSweep:
         assert proc.returncode == 0, proc.stderr
         assert processes_naming(str(out)) == []
 
+    def test_tab_delimiter(self, synth_files, tmp_path):
+        # a tab-separated copy, named as such, gives the comma file's table
+        tabbed = tmp_path / "tabbed.tsv"
+        tabbed.write_text(Path(f"{synth_files}_matrix.csv").read_text().replace(",", "\t"))
+        tables = []
+        for matrix, flags in ((f"{synth_files}_matrix.csv", []),
+                              (str(tabbed), ["--delimiter", "tab"])):
+            proc = run_cli(
+                "sweep", "--input", matrix, *flags, "--labels", f"{synth_files}_labels.txt",
+                "--k", "2", "--eta-list", "0.3,0.5", *FAST_FLAGS,
+            )
+            assert proc.returncode == 0, proc.stderr
+            tables.append(proc.stdout)
+        assert tables[1] == tables[0]
+
     def test_single_eta_one_row(self, synth_files):
         proc = run_cli(
             "sweep", "--input", f"{synth_files}_matrix.csv", "--k", "2",
@@ -723,6 +777,19 @@ class TestForkedWorkers:
                 capture_output=True, text=True,
             )
             assert proc.returncode == 0, proc.stderr
+
+    def test_numpy_random_imported_once(self, large_synth_files, tmp_path):
+        # the parent imports numpy.random before it forks the load and the
+        # k-means replicates, so no worker imports it again
+        matrix = f"{large_synth_files}_matrix.csv"
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ksparse", "cluster", "--input", matrix,
+             "--k", "4", "--eta", "3", *FAST_FLAGS, "--threads", "2",
+             "--out", str(tmp_path / "r.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(re.findall(r"\|\s*numpy\.random$", proc.stderr, re.M)) == 1
 
 
 class TestHelp:

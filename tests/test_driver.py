@@ -102,6 +102,25 @@ class TestKSparse:
         assert res.objective_trace.shape == (1,)
         assert np.bincount(res.labels, minlength=2).min() >= 1
 
+    def test_endpoint_above_its_start_is_not_kept(self, two_cluster_ds, monkeypatch):
+        # a weight solve that ends above its start, as a tall solve's one
+        # FISTA run may, leaves W at the start
+        cfg = SolverConfig(replicates=8, inner_iters=120, outer_loops=0)
+        start = k_sparse(two_cluster_ds.matrix, 2, 0.5, cfg).weights
+        real_solve = driver._solve_to_gap
+        moved = []
+
+        def solve(X, labels, mu, W0, *args, **kwargs):
+            rep = real_solve(X, labels, mu, W0, *args, **kwargs)
+            moved.append(not np.array_equal(rep.final_weights, W0))
+            f0 = rep.objective_trace[0]
+            return dataclasses.replace(rep, objective_trace=np.array([f0, f0 * (1 + 1e-12)]))
+
+        monkeypatch.setattr(driver, "_solve_to_gap", solve)
+        res = k_sparse(two_cluster_ds.matrix, 2, 0.5, dataclasses.replace(cfg, outer_loops=1))
+        assert moved == [True]
+        np.testing.assert_array_equal(res.weights, start)
+
     def test_reproducible(self, two_cluster_ds):
         ds = two_cluster_ds
         a = k_sparse(ds.matrix, 2, 0.3, FAST)

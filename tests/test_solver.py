@@ -658,7 +658,7 @@ class TestTallReduction:
         mu = rng.standard_normal((k, dbar))
         design = ksparse.solver._Design(X)
         W0 = default_weight_init(d, dbar, 1.5)
-        # the reference solve and the gap-stopped one, whose set is every row
+        # the reference solve and the gap-stopped one, one FISTA run on tall data
         for solve in (solve_weights_fista, _solve_to_gap):
             tracemalloc.start()
             try:
