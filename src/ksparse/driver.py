@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kmeans as _kmeans
 from . import metrics as _metrics
-from .core import _forked, _split, centroids, check_data_matrix, check_labels, spectral_norm
+from .core import _forked, _split, centroids, check_data_matrix, check_labels
 from .kmeans import KmeansOutcome, best_of_replicates, lloyd
 from .solver import _Design, _on_support, _solve_to_gap, default_weight_init
 
@@ -166,10 +166,9 @@ def k_sparse(
         labels_true = check_labels(labels_true, m=m)
 
     # every solve reuses its column norms and, on tall data, its X.T @ X, from
-    # which the spectral norm comes too when m > d; otherwise spectral_norm is
-    # called by this module's name, where the benchmark's tracer times it
+    # which the spectral norm comes too when m > d
     design = _Design(X)
-    sigma_max = design.spectral_norm() if m > d else spectral_norm(X)
+    sigma_max = design.spectral_norm()
     # W lives on the scale of X / scale; the solves run on X itself with W /
     # scale and eta / scale, so the run holds no normalized copy of X
     scale = sigma_max if cfg.normalize else 1.0

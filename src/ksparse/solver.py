@@ -16,11 +16,10 @@ The loop takes one gradient product per step, at the projected point
 ``P``.  The gradient is affine in ``W``, so the loop carries it at the
 extrapolated point by the points' own recombination, ``G = (1 - lambda) G
 + lambda G(P)``.  On tall data (``d + dbar <= m``) the product is one d x d
-x dbar product on the Gram matrix ``H = X.T X`` of a :class:`_Design`,
-``H P - b`` with ``b = X.T Y mu`` and ``Y`` the m x k one-hot matrix of the
-labels; it reads only the rows of ``H`` in the support of ``P`` when that
-is under half of them.  Otherwise the product is two m x d x dbar ones
-through ``X``: ``R = X P - Y mu`` and ``X.T R``.
+x dbar product on the Gram matrix ``H = X.T X`` of a :class:`_Design`, all
+of it whatever the support of ``P``: ``H P - b`` with ``b = X.T Y mu`` and
+``Y`` the m x k one-hot matrix of the labels.  Otherwise the product is two
+m x d x dbar ones through ``X``: ``R = X P - Y mu`` and ``X.T R``.
 
 Each projection's threshold scan starts from 0.9 times the last step's
 threshold where that provably lies below the new one, and gives the bits
@@ -125,8 +124,8 @@ class InnerSolveReport:
 def default_weight_init(d: int, dbar: int, eta: float) -> np.ndarray:
     """Deterministic feasible start: min(d, dbar) diagonal entries of eta / min(d, dbar).
 
-    Lies on the boundary of the l1 ball, which avoids the trivial W = 0
-    stationary point.
+    On the boundary of the l1 ball.  ``W = 0`` is stationary for a weight
+    solve only where ``X.T Y mu = 0``, as for the centroids of ``X W = 0``.
     """
     if d < 1 or dbar < 1:
         raise ValueError("weight matrix dimensions must be positive")
@@ -247,31 +246,19 @@ def _gram_gradient(H, b, half_ymu, P):
     """The gradient ``H P - b`` at a projected point ``P``, and its trace entry.
 
     ``H`` is a symmetric Gram, ``b = X.T Y mu`` on its rows and ``half_ymu =
-    0.5 ||Y mu||^2``.  The product reads only the rows of ``H`` in the
-    support of ``P`` when that is under half of them.  ``(P.T @ H).T`` is
+    0.5 ||Y mu||^2``.  The product reads all of ``H``.  ``(P.T @ H).T`` is
     ``H @ P`` in the layout OpenBLAS runs faster for the Fortran-ordered ``P``.
     """
-    supp = _sparse_support(P)
-    if supp is None:
-        G = (P.T @ H).T - b
-    else:
-        G = (P[supp].T @ H[supp]).T - b
+    G = (P.T @ H).T - b
     return G, half_ymu + 0.5 * _fdot(P, G - b)
-
-
-def _sparse_support(W):
-    """The rows of ``W``'s support when they are under half of its rows, else
-    ``None``: a product with ``W`` reads only the rows of its support then."""
-    supp = np.flatnonzero(W.any(axis=1))
-    return supp if 2 * supp.size < W.shape[0] else None
 
 
 def _on_support(X, W):
     """``(X_S, W_S)`` with ``X_S @ W_S`` equal to ``X @ W`` up to rounding:
-    the columns of ``X`` and rows of ``W`` in the support of ``W`` where
-    :func:`_sparse_support` finds it small, else ``(X, W)``."""
-    supp = _sparse_support(W)
-    return (X, W) if supp is None else (X[:, supp], W[supp])
+    the columns of ``X`` and rows of ``W`` in the support of ``W`` when that
+    is under half of its rows, else ``(X, W)``."""
+    supp = np.flatnonzero(W.any(axis=1))
+    return (X[:, supp], W[supp]) if 2 * supp.size < W.shape[0] else (X, W)
 
 
 def _product(X, Ymu, H=None):

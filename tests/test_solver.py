@@ -378,12 +378,32 @@ class TestWorkingSet:
                 assert rep.objective_trace[0] == pytest.approx(f, rel=1e-12)
 
     def test_round_trace_never_rises(self):
+        # a wide solve's trace holds the objective at the start and after each
+        # kept round
         rounds = []
-        for X, labels, mu, eta in _gap_solves():
-            rep = _solve_to_gap(X, labels, mu, default_weight_init(X.shape[1], 3, eta), 300, eta)
-            assert np.all(np.diff(rep.objective_trace) <= 0.0)
-            rounds.append(rep.objective_trace.size)
+        for seed in range(4):
+            for eta in (0.2, 1.0):
+                X, labels, mu = _screening_instance(seed)
+                rep = _solve_to_gap(X, labels, mu, default_weight_init(400, 3, eta), 300, eta)
+                assert np.all(np.diff(rep.objective_trace) <= 0.0)
+                rounds.append(rep.objective_trace.size)
         assert max(rounds) >= 3
+
+    def test_tall_trace_is_one_run(self):
+        # a tall solve is one FISTA run, which may rise: its trace has an entry
+        # per step, every step forms the full gradient, and the first and last
+        # entries are the objective at the projected start and at the endpoint
+        for seed in range(4):
+            for eta in (0.2, 1.0):
+                X, labels, mu = _screening_instance(seed, m=120, d=60)
+                W0 = default_weight_init(60, 3, eta)
+                rep = _solve_to_gap(X, labels, mu, W0, 300, eta)
+                assert rep.objective_trace.size == rep.iterations_run + 1
+                assert rep.full_gradients == rep.iterations_run
+                f0 = objective(X, project_l1_ball(W0, eta), labels, mu)
+                f = objective(X, rep.final_weights, labels, mu)
+                assert rep.objective_trace[0] == pytest.approx(f0, rel=1e-12)
+                assert rep.objective_trace[-1] == pytest.approx(f, rel=1e-12)
 
     def test_engages_when_d_much_larger_than_m(self, monkeypatch):
         X, labels, mu = _screening_instance(3)
@@ -671,8 +691,8 @@ class TestTallReduction:
 
     @pytest.mark.parametrize("accelerated", [False, True])
     def test_one_product_per_step(self, monkeypatch, accelerated):
-        # (P_S.T @ H[S]).T on the support S of P while it is under half of
-        # the d rows, else (P.T @ H).T; this budget keeps 3-7 of 12 rows
+        # (P.T @ H).T on all of H, also at the steps whose support is under
+        # half of the d rows; this budget keeps 3-7 of 12 rows
         X, labels, mu = _instance(21, m=100, d=12, dbar=3)
         m, d = X.shape
         design = ksparse.solver._Design(X)
@@ -681,12 +701,14 @@ class TestTallReduction:
         design.gram.log = log
         design.X = design.X.view(_Counted)
         design.X.log = x_log
-        starts = []
+        starts, supports = [], []
         shrink = ksparse.solver._shrink
 
         def spy(*args):
             starts.append((len(log), len(x_log)))
-            return shrink(*args)
+            P, tau = shrink(*args)
+            supports.append(np.count_nonzero(P.any(axis=1)))
+            return P, tau
 
         monkeypatch.setattr(ksparse.solver, "_shrink", spy)
         W0 = default_weight_init(d, 3, 8.0)
@@ -697,12 +719,10 @@ class TestTallReduction:
         assert len(starts) == 81
         ends = starts[1:] + [(len(log), len(x_log))]
         steps = [log[a:b] for (a, _), (b, _) in zip(starts, ends)]
-        on_support = 0
         for products in steps:
             [(kind, (dbar, s), (rows, cols))] = products
-            assert kind == "matmul" and dbar == 3 and s == rows <= cols == d
-            on_support += s < d
-        assert 0 < on_support < len(steps)
+            assert kind == "matmul" and dbar == 3 and s == rows == cols == d
+        assert any(2 * n < d for n in supports)
         # on X, only the start's residual and b before the first step, and the
         # last trace entry after the last; no step makes a product on X
         x_steps = [x_log[a:b] for (_, a), (_, b) in zip(starts, ends)]
